@@ -1,26 +1,43 @@
 # End-to-end smoke for the sweep engine:
 #   cmake -DDRIVER=<sweep_grid binary> -DCSV=<output path> -P DmlSweepSmoke.cmake
-# Runs a shrunk paper grid on several threads, then asserts the CSV header
-# and that at least one data row came out ok. The run itself exercises the
-# full parallel path (ThreadPool fan-out, shared eval cache, per-cell
-# seeding), which is why the TSan job runs this entry too.
+# Runs a shrunk paper grid serially and on 4 threads, fails unless the two
+# CSVs are byte-identical (the sweep's determinism contract), then asserts
+# the CSV header and that at least one data row came out ok. The threaded
+# run exercises the full parallel path (ThreadPool fan-out, shared eval
+# cache, per-cell seeding), which is why the TSan job runs this entry too.
 if(NOT DRIVER OR NOT CSV)
   message(FATAL_ERROR "DmlSweepSmoke.cmake requires -DDRIVER=... and -DCSV=...")
 endif()
 
+set(SERIAL_CSV ${CSV}.threads1)
+foreach(threads 4 1)
+  set(path ${CSV})
+  if(threads EQUAL 1)
+    set(path ${SERIAL_CSV})
+  endif()
+  execute_process(
+    COMMAND ${DRIVER} --threads=${threads} --max-nodes=16 --sim-supersteps=2
+            --csv=${path}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${DRIVER} --threads=${threads} exited with ${rc}\n"
+                        "stdout:\n${out}\nstderr:\n${err}")
+  endif()
+  if(NOT EXISTS ${path})
+    message(FATAL_ERROR "${DRIVER} --threads=${threads} did not write ${path}")
+  endif()
+endforeach()
+
 execute_process(
-  COMMAND ${DRIVER} --threads=4 --max-nodes=16 --sim-supersteps=2 --csv=${CSV}
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-    "${DRIVER} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  COMMAND ${CMAKE_COMMAND} -E compare_files ${SERIAL_CSV} ${CSV}
+  RESULT_VARIABLE differ)
+if(NOT differ EQUAL 0)
+  message(FATAL_ERROR "--threads=1 and --threads=4 CSVs differ: "
+                      "${SERIAL_CSV} vs ${CSV}")
 endif()
 
-if(NOT EXISTS ${CSV})
-  message(FATAL_ERROR "${DRIVER} did not write ${CSV}")
-endif()
 file(STRINGS ${CSV} csv_lines)
 list(LENGTH csv_lines num_lines)
 if(num_lines LESS 2)
@@ -50,4 +67,5 @@ endif()
 if(REQUIRE_CONTENDED AND NOT found_contended_row)
   message(FATAL_ERROR "no ok contended (fat-tree) row in ${CSV}:\n${csv_lines}")
 endif()
-message(STATUS "sweep-smoke OK: ${num_lines} CSV lines from ${DRIVER}")
+message(STATUS "sweep-smoke OK: ${num_lines} CSV lines from ${DRIVER}, "
+               "byte-identical at 1 and 4 threads")

@@ -93,8 +93,8 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
     double coefficient = scenario.comm_coefficient();
     auto des_comm = std::make_shared<std::map<int, double>>();
     for (int n : nodes) {
-      // SimulateCommSeconds streams rounds through the model's ForEachRound
-      // hook, so even a 10k-node ring pattern is priced in O(n) memory.
+      // Traffic(n) is run-length encoded, so the DES simulates each distinct
+      // round once: a ring costs one n-flow round, not 2(n-1) of them.
       (*des_comm)[n] = coefficient *
                        sim::SimulateCommSeconds(scenario.comm(), n, link,
                                                 network, options.sim_backend);
@@ -108,8 +108,7 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
       .message_bits = scenario.comm_params().GetOr("bits", 0.0),
       .overhead = options.overhead,
       .supersteps = options.sim_supersteps,
-      .backend = options.sim_backend,
-      .exec = {}};
+      .backend = options.sim_backend};
 
   // One independently seeded generator per node count: the point at n is the
   // same whether the curve is evaluated front to back, in parallel, or as

@@ -18,20 +18,7 @@ double CommunicationModel::Seconds(int n) const {
   DMLSCALE_CHECK_GE(n, 1);
   if (n == 1) return 0.0;
   if (network_.Ideal()) return ClosedFormSeconds(n);
-  // Stream rounds instead of materializing Traffic(n): identical sum
-  // (PatternSeconds is a fold of RoundSeconds over the rounds) at O(round)
-  // memory, which is what keeps 10k-node ring patterns affordable.
-  double total = 0.0;
-  ForEachRound(n, [&](const TrafficRound& round) {
-    total += RoundSeconds(round, n, link_, network_);
-  });
-  return total;
-}
-
-void CommunicationModel::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
-  const TrafficPattern pattern = Traffic(n);
-  for (const TrafficRound& round : pattern.rounds) fn(round);
+  return PatternSeconds(Traffic(n), n, link_, network_);
 }
 
 TrafficPattern SharedMemoryComm::Traffic(int n) const {
@@ -191,31 +178,16 @@ TrafficPattern RingAllReduceComm::Traffic(int n) const {
   DMLSCALE_CHECK_GE(n, 1);
   TrafficPattern pattern;
   if (n == 1) return pattern;
-  // 2(n-1) rounds (reduce-scatter + all-gather); every round shifts one
-  // bits/n chunk from each node to its ring successor simultaneously.
+  // 2(n-1) identical rounds (reduce-scatter + all-gather); every round
+  // shifts one bits/n chunk from each node to its ring successor
+  // simultaneously.
   const double chunk = bits_ / static_cast<double>(n);
-  for (int r = 0; r < 2 * (n - 1); ++r) {
-    TrafficRound& round = pattern.AddRound();
-    for (int i = 0; i < n; ++i) {
-      round.flows.push_back(Flow{i, (i + 1) % n, chunk});
-    }
-  }
-  return pattern;
-}
-
-void RingAllReduceComm::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  if (n == 1) return;
-  // Every round is the same n-flow ring shift: build it once, stream it
-  // 2(n-1) times (O(n) memory instead of Traffic(n)'s O(n^2)).
-  TrafficRound round;
-  const double chunk = bits_ / static_cast<double>(n);
+  TrafficRound& round = pattern.AddRound(2.0 * (n - 1));
   round.flows.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     round.flows.push_back(Flow{i, (i + 1) % n, chunk});
   }
-  for (int r = 0; r < 2 * (n - 1); ++r) fn(round);
+  return pattern;
 }
 
 RecursiveDoublingComm::RecursiveDoublingComm(double bits, LinkSpec link,
@@ -307,11 +279,6 @@ TrafficPattern CompositeComm::Traffic(int n) const {
   TrafficPattern pattern;
   for (const auto& stage : stages_) pattern.Append(stage->Traffic(n));
   return pattern;
-}
-
-void CompositeComm::ForEachRound(
-    int n, const std::function<void(const TrafficRound&)>& fn) const {
-  for (const auto& stage : stages_) stage->ForEachRound(n, fn);
 }
 
 std::unique_ptr<CompositeComm> CompositeComm::Of(

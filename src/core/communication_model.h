@@ -1,7 +1,6 @@
 #ifndef DMLSCALE_CORE_COMMUNICATION_MODEL_H_
 #define DMLSCALE_CORE_COMMUNICATION_MODEL_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,9 +15,11 @@ namespace dmlscale::core {
 /// volume `M` at construction, in two layers:
 ///
 ///  - `Traffic(n)` emits the collective's TRAFFIC PATTERN: per-round
-///    point-to-point flows, independent of any fabric.
+///    point-to-point flows, independent of any fabric, run-length encoded
+///    (each distinct round once, with its `repeat` count).
 ///  - `Seconds(n)` prices that pattern on the model's NetworkSpec
-///    (topology + queueing, see network.h). On the ideal network — the
+///    (topology + queueing, see network.h), routing and pricing each
+///    distinct round once. On the ideal network — the
 ///    non-blocking, queue-free crossbar the paper assumes — pricing
 ///    short-circuits to `ClosedFormSeconds(n)`, the paper's closed form
 ///    verbatim, so legacy results stay bit-identical. Any other network
@@ -44,17 +45,10 @@ class CommunicationModel {
   std::string label() const { return name() + network_.Decoration(); }
 
   /// The collective's per-round flows on `n` >= 1 nodes (empty for n == 1).
+  /// Identical consecutive rounds are emitted once with `repeat` set, so
+  /// repetitive collectives stay O(distinct flows): the ring's 2(n-1)
+  /// identical shifts are one n-flow round, not ~2*10^8 flows at n = 10k.
   virtual TrafficPattern Traffic(int n) const = 0;
-
-  /// Streams the same rounds as Traffic(n) to `fn`, in order, WITHOUT
-  /// materializing the whole pattern. The base implementation materializes
-  /// Traffic(n); models whose pattern is huge but repetitive override it to
-  /// build each distinct round once (RingAllReduceComm's 2(n-1) identical
-  /// rounds are ~2*10^8 flows at n = 10k if materialized, n flows if
-  /// streamed). This is the pricing hook that lets the event engine and the
-  /// analytic queue model cost 10k-node collectives in O(n) memory.
-  virtual void ForEachRound(
-      int n, const std::function<void(const TrafficRound&)>& fn) const;
 
   const NetworkSpec& network() const { return network_; }
   const LinkSpec& link() const { return link_; }
@@ -173,12 +167,8 @@ class RingAllReduceComm final : public CommunicationModel {
  public:
   RingAllReduceComm(double bits, LinkSpec link, NetworkSpec network = {});
   std::string name() const override { return "ring-allreduce"; }
+  /// One n-flow ring shift with repeat = 2(n-1).
   TrafficPattern Traffic(int n) const override;
-  /// Streams the single n-flow shift round 2(n-1) times instead of
-  /// materializing all of them.
-  void ForEachRound(
-      int n,
-      const std::function<void(const TrafficRound&)>& fn) const override;
 
  protected:
   double ClosedFormSeconds(int n) const override;
@@ -230,11 +220,6 @@ class CompositeComm final : public CommunicationModel {
   double Seconds(int n) const override;
   std::string name() const override;
   TrafficPattern Traffic(int n) const override;
-  /// Streams each stage's rounds in stage order (so a streaming stage like
-  /// the ring stays O(n) inside a composite).
-  void ForEachRound(
-      int n,
-      const std::function<void(const TrafficRound&)>& fn) const override;
 
   /// Builder-style helper.
   static std::unique_ptr<CompositeComm> Of(

@@ -1,5 +1,7 @@
 #include "core/hardware.h"
 
+#include <cmath>
+
 #include "common/units.h"
 
 namespace dmlscale::core {
@@ -15,11 +17,13 @@ Status NodeSpec::Validate() const {
 }
 
 Status LinkSpec::Validate() const {
-  if (bandwidth_bps <= 0.0) {
-    return Status::InvalidArgument("LinkSpec: bandwidth_bps must be > 0");
+  if (!std::isfinite(bandwidth_bps) || bandwidth_bps <= 0.0) {
+    return Status::InvalidArgument(
+        "LinkSpec: bandwidth_bps must be finite and > 0");
   }
-  if (latency_s < 0.0) {
-    return Status::InvalidArgument("LinkSpec: latency_s must be >= 0");
+  if (!std::isfinite(latency_s) || latency_s < 0.0) {
+    return Status::InvalidArgument(
+        "LinkSpec: latency_s must be finite and >= 0");
   }
   return Status::OK();
 }

@@ -30,9 +30,10 @@ struct Flow {
 
 /// One synchronous round of a collective: flows released together, the round
 /// ends when the last one is delivered. `repeat` scales the round's duration
-/// — an integer for literal repetitions (ring all-reduce emits 2(n-1) rounds
-/// of weight 1 instead), a fraction for continuous-logarithm models whose
-/// closed forms count log2(n) rounds against ceil(log2(n)) discrete ones.
+/// — an integer for literal back-to-back repetitions (ring all-reduce is one
+/// n-flow round with repeat 2(n-1)), a fraction for continuous-logarithm
+/// models whose closed forms count log2(n) rounds against ceil(log2(n))
+/// discrete ones. Pricers route and price a round once, then multiply.
 struct TrafficRound {
   std::vector<Flow> flows;
   double repeat = 1.0;

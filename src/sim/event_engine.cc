@@ -1,6 +1,7 @@
 #include "sim/event_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -49,8 +50,8 @@ Status Engine::ValidateOptions() const {
       return Status::InvalidArgument("num_shards > 1 requires a thread pool");
     }
   }
-  if (options_.lookahead < 0.0) {
-    return Status::InvalidArgument("lookahead must be >= 0");
+  if (!std::isfinite(options_.lookahead) || options_.lookahead < 0.0) {
+    return Status::InvalidArgument("lookahead must be finite and >= 0");
   }
   if (options_.max_events < 0 || options_.time_horizon < 0.0) {
     return Status::InvalidArgument("run guards must be >= 0");
@@ -103,8 +104,6 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
     return;
   }
   // The clock-skew bound: an in-window send must land in a later window.
-  DMLSCALE_CHECK_MSG(options_.lookahead != kInf,
-                     "Send is forbidden in no-communication mode");
   DMLSCALE_CHECK_GE(delay, options_.lookahead);
   DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
@@ -224,8 +223,7 @@ Result<EngineStats> Engine::RunWindowed() {
           " events executed, sim time reached " +
           std::to_string(stats.end_time) + ")");
     }
-    const double window_end =
-        options_.lookahead == kInf ? kInf : t_min + options_.lookahead;
+    const double window_end = t_min + options_.lookahead;
     if (num_shards == 1) {
       StepShard(0, window_end);
     } else {

@@ -26,7 +26,7 @@ struct EngineExec {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// Cross-node message lookahead, seconds — the clock-skew bound:
+  /// Cross-node message lookahead, seconds — the clock-skew bound, finite:
   ///
   ///   0                 sequential mode. One global (time, seq) order,
   ///                     exactly the legacy Simulator's; Send() delivers
@@ -36,8 +36,6 @@ struct EngineOptions {
   ///                     delay >= lookahead so its arrival falls in a later
   ///                     window. Shardable; serial and threaded runs are
   ///                     bit-identical.
-  ///   infinity()        no-communication mode: a single unbounded window;
-  ///                     Send() is forbidden (nodes are fully independent).
   double lookahead = 0.0;
 
   /// Run-loop guards (the PR 7 leak family): a self-rescheduling event
@@ -55,8 +53,8 @@ struct EngineStats {
   int64_t events_executed = 0;
   /// Time of the latest executed event (0 when none ran).
   double end_time = 0.0;
-  /// Skew-bounded windows stepped (1 per Run in no-communication mode;
-  /// events_executed in sequential mode — each event is its own "window").
+  /// Skew-bounded windows stepped (events_executed in sequential mode —
+  /// each event is its own "window").
   int64_t windows = 0;
   /// Cross-node messages delivered through the ordered mailboxes.
   int64_t messages_delivered = 0;

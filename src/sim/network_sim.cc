@@ -165,12 +165,7 @@ double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
                            const core::NetworkSpec& network,
                            SimBackend backend) {
-  double total = 0.0;
-  comm.ForEachRound(n, [&](const core::TrafficRound& round) {
-    total += round.repeat *
-             SimulateRoundSeconds(round, n, edge, network, backend);
-  });
-  return total;
+  return SimulatePatternSeconds(comm.Traffic(n), n, edge, network, backend);
 }
 
 }  // namespace dmlscale::sim

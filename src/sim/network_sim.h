@@ -30,15 +30,14 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
                             SimBackend backend = SimBackend::kEngine);
 
 /// Sum of SimulateRoundSeconds over the pattern's rounds (BSP barrier
-/// between rounds), each scaled by its repeat weight.
+/// between rounds), each scaled by its repeat weight: a repeated round is
+/// simulated once.
 double SimulatePatternSeconds(const core::TrafficPattern& pattern, int n,
                               const core::LinkSpec& edge,
                               const core::NetworkSpec& network,
                               SimBackend backend = SimBackend::kEngine);
 
-/// SimulatePatternSeconds over a CommunicationModel via its streaming
-/// ForEachRound hook — same sum, but O(round) memory, so pricing a 10k-node
-/// ring-allreduce never materializes its ~2*10^8-flow pattern.
+/// SimulatePatternSeconds over `comm.Traffic(n)`.
 double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
                            const core::NetworkSpec& network,

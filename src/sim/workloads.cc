@@ -1,12 +1,12 @@
 #include "sim/workloads.h"
 
 #include <algorithm>
-#include <limits>
+#include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/collectives.h"
-#include "sim/event_engine.h"
 #include "sim/simulator.h"
 
 namespace dmlscale::sim {
@@ -122,14 +122,34 @@ Result<double> SimulateBpSuperstep(const BpSimConfig& config, Pcg32* rng) {
   return total / static_cast<double>(config.supersteps);
 }
 
+namespace {
+
+/// InvalidArgument naming `field` unless `value` is finite and >= 0. A
+/// positive `n` names the node count the value was evaluated at.
+Status CheckFiniteNonNegative(std::string_view field, double value, int n = 0) {
+  if (std::isfinite(value) && value >= 0.0) return Status::OK();
+  std::string message = std::string(field) + " must be finite and >= 0, got " +
+                        std::to_string(value);
+  if (n > 0) message += " at n=" + std::to_string(n);
+  return Status::InvalidArgument(message);
+}
+
+}  // namespace
+
 Status SuperstepSimConfig::Validate() const {
   if (!compute_seconds) {
     return Status::InvalidArgument("compute_seconds must be set");
   }
   if (!comm_seconds) return Status::InvalidArgument("comm_seconds must be set");
-  if (message_bits < 0.0) {
-    return Status::InvalidArgument("message_bits must be >= 0");
-  }
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("message_bits", message_bits));
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.sched_fixed_s",
+                                                overhead.sched_fixed_s));
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.sched_per_worker_s",
+                                                overhead.sched_per_worker_s));
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative(
+      "overhead.serialize_s_per_bit", overhead.serialize_s_per_bit));
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.straggler_sigma",
+                                                overhead.straggler_sigma));
   if (supersteps < 1) return Status::InvalidArgument("supersteps must be >= 1");
   return Status::OK();
 }
@@ -140,12 +160,10 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  double compute = config.compute_seconds(n);
-  double comm = config.comm_seconds(n);
-  if (compute < 0.0 || comm < 0.0) {
-    return Status::InvalidArgument("negative model time at n=" +
-                                   std::to_string(n));
-  }
+  const double compute = config.compute_seconds(n);
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("compute_seconds", compute, n));
+  const double comm = config.comm_seconds(n);
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("comm_seconds", comm, n));
 
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
@@ -167,37 +185,26 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
       simulator.ScheduleAt(barrier + comm + serialize, [] {});
       total += simulator.Run();
     }
-    return total / static_cast<double>(config.supersteps);
-  }
-
-  // Engine port. Jitter is drawn at SCHEDULE time in worker order — exactly
-  // the legacy draw sequence — so the backends consume identical RNG streams.
-  // Workers never communicate inside a superstep, so the engine runs in
-  // no-communication mode (one unbounded window); each worker's event writes
-  // only its own finish slot, making the run shard-safe, and the barrier is
-  // a max over the slots (order-independent), so any shard count yields the
-  // legacy value bit-for-bit.
-  std::vector<double> finish_times(static_cast<size_t>(n), 0.0);
-  for (int step = 0; step < config.supersteps; ++step) {
-    EngineOptions options;
-    options.lookahead = std::numeric_limits<double>::infinity();
-    options.exec = config.exec;
-    Engine engine(n, options);
-    int finish_type = engine.AddHandler([&finish_times](const Event& event) {
-      finish_times[static_cast<size_t>(event.node)] = event.time;
-    });
-    double start = config.overhead.SchedulingSeconds(n);
-    for (int worker = 0; worker < n; ++worker) {
-      double finish = start + compute * config.overhead.SampleJitter(rng);
-      engine.MustScheduleAt(worker, finish, finish_type);
+  } else {
+    // Workers never communicate inside a superstep, so no event queue is
+    // needed: jitter is drawn in worker order — the legacy draw sequence —
+    // and the barrier is the running max of the finish times, which is the
+    // legacy value bit for bit.
+    for (int step = 0; step < config.supersteps; ++step) {
+      const double start = config.overhead.SchedulingSeconds(n);
+      double barrier = 0.0;
+      for (int worker = 0; worker < n; ++worker) {
+        barrier = std::max(
+            barrier, start + compute * config.overhead.SampleJitter(rng));
+      }
+      total += barrier + comm + serialize;
     }
-    DMLSCALE_ASSIGN_OR_RETURN(EngineStats stats, engine.Run());
-    (void)stats;
-    double barrier = 0.0;
-    for (double finish : finish_times) barrier = std::max(barrier, finish);
-    total += barrier + comm + serialize;
   }
-  return total / static_cast<double>(config.supersteps);
+  const double mean = total / static_cast<double>(config.supersteps);
+  // Finite inputs can still overflow, e.g. through a huge straggler draw.
+  DMLSCALE_RETURN_NOT_OK(
+      CheckFiniteNonNegative("mean superstep seconds", mean, n));
+  return mean;
 }
 
 }  // namespace dmlscale::sim

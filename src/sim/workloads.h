@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/hardware.h"
 #include "sim/backend.h"
-#include "sim/event_engine.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -80,26 +79,25 @@ struct SuperstepSimConfig {
   /// Payload bits per superstep, priced by `overhead.serialize_s_per_bit`
   /// (0 = no serialization cost).
   double message_bits = 0.0;
+  /// Every field must be finite and >= 0.
   OverheadModel overhead;
   /// Supersteps to average over (straggler jitter makes runs stochastic).
   int supersteps = 3;
-  /// Which discrete-event core runs the supersteps. Both backends are
-  /// bit-identical; kLegacy is the migration reference.
+  /// kEngine runs each superstep as a plain loop over the workers (they
+  /// never communicate inside a superstep); kLegacy runs it through the
+  /// closure-based Simulator and is the bit-identical reference.
   SimBackend backend = SimBackend::kEngine;
-  /// Engine execution knobs (kEngine only). Workers are independent inside
-  /// a superstep, so this runs in the engine's no-communication mode and
-  /// any shard count gives the identical mean.
-  EngineExec exec;
 
   Status Validate() const;
 };
 
-/// Runs `supersteps` BSP supersteps on `n` workers through the event queue:
-/// scheduling overhead, then each worker computes (jittered), the barrier
-/// falls at the slowest worker, and the collective completes after
-/// comm_seconds(n) plus serialization. With OverheadModel::None() the result
-/// equals compute_seconds(n) + comm_seconds(n) exactly, so model-vs-sim
-/// deltas isolate the framework overheads. Returns mean superstep seconds.
+/// Runs `supersteps` BSP supersteps on `n` workers: scheduling overhead,
+/// then each worker computes (jittered), the barrier falls at the slowest
+/// worker, and the collective completes after comm_seconds(n) plus
+/// serialization. compute_seconds(n) and comm_seconds(n) must be finite and
+/// >= 0. With OverheadModel::None() the result equals compute_seconds(n) +
+/// comm_seconds(n) exactly, so model-vs-sim deltas isolate the framework
+/// overheads. Returns mean superstep seconds.
 Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
                                         int n, Pcg32* rng);
 

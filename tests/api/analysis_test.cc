@@ -1,6 +1,8 @@
 #include "api/analysis.h"
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +139,30 @@ TEST(AnalysisTest, InvalidOptionsFail) {
   bad_current.target_speedup = 2.0;
   bad_current.current_nodes = 0;
   EXPECT_FALSE(Analysis::Run(*scenario, bad_current).ok());
+}
+
+TEST(AnalysisTest, InvalidSimulationOverheadIsAnError) {
+  // Overheads that would schedule events before t = 0 or poison the
+  // barrier with NaN must come back as a Status naming the field, not an
+  // abort or a NaN MAPE.
+  auto scenario = Fig1Scenario();
+  ASSERT_TRUE(scenario.ok());
+  AnalysisOptions options;
+  options.simulate = true;
+  options.sim_supersteps = 2;
+  options.overhead.sched_fixed_s = -1e6;
+  auto negative = Analysis::Run(*scenario, options);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status().message().find("sched_fixed_s"),
+            std::string::npos);
+
+  options.overhead = sim::OverheadModel{};
+  options.overhead.serialize_s_per_bit = std::nan("");
+  auto nan = Analysis::Run(*scenario, options);
+  ASSERT_FALSE(nan.ok());
+  EXPECT_NE(nan.status().message().find("serialize_s_per_bit"),
+            std::string::npos);
 }
 
 TEST(AnalysisTest, SimulatedPointsAreOrderIndependent) {

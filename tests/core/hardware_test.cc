@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dmlscale::core {
 namespace {
 
@@ -28,6 +30,13 @@ TEST(LinkSpecTest, Validation) {
   EXPECT_FALSE(
       (LinkSpec{.bandwidth_bps = 1.0, .latency_s = -1.0}).Validate().ok());
   EXPECT_TRUE((LinkSpec{.bandwidth_bps = 1e9}).Validate().ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE((LinkSpec{.bandwidth_bps = bad}).Validate().ok()) << bad;
+    EXPECT_FALSE(
+        (LinkSpec{.bandwidth_bps = 1e9, .latency_s = bad}).Validate().ok())
+        << bad;
+  }
 }
 
 TEST(ClusterSpecTest, SharedMemorySkipsLinkValidation) {

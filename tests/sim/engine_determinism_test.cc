@@ -8,10 +8,8 @@
 
 #include <vector>
 
-#include "common/random.h"
 #include "common/thread_pool.h"
 #include "sim/scale_scenarios.h"
-#include "sim/workloads.h"
 
 namespace dmlscale::sim {
 namespace {
@@ -167,32 +165,6 @@ TEST(EngineDeterminismTest, ReplicaRecoveryPsIsShardCountInvariant) {
     EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
         << "shards=" << shards;
     EXPECT_EQ(sharded.value().faults.crashes, serial.value().faults.crashes);
-  }
-}
-
-TEST(EngineDeterminismTest, GenericSuperstepIsShardCountInvariant) {
-  SuperstepSimConfig base;
-  base.compute_seconds = [](int n) { return 10.0 / n; };
-  base.comm_seconds = [](int n) { return 0.01 * n; };
-  base.message_bits = 1e6;
-  base.overhead.sched_fixed_s = 0.002;
-  base.overhead.sched_per_worker_s = 1e-5;
-  base.overhead.serialize_s_per_bit = 1e-9;
-  base.overhead.straggler_sigma = 0.3;
-  base.supersteps = 4;
-
-  Pcg32 serial_rng(99);
-  Result<double> serial = SimulateGenericSuperstep(base, 31, &serial_rng);
-  ASSERT_TRUE(serial.ok());
-  for (int shards : kShardCounts) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    SuperstepSimConfig config = base;
-    config.exec.num_shards = shards;
-    config.exec.pool = &pool;
-    Pcg32 rng(99);
-    Result<double> sharded = SimulateGenericSuperstep(config, 31, &rng);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded.value(), serial.value()) << "shards=" << shards;
   }
 }
 

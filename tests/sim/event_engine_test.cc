@@ -8,6 +8,7 @@
 
 #include "common/thread_pool.h"
 #include "sim/event_heap.h"
+#include "sim/scale_scenarios.h"
 
 namespace dmlscale::sim {
 namespace {
@@ -134,27 +135,6 @@ TEST(EventEngineTest, WindowedDeliversThroughMailboxes) {
   EXPECT_GE(stats.value().windows, 4);
 }
 
-TEST(EventEngineTest, NoCommModeRunsEverythingInOneWindow) {
-  EngineOptions options;
-  options.lookahead = kInf;
-  Engine engine(3, options);
-  int executed = 0;
-  const int type = engine.AddHandler([&](const Event& event) {
-    ++executed;
-    if (event.a > 0) {
-      engine.MustScheduleAt(event.node, event.time + 1.0, event.type, event.a - 1);
-    }
-  });
-  for (int node = 0; node < 3; ++node) {
-    engine.MustScheduleAt(node, 0.0, type, 2);
-  }
-  Result<EngineStats> stats = engine.Run();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(executed, 9);
-  EXPECT_EQ(stats.value().windows, 1);
-  EXPECT_DOUBLE_EQ(stats.value().end_time, 2.0);
-}
-
 TEST(EventEngineTest, MaxEventsGuardTurnsRunawayChainIntoError) {
   // A self-rescheduling chain that would hang forever without the guard.
   EngineOptions options;
@@ -186,10 +166,10 @@ TEST(EventEngineTest, MaxEventsGuardTripsInWindowedMode) {
 }
 
 TEST(EventEngineTest, MaxEventsGuardTripsOnSameWindowChain) {
-  // Zero-delay self-rescheduling inside one window: StepShard's per-window
-  // budget, not the barrier check, must catch it.
+  // Self-rescheduling inside one window: StepShard's per-window budget, not
+  // the barrier check, must catch it.
   EngineOptions options;
-  options.lookahead = kInf;  // single unbounded window
+  options.lookahead = 1e6;  // the whole chain fits in the first window
   options.max_events = 50;
   Engine engine(1, options);
   int type = -1;
@@ -200,6 +180,38 @@ TEST(EventEngineTest, MaxEventsGuardTripsOnSameWindowChain) {
   Result<EngineStats> stats = engine.Run();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(EventEngineTest, NonFiniteLookaheadIsInvalidArgument) {
+  for (double lookahead : {kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    EngineOptions options;
+    options.lookahead = lookahead;
+    Engine engine(2, options);
+    const int type = engine.AddHandler([](const Event&) {});
+    engine.MustScheduleAt(0, 0.0, type);
+    Result<EngineStats> stats = engine.Run();
+    ASSERT_FALSE(stats.ok()) << lookahead;
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stats.status().message().find("lookahead"), std::string::npos);
+  }
+}
+
+TEST(EventEngineTest, RingScaleRejectsNonFiniteLink) {
+  // The link's wire time becomes the engine lookahead; a NaN or infinite
+  // link must be an InvalidArgument, not an abort inside Send().
+  for (core::LinkSpec link :
+       {core::LinkSpec{.bandwidth_bps = 1e9,
+                       .latency_s = std::numeric_limits<double>::quiet_NaN()},
+        core::LinkSpec{.bandwidth_bps = 1e9, .latency_s = kInf},
+        core::LinkSpec{.bandwidth_bps = kInf, .latency_s = 1e-5}}) {
+    RingScaleConfig config;
+    config.num_nodes = 8;
+    config.bits = 8 * 8000;
+    config.link = link;
+    Result<ScaleStats> stats = SimulateRingAllReduceAtScale(config);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(EventEngineTest, TimeHorizonGuardStopsLateEvents) {

@@ -103,6 +103,50 @@ TEST(NetworkSimTest, LoadedFatTreeRingExceedsContentionFreeEstimate) {
   }
 }
 
+TEST(NetworkSimTest, RingIsOneRoundRepeatedTwiceNMinusOne) {
+  // The ring's 2(n-1) identical shifts are one n-flow round with
+  // repeat = 2(n-1), routed and priced once, then multiplied. Against the
+  // explicit 2(n-1)-term sum this moves only low-order bits on contended
+  // fabrics, in the analytic pricer and in the DES alike.
+  const LinkSpec edge{.bandwidth_bps = 1e9, .latency_s = 50e-6};
+  const double bits = 64.0 * 12e6;
+  std::vector<NetworkSpec> fabrics;
+  fabrics.push_back({std::make_shared<core::FatTreeTopology>(4, 4.0),
+                     std::make_shared<core::Mm1QueueModel>(0.3)});
+  fabrics.push_back({std::make_shared<core::Mesh2dTopology>(0),
+                     std::make_shared<core::Mm1QueueModel>(0.2)});
+  fabrics.push_back({std::make_shared<core::StarTopology>(1.0),
+                     std::make_shared<core::Mm1QueueModel>(0.0)});
+  for (const NetworkSpec& network : fabrics) {
+    core::RingAllReduceComm ring(bits, edge, network);
+    EXPECT_TRUE(ring.Traffic(1).rounds.empty());
+    for (int n : {2, 5, 17, 64}) {
+      const TrafficPattern pattern = ring.Traffic(n);
+      ASSERT_EQ(pattern.rounds.size(), 1u) << "n=" << n;
+      TrafficRound step = pattern.rounds[0];
+      EXPECT_EQ(step.repeat, 2.0 * (n - 1)) << "n=" << n;
+      ASSERT_EQ(step.flows.size(), static_cast<size_t>(n)) << "n=" << n;
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(step.flows[static_cast<size_t>(i)].src, i);
+        EXPECT_EQ(step.flows[static_cast<size_t>(i)].dst, (i + 1) % n);
+      }
+
+      step.repeat = 1.0;
+      double analytic_sum = 0.0;
+      double des_sum = 0.0;
+      for (int r = 0; r < 2 * (n - 1); ++r) {
+        analytic_sum += core::RoundSeconds(step, n, edge, network);
+        des_sum += SimulateRoundSeconds(step, n, edge, network);
+      }
+      EXPECT_NEAR(ring.Seconds(n), analytic_sum, 1e-12 * analytic_sum)
+          << network.Decoration() << " n=" << n;
+      EXPECT_NEAR(SimulateCommSeconds(ring, n, edge, network), des_sum,
+                  1e-12 * des_sum)
+          << network.Decoration() << " n=" << n;
+    }
+  }
+}
+
 TEST(NetworkSimTest, AnalyticTracksDesWithin15PercentMape) {
   // The sweep's cross-check bar, asserted at the unit level: across the
   // collectives and fabrics the topology ablation sweeps, the analytic

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "models/gradient_descent.h"
 
@@ -230,6 +232,54 @@ TEST(GenericSuperstepSimTest, RejectsInvalidConfig) {
   EXPECT_FALSE(SimulateGenericSuperstep(config, 2, nullptr).ok());
   config.supersteps = 0;
   EXPECT_FALSE(SimulateGenericSuperstep(config, 2, &rng).ok());
+  config.supersteps = 1;
+  ASSERT_TRUE(SimulateGenericSuperstep(config, 2, &rng).ok());
+
+  // Every overhead field and the payload must be finite and >= 0; the
+  // error names the offending field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadField {
+    const char* name;
+    double OverheadModel::* field;
+  };
+  for (BadField bad : {BadField{"sched_fixed_s", &OverheadModel::sched_fixed_s},
+                       BadField{"sched_per_worker_s",
+                                &OverheadModel::sched_per_worker_s},
+                       BadField{"serialize_s_per_bit",
+                                &OverheadModel::serialize_s_per_bit},
+                       BadField{"straggler_sigma",
+                                &OverheadModel::straggler_sigma}}) {
+    for (double value : {-1e6, nan, inf}) {
+      SuperstepSimConfig broken = config;
+      broken.overhead.*bad.field = value;
+      auto result = SimulateGenericSuperstep(broken, 2, &rng);
+      ASSERT_FALSE(result.ok()) << bad.name << "=" << value;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find(bad.name), std::string::npos)
+          << result.status().message();
+    }
+  }
+  SuperstepSimConfig broken = config;
+  broken.message_bits = nan;
+  auto t = SimulateGenericSuperstep(broken, 2, &rng);
+  ASSERT_FALSE(t.ok());
+  EXPECT_NE(t.status().message().find("message_bits"), std::string::npos);
+
+  // Model times are checked at the evaluated node count.
+  for (double value : {-1.0, nan, inf}) {
+    broken = config;
+    broken.compute_seconds = [value](int) { return value; };
+    t = SimulateGenericSuperstep(broken, 3, &rng);
+    ASSERT_FALSE(t.ok()) << value;
+    EXPECT_NE(t.status().message().find("compute_seconds"), std::string::npos);
+    EXPECT_NE(t.status().message().find("n=3"), std::string::npos);
+    broken = config;
+    broken.comm_seconds = [value](int) { return value; };
+    t = SimulateGenericSuperstep(broken, 3, &rng);
+    ASSERT_FALSE(t.ok()) << value;
+    EXPECT_NE(t.status().message().find("comm_seconds"), std::string::npos);
+  }
 }
 
 }  // namespace
