@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "benchmark_main.h"
 #include "bp/bp.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
@@ -15,8 +16,8 @@
 #include "nn/dense_layer.h"
 #include "bp/async_bp.h"
 #include "sim/collectives.h"
+#include "sim/event_engine.h"
 #include "sim/param_server.h"
-#include "sim/simulator.h"
 
 namespace dmlscale {
 namespace {
@@ -101,17 +102,18 @@ void BM_ConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(32);
 
-void BM_SimulatorEventLoop(benchmark::State& state) {
+void BM_EngineEventLoop(benchmark::State& state) {
   for (auto _ : state) {
-    sim::Simulator simulator;
+    sim::Engine engine(1, sim::EngineOptions{});
+    const int type = engine.AddHandler([](const sim::Event&) {});
     for (int i = 0; i < state.range(0); ++i) {
-      simulator.Schedule(static_cast<double>(i % 97), [] {});
+      engine.MustScheduleAt(0, static_cast<double>(i % 97), type);
     }
-    benchmark::DoNotOptimize(simulator.Run());
+    benchmark::DoNotOptimize(engine.Run().value().end_time);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SimulatorEventLoop)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EngineEventLoop)->Arg(1000)->Arg(10000);
 
 void BM_TreeReduceSimulation(benchmark::State& state) {
   std::vector<double> ready(static_cast<size_t>(state.range(0)), 0.0);
@@ -172,4 +174,6 @@ BENCHMARK(BM_SparkModelSweep);
 }  // namespace
 }  // namespace dmlscale
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return dmlscale::bench::RunBenchmarks(argc, argv);
+}

@@ -14,6 +14,7 @@
 
 #include <memory>
 
+#include "benchmark_main.h"
 #include "common/thread_pool.h"
 #include "nn/activations.h"
 #include "nn/conv_layer.h"
@@ -214,19 +215,6 @@ BENCHMARK(BM_TrainConvNetEpoch)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 }  // namespace
 }  // namespace dmlscale
 
-// The stock `library_build_type` context field names google-benchmark's OWN
-// build type (debug for the distro package); record how the dmlscale code
-// under test was compiled so a checked-in baseline can't silently come from
-// an unoptimized build.
 int main(int argc, char** argv) {
-#ifdef NDEBUG
-  benchmark::AddCustomContext("dmlscale_build_type", "release");
-#else
-  benchmark::AddCustomContext("dmlscale_build_type", "debug");
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return dmlscale::bench::RunBenchmarks(argc, argv);
 }

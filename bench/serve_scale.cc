@@ -5,10 +5,11 @@
 // baseline and CI uploads a fresh run as an artifact on every push (next
 // to the nn kernel and event-engine JSONs).
 //
-// items_per_second is MEASURED REQUESTS per second of wall time — the
-// headline number reads directly as simulator throughput in its natural
-// unit. The engine event count rides along as a counter (each backend
-// request is several events: arrive, enqueue, close, depart). The
+// items_per_second is MEASURED REQUESTS per second of wall time
+// (UseRealTime: sharded runs do their work on pool threads) — the headline
+// number reads directly as simulator throughput in its natural unit. The
+// engine event count rides along as a counter (each backend request is
+// several events: arrive, enqueue, close, depart). The
 // determinism contract is covered by tests/serve/serving_sim_test.cc, not
 // here.
 
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "benchmark_main.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "serve/cluster.h"
@@ -80,9 +82,12 @@ BENCHMARK(BM_ServeFleet)
     ->Args({100, 1})
     ->Args({1000, 1})
     ->Args({1000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dmlscale
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return dmlscale::bench::RunBenchmarks(argc, argv);
+}

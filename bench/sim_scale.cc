@@ -5,9 +5,11 @@
 // checked-in baseline and CI uploads a fresh run as an artifact on every
 // push (next to the nn kernel JSON).
 //
-// items_per_second is ENGINE EVENTS per second — the engine's own
-// events_executed counter, not iterations — so the headline number reads
-// directly as simulator throughput. The ring benchmarks cap max_steps to
+// items_per_second is ENGINE EVENTS per second of wall time (UseRealTime:
+// sharded runs do their work on pool threads, so main-thread CPU time would
+// overstate their throughput) — the engine's own events_executed counter,
+// not iterations — so the headline number reads directly as simulator
+// throughput. The ring benchmarks cap max_steps to
 // keep one iteration at ~2M events (full 2(n-1) steps at n = 10k is
 // ~2 * 10^8 events, seconds of wall time: right for a release gate, too
 // slow for a repeated-iteration benchmark). The determinism contract is
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "benchmark_main.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "core/hardware.h"
@@ -84,7 +87,8 @@ BENCHMARK(BM_SimRingAllReduce)
     ->Args({1000, 1})
     ->Args({10000, 1})
     ->Args({10000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Asynchronous parameter server: `nodes` workers push into one server for
 // 50 steps each (~2 events per worker-step). Arg(0) = workers,
@@ -122,9 +126,12 @@ BENCHMARK(BM_SimParameterServer)
     ->Args({1000, 1})
     ->Args({10000, 1})
     ->Args({10000, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace dmlscale
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return dmlscale::bench::RunBenchmarks(argc, argv);
+}

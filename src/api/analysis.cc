@@ -95,9 +95,9 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
     for (int n : nodes) {
       // Traffic(n) is run-length encoded, so the DES simulates each distinct
       // round once: a ring costs one n-flow round, not 2(n-1) of them.
-      (*des_comm)[n] = coefficient *
-                       sim::SimulateCommSeconds(scenario.comm(), n, link,
-                                                network, options.sim_backend);
+      (*des_comm)[n] =
+          coefficient *
+          sim::SimulateCommSeconds(scenario.comm(), n, link, network);
     }
     comm_seconds = [des_comm](int n) { return des_comm->at(n); };
   }
@@ -107,8 +107,7 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
       .comm_seconds = std::move(comm_seconds),
       .message_bits = scenario.comm_params().GetOr("bits", 0.0),
       .overhead = options.overhead,
-      .supersteps = options.sim_supersteps,
-      .backend = options.sim_backend};
+      .supersteps = options.sim_supersteps};
 
   // One independently seeded generator per node count: the point at n is the
   // same whether the curve is evaluated front to back, in parallel, or as

@@ -15,7 +15,6 @@
 #include "core/speedup.h"
 #include "serve/cluster.h"
 #include "serve/serving_sim.h"
-#include "sim/backend.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::api {
@@ -73,11 +72,6 @@ struct AnalysisOptions {
   /// thread count. Analysis::Run spawns its own short-lived pool, so sweep
   /// runners that already parallelize across cells should leave this at 1.
   int threads = 1;
-
-  /// Which discrete-event core runs the simulations (the superstep sim and,
-  /// on contended networks, the per-link DES). Both backends produce
-  /// byte-identical reports; kLegacy is the migration reference.
-  sim::SimBackend sim_backend = sim::SimBackend::kEngine;
 
   /// Optional shared memoization cache for the scenario's ComputeSeconds /
   /// CommSeconds evaluations (not owned; nullptr = no caching). Keys embed

@@ -7,10 +7,11 @@
 namespace dmlscale::core {
 
 Status NodeSpec::Validate() const {
-  if (peak_flops <= 0.0) {
-    return Status::InvalidArgument("NodeSpec: peak_flops must be > 0");
+  if (!std::isfinite(peak_flops) || peak_flops <= 0.0) {
+    return Status::InvalidArgument(
+        "NodeSpec: peak_flops must be finite and > 0");
   }
-  if (efficiency <= 0.0 || efficiency > 1.0) {
+  if (!std::isfinite(efficiency) || efficiency <= 0.0 || efficiency > 1.0) {
     return Status::InvalidArgument("NodeSpec: efficiency must be in (0, 1]");
   }
   return Status::OK();

@@ -2,20 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/math_util.h"
 #include "sim/event_engine.h"
-#include "sim/simulator.h"
 
 namespace dmlscale::sim {
 
 namespace {
 
-Status CheckCommon(size_t num_nodes, double bits, const core::LinkSpec& link) {
+/// Input checks shared by every collective. `start_times` are the instants
+/// the collective starts from: each node's ready time, or the broadcast's
+/// start time.
+Status CheckCommon(size_t num_nodes, std::span<const double> start_times,
+                   double bits, const core::LinkSpec& link,
+                   const OverheadModel& overhead) {
   if (num_nodes < 1) return Status::InvalidArgument("need >= 1 node");
-  if (bits < 0.0) return Status::InvalidArgument("bits must be >= 0");
+  for (double time : start_times) {
+    DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("start time", time));
+  }
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("bits", bits));
   DMLSCALE_RETURN_NOT_OK(link.Validate());
-  return Status::OK();
+  return overhead.Validate();
 }
 
 /// One point-to-point transfer duration including serialization.
@@ -27,20 +35,17 @@ double TransferSeconds(double bits, const core::LinkSpec& link,
 
 }  // namespace
 
-namespace {
-
-// Legacy (closure-based Simulator) reference implementations of the two
-// event-driven tree sims, retained verbatim during the engine migration.
-
-Result<double> TreeReduceLegacy(const std::vector<double>& ready_times,
-                                double bits, const core::LinkSpec& link,
-                                const OverheadModel& overhead) {
+Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
+                                  double bits, core::LinkSpec link,
+                                  const OverheadModel& overhead) {
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
   int n = static_cast<int>(ready_times.size());
+  if (n == 1) return ready_times[0];
 
   // Heap-indexed binary tree: node i has children 2i+1, 2i+2. A node can
   // send upward once its own work and all child receptions are complete.
-  // Parents receive sequentially over one link (link_busy_until).
-  Simulator simulator;
+  // Parents receive sequentially over one link (link_busy).
   double transfer = TransferSeconds(bits, link, overhead);
   std::vector<int> pending_children(static_cast<size_t>(n), 0);
   std::vector<double> up_ready = ready_times;  // when node may send upward
@@ -54,68 +59,17 @@ Result<double> TreeReduceLegacy(const std::vector<double>& ready_times,
     pending_children[static_cast<size_t>(i)] = kids;
   }
 
-  // SendUp is declared as a std::function so events can schedule events.
-  std::function<void(int)> send_up = [&](int node) {
-    if (node == 0) {
-      completion = std::max(completion, up_ready[0]);
-      return;
-    }
-    int parent = (node - 1) / 2;
-    // Reception occupies the parent's link; sequential per parent.
-    double start = std::max(up_ready[static_cast<size_t>(node)],
-                            link_busy[static_cast<size_t>(parent)]);
-    double done = start + transfer;
-    link_busy[static_cast<size_t>(parent)] = done;
-    simulator.ScheduleAt(done, [&, parent, done] {
-      up_ready[static_cast<size_t>(parent)] =
-          std::max(up_ready[static_cast<size_t>(parent)], done);
-      if (--pending_children[static_cast<size_t>(parent)] == 0) {
-        send_up(parent);
-      }
-    });
-  };
-
-  for (int i = 0; i < n; ++i) {
-    if (pending_children[static_cast<size_t>(i)] == 0) {
-      simulator.ScheduleAt(ready_times[static_cast<size_t>(i)],
-                           [&send_up, i] { send_up(i); });
-    }
-  }
-  simulator.Run();
-  return completion;
-}
-
-// Engine port: same state, same arithmetic, and the same ScheduleAt call
-// sequence as TreeReduceLegacy — sequential mode's global seq then
-// reproduces the legacy event order exactly, so the result is bit-identical
-// (enforced by the golden equivalence tests).
-Result<double> TreeReduceEngine(const std::vector<double>& ready_times,
-                                double bits, const core::LinkSpec& link,
-                                const OverheadModel& overhead) {
-  int n = static_cast<int>(ready_times.size());
-
-  double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<int> pending_children(static_cast<size_t>(n), 0);
-  std::vector<double> up_ready = ready_times;
-  std::vector<double> link_busy(static_cast<size_t>(n), 0.0);
-  double completion = 0.0;
-
-  for (int i = 0; i < n; ++i) {
-    int kids = 0;
-    if (2 * i + 1 < n) ++kids;
-    if (2 * i + 2 < n) ++kids;
-    pending_children[static_cast<size_t>(i)] = kids;
-  }
-
-  Engine engine(n, EngineOptions{});  // lookahead 0: sequential mode
+  // Sequential mode: events run in one global (time, ScheduleAt-call)
+  // order, so the link reservations below happen in a fixed order.
+  Engine engine(n, EngineOptions{});
   int recv_type = -1;
-  // "Recurses" through the event queue, exactly like the legacy send_up.
   auto send_up = [&](int node) {
     if (node == 0) {
       completion = std::max(completion, up_ready[0]);
       return;
     }
     int parent = (node - 1) / 2;
+    // Reception occupies the parent's link; sequential per parent.
     double start = std::max(up_ready[static_cast<size_t>(node)],
                             link_busy[static_cast<size_t>(parent)]);
     double done = start + transfer;
@@ -139,56 +93,27 @@ Result<double> TreeReduceEngine(const std::vector<double>& ready_times,
       engine.MustScheduleAt(i, ready_times[static_cast<size_t>(i)], start_type);
     }
   }
-  DMLSCALE_ASSIGN_OR_RETURN(EngineStats stats, engine.Run());
-  (void)stats;
+  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
   return completion;
 }
 
-Result<double> TreeBroadcastLegacy(int num_nodes, double start_time,
-                                   double bits, const core::LinkSpec& link,
-                                   const OverheadModel& overhead) {
-  Simulator simulator;
+Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
+                                     double bits, core::LinkSpec link,
+                                     const OverheadModel& overhead) {
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)),
+                  {&start_time, 1}, bits, link, overhead));
+  if (num_nodes == 1) return start_time;
+
   double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<double> have(static_cast<size_t>(num_nodes), -1.0);
   double completion = start_time;
-
-  std::function<void(int, double)> deliver = [&](int node, double at) {
-    have[static_cast<size_t>(node)] = at;
-    completion = std::max(completion, at);
-    // Forward to children sequentially over this node's link.
-    double busy = at;
-    for (int child : {2 * node + 1, 2 * node + 2}) {
-      if (child >= num_nodes) continue;
-      busy += transfer;
-      double arrive = busy;
-      simulator.ScheduleAt(arrive, [&deliver, child, arrive] {
-        deliver(child, arrive);
-      });
-    }
-  };
-
-  simulator.ScheduleAt(start_time,
-                       [&deliver, start_time] { deliver(0, start_time); });
-  simulator.Run();
-  return completion;
-}
-
-// Engine port of TreeBroadcastLegacy; bit-identical by the same argument as
-// TreeReduceEngine.
-Result<double> TreeBroadcastEngine(int num_nodes, double start_time,
-                                   double bits, const core::LinkSpec& link,
-                                   const OverheadModel& overhead) {
-  double transfer = TransferSeconds(bits, link, overhead);
-  std::vector<double> have(static_cast<size_t>(num_nodes), -1.0);
-  double completion = start_time;
-
   Engine engine(num_nodes, EngineOptions{});  // sequential mode
-  // Event: `node` holds the payload at event.x and forwards to children.
+  // Event: `node` holds the payload at event.x and forwards to its children
+  // sequentially over its own link.
   int deliver_type = -1;
   deliver_type = engine.AddHandler([&](const Event& event) {
     int node = event.node;
     double at = event.x;
-    have[static_cast<size_t>(node)] = at;
     completion = std::max(completion, at);
     double busy = at;
     for (int child : {2 * node + 1, 2 * node + 2}) {
@@ -200,43 +125,16 @@ Result<double> TreeBroadcastEngine(int num_nodes, double start_time,
   });
 
   engine.MustScheduleAt(0, start_time, deliver_type, 0, 0, start_time);
-  DMLSCALE_ASSIGN_OR_RETURN(EngineStats stats, engine.Run());
-  (void)stats;
+  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
   return completion;
-}
-
-}  // namespace
-
-Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
-                                  double bits, core::LinkSpec link,
-                                  const OverheadModel& overhead,
-                                  SimBackend backend) {
-  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
-  if (ready_times.size() == 1) return ready_times[0];
-  if (backend == SimBackend::kLegacy) {
-    return TreeReduceLegacy(ready_times, bits, link, overhead);
-  }
-  return TreeReduceEngine(ready_times, bits, link, overhead);
-}
-
-Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
-                                     double bits, core::LinkSpec link,
-                                     const OverheadModel& overhead,
-                                     SimBackend backend) {
-  DMLSCALE_RETURN_NOT_OK(
-      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)), bits, link));
-  if (num_nodes == 1) return start_time;
-  if (backend == SimBackend::kLegacy) {
-    return TreeBroadcastLegacy(num_nodes, start_time, bits, link, overhead);
-  }
-  return TreeBroadcastEngine(num_nodes, start_time, bits, link, overhead);
 }
 
 Result<double> SimulateTorrentBroadcast(int num_nodes, double start_time,
                                         double bits, core::LinkSpec link,
                                         const OverheadModel& overhead) {
   DMLSCALE_RETURN_NOT_OK(
-      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)), bits, link));
+      CheckCommon(static_cast<size_t>(std::max(num_nodes, 0)),
+                  {&start_time, 1}, bits, link, overhead));
   if (num_nodes == 1) return start_time;
   // Holders double each round: ceil(log2 n) rounds of one transfer each.
   double transfer = TransferSeconds(bits, link, overhead);
@@ -247,7 +145,8 @@ Result<double> SimulateTorrentBroadcast(int num_nodes, double start_time,
 Result<double> SimulateTwoWaveReduce(const std::vector<double>& ready_times,
                                      double bits, core::LinkSpec link,
                                      const OverheadModel& overhead) {
-  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
   int n = static_cast<int>(ready_times.size());
   if (n == 1) return ready_times[0];
 
@@ -287,7 +186,8 @@ Result<double> SimulateTwoWaveReduce(const std::vector<double>& ready_times,
 Result<double> SimulateRingAllReduce(const std::vector<double>& ready_times,
                                      double bits, core::LinkSpec link,
                                      const OverheadModel& overhead) {
-  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
   int n = static_cast<int>(ready_times.size());
   if (n == 1) return ready_times[0];
   double chunk = bits / static_cast<double>(n);
@@ -300,7 +200,8 @@ Result<double> SimulateRingAllReduce(const std::vector<double>& ready_times,
 Result<double> SimulateRecursiveDoubling(
     const std::vector<double>& ready_times, double bits, core::LinkSpec link,
     const OverheadModel& overhead) {
-  DMLSCALE_RETURN_NOT_OK(CheckCommon(ready_times.size(), bits, link));
+  DMLSCALE_RETURN_NOT_OK(
+      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
   int n = static_cast<int>(ready_times.size());
   if (n == 1) return ready_times[0];
   double step = TransferSeconds(bits, link, overhead);

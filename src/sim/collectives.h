@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "core/hardware.h"
-#include "sim/backend.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -14,27 +13,25 @@ namespace dmlscale::sim {
 /// paper models in closed form. Each takes the time at which every node's
 /// local computation finishes (`ready_times`, one per node) and returns the
 /// completion time of the collective. Unlike the closed-form models, these
-/// propagate stragglers and pipeline partially completed subtrees.
+/// propagate stragglers and pipeline partially completed subtrees. The two
+/// event-driven sims (tree reduce, tree broadcast) run on sim::Engine's
+/// sequential mode.
 ///
-/// The two event-driven sims (tree reduce, tree broadcast) accept a
-/// `backend`: kEngine runs on sim::Engine's sequential mode, kLegacy on the
-/// closure-based Simulator. The backends are bit-identical (same arithmetic,
-/// same event order); kLegacy is the migration reference.
+/// `bits` and every ready or start time must be finite and >= 0, the link
+/// and overhead valid; anything else is InvalidArgument.
 
 /// Binary-tree reduction to node 0. Each parent receives its children's
 /// messages sequentially over its single link (`bits` each); a subtree can
 /// finish before slower siblings (pipelining).
 Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
                                   double bits, core::LinkSpec link,
-                                  const OverheadModel& overhead,
-                                  SimBackend backend = SimBackend::kEngine);
+                                  const OverheadModel& overhead);
 
 /// Binary-tree broadcast from node 0 starting at `start_time`: a node
 /// forwards to its children sequentially after receiving.
 Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
                                      double bits, core::LinkSpec link,
-                                     const OverheadModel& overhead,
-                                     SimBackend backend = SimBackend::kEngine);
+                                     const OverheadModel& overhead);
 
 /// Spark-style torrent broadcast: the set of nodes holding the data doubles
 /// each round (peer-to-peer), giving ceil(log2 n) rounds.

@@ -7,16 +7,16 @@ namespace dmlscale::sim {
 
 /// One scheduled occurrence in the event engine: a plain POD record, so the
 /// hot loop moves 48 bytes through flat per-node heaps instead of allocating
-/// a std::function per event (the legacy Simulator's cost model). Behaviour
-/// lives in per-TYPE handlers registered once on the Engine; `a`, `b`, `x`
-/// are free-form payload words the handler interprets.
+/// a closure per event. Behaviour lives in per-TYPE handlers registered once
+/// on the Engine; `a`, `b`, `x` are free-form payload words the handler
+/// interprets.
 struct Event {
   /// Simulation time, seconds.
   double time = 0.0;
   /// FIFO tie-break: events at equal time run in increasing `seq`. Assigned
-  /// by the engine — globally in sequential mode (the legacy Simulator's
-  /// total order), per node in windowed mode (so shard layout cannot leak
-  /// into the order).
+  /// by the engine — globally in sequential mode (one total order, in
+  /// ScheduleAt-call order), per node in windowed mode (so shard layout
+  /// cannot leak into the order).
   uint64_t seq = 0;
   /// Handler index from Engine::AddHandler.
   int32_t type = 0;

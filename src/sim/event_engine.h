@@ -29,8 +29,10 @@ struct EngineOptions {
   /// Cross-node message lookahead, seconds — the clock-skew bound, finite:
   ///
   ///   0                 sequential mode. One global (time, seq) order,
-  ///                     exactly the legacy Simulator's; Send() delivers
-  ///                     immediately; exec.num_shards must be 1.
+  ///                     with seq stamped in ScheduleAt-call order, so
+  ///                     equal-time events run first-scheduled first;
+  ///                     Send() delivers immediately; exec.num_shards must
+  ///                     be 1.
   ///   > 0               windowed mode. Nodes step independently inside
   ///                     [T, T + lookahead) windows; every Send() must have
   ///                     delay >= lookahead so its arrival falls in a later
@@ -60,11 +62,11 @@ struct EngineStats {
   int64_t messages_delivered = 0;
 };
 
-/// The parallel discrete-event core (ROADMAP item 2): typed POD event
-/// records in per-node calendar queues feeding an indexed node heap, with an
-/// event-manager loop that either replays the legacy Simulator's global
-/// order (sequential mode) or steps fixed node shards through clock-skew-
-/// bounded windows on engine::ParallelFor (windowed mode).
+/// The discrete-event core: typed POD event records in per-node calendar
+/// queues feeding an indexed node heap, with an event-manager loop that
+/// either runs one global (time, ScheduleAt-call) order (sequential mode)
+/// or steps fixed node shards through clock-skew-bounded windows on
+/// engine::ParallelFor (windowed mode).
 ///
 /// Determinism contract (windowed mode): a node's state may be touched only
 /// by handlers dispatched on that node; cross-node effects go through

@@ -13,9 +13,8 @@ namespace dmlscale::sim {
 /// (time, seq). The engine keeps one per node (Graphite's event_heap shape),
 /// so pushes and pops touch only that node's storage — which is what lets
 /// shards step disjoint node sets without synchronization. Events are moved,
-/// never copied through an intermediate (the legacy Simulator copied the
-/// std::function payload off priority_queue::top(); a POD record plus
-/// pop-into-return keeps the hot loop copy-free by construction).
+/// never copied through an intermediate: a POD record plus pop-into-return
+/// keeps the hot loop copy-free by construction.
 class EventHeap {
  public:
   /// Inserts `event`. O(log size).
@@ -42,7 +41,7 @@ class EventHeap {
 /// time-ordered stream in sequential mode. Update() repositions a node in
 /// O(log n) after its queue's head changed; nodes with no events leave the
 /// heap. With a single engine-global seq counter the resulting total order
-/// is exactly the legacy Simulator's (time, schedule-order) order.
+/// is (time, ScheduleAt-call order).
 class NodeClockHeap {
  public:
   explicit NodeClockHeap(int num_nodes);

@@ -5,13 +5,12 @@
 #include "core/hardware.h"
 #include "core/network.h"
 #include "core/topology.h"
-#include "sim/backend.h"
 
 namespace dmlscale::sim {
 
 /// Discrete-event pricing of one collective round on a contended fabric:
 /// every flow is routed over the topology, links serve flows FIFO in
-/// arrival order (deterministic seq tie-break, no randomness), and messages
+/// arrival order (ties in ScheduleAt-call order, no randomness), and messages
 /// cut through — the head moves to the next hop after the wire latency
 /// while the link stays busy for the full service time. The round completes
 /// when its last flow is delivered:
@@ -26,22 +25,19 @@ namespace dmlscale::sim {
 /// form cannot see (the sweep cross-checks they stay within 15% MAPE).
 double SimulateRoundSeconds(const core::TrafficRound& round, int n,
                             const core::LinkSpec& edge,
-                            const core::NetworkSpec& network,
-                            SimBackend backend = SimBackend::kEngine);
+                            const core::NetworkSpec& network);
 
 /// Sum of SimulateRoundSeconds over the pattern's rounds (BSP barrier
 /// between rounds), each scaled by its repeat weight: a repeated round is
 /// simulated once.
 double SimulatePatternSeconds(const core::TrafficPattern& pattern, int n,
                               const core::LinkSpec& edge,
-                              const core::NetworkSpec& network,
-                              SimBackend backend = SimBackend::kEngine);
+                              const core::NetworkSpec& network);
 
 /// SimulatePatternSeconds over `comm.Traffic(n)`.
 double SimulateCommSeconds(const core::CommunicationModel& comm, int n,
                            const core::LinkSpec& edge,
-                           const core::NetworkSpec& network,
-                           SimBackend backend = SimBackend::kEngine);
+                           const core::NetworkSpec& network);
 
 }  // namespace dmlscale::sim
 

@@ -1,9 +1,17 @@
 #ifndef DMLSCALE_SIM_OVERHEAD_H_
 #define DMLSCALE_SIM_OVERHEAD_H_
 
+#include <string_view>
+
 #include "common/random.h"
+#include "common/status.h"
 
 namespace dmlscale::sim {
+
+/// InvalidArgument naming `field` unless `value` is finite and >= 0. A
+/// positive `n` names the node count the value was evaluated at.
+[[nodiscard]] Status CheckFiniteNonNegative(std::string_view field,
+                                            double value, int n = 0);
 
 /// Framework-level costs that the paper's closed-form models deliberately
 /// omit but real systems (Spark, GraphLab) exhibit. The simulator injects
@@ -25,6 +33,9 @@ struct OverheadModel {
   double SchedulingSeconds(int n) const {
     return sched_fixed_s + sched_per_worker_s * static_cast<double>(n);
   }
+
+  /// Every field must be finite and >= 0; the error names the field.
+  [[nodiscard]] Status Validate() const;
 
   /// A multiplicative jitter sample (>= 0, median 1).
   double SampleJitter(Pcg32* rng) const {

@@ -1,200 +1,91 @@
 #include "sim/param_server.h"
 
 #include <algorithm>
-#include <memory>
+#include <cmath>
 
 #include "sim/event_engine.h"
-#include "sim/simulator.h"
 
 namespace dmlscale::sim {
 
 Status ParamServerConfig::Validate() const {
-  if (ops_per_update <= 0.0) {
-    return Status::InvalidArgument("ops_per_update must be > 0");
+  if (!std::isfinite(ops_per_update) || ops_per_update <= 0.0) {
+    return Status::InvalidArgument("ops_per_update must be finite and > 0");
   }
-  if (message_bits <= 0.0) {
-    return Status::InvalidArgument("message_bits must be > 0");
+  if (!std::isfinite(message_bits) || message_bits <= 0.0) {
+    return Status::InvalidArgument("message_bits must be finite and > 0");
   }
   DMLSCALE_RETURN_NOT_OK(node.Validate());
   DMLSCALE_RETURN_NOT_OK(worker_link.Validate());
   DMLSCALE_RETURN_NOT_OK(server_link.Validate());
+  DMLSCALE_RETURN_NOT_OK(overhead.Validate());
   if (target_updates < 1) {
     return Status::InvalidArgument("target_updates must be >= 1");
   }
   return Status::OK();
 }
 
-namespace {
+Result<ParamServerStats> SimulateParameterServer(
+    const ParamServerConfig& config, int n, Pcg32* rng) {
+  DMLSCALE_RETURN_NOT_OK(config.Validate());
+  if (n < 1) return Status::InvalidArgument("n must be >= 1");
+  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-/// Time constants both backends derive from the config identically.
-struct PsDerived {
-  double compute_base = 0.0;
-  double wire = 0.0;
-  double nic_occupancy = 0.0;
-};
-
-PsDerived Derive(const ParamServerConfig& config) {
-  PsDerived d;
-  d.compute_base = config.ops_per_update / config.node.EffectiveFlops();
+  const double compute_base =
+      config.ops_per_update / config.node.EffectiveFlops();
   // Cut-through transfers: the message streams through the worker link and
   // the server NIC simultaneously, so the end-to-end time is set by the
   // slower hop (occupying the server NIC for that duration) plus the
   // worker-link propagation latency. This matches the single-hop
   // accounting of the closed-form AsyncGdModel.
-  d.wire = config.worker_link.latency_s;
-  d.nic_occupancy =
+  const double wire = config.worker_link.latency_s;
+  const double nic_occupancy =
       config.message_bits / std::min(config.server_link.bandwidth_bps,
                                      config.worker_link.bandwidth_bps) +
       config.overhead.serialize_s_per_bit * config.message_bits;
-  return d;
-}
-
-ParamServerStats FinalizeStats(int64_t completed, double staleness_sum,
-                               double staleness_max, double last_completion,
-                               double nic_busy_total) {
-  ParamServerStats stats;
-  stats.completed_updates = completed;
-  if (last_completion > 0.0) {
-    stats.updates_per_sec =
-        static_cast<double>(completed) / last_completion;
-    stats.server_utilization =
-        std::min(1.0, nic_busy_total / last_completion);
-  }
-  if (completed > 0) {
-    stats.mean_staleness = staleness_sum / static_cast<double>(completed);
-    stats.max_staleness = staleness_max;
-  }
-  return stats;
-}
-
-/// Legacy (closure-based Simulator) reference implementation, retained
-/// verbatim during the engine migration.
-Result<ParamServerStats> ParamServerLegacy(const ParamServerConfig& config,
-                                           int n, Pcg32* rng) {
-  struct State {
-    Simulator simulator;
-    double nic_free = 0.0;
-    double nic_busy_total = 0.0;
-    int64_t version = 0;  // global update counter
-    int64_t completed = 0;
-    double staleness_sum = 0.0;
-    double staleness_max = 0.0;
-    double last_completion = 0.0;
-  };
-  auto state = std::make_shared<State>();
-  const PsDerived d = Derive(config);
-  const double compute_base = d.compute_base;
-  const double wire = d.wire;
-  const double nic_occupancy = d.nic_occupancy;
-
-  // Reserves the server NIC starting no earlier than `earliest`; returns
-  // the completion time.
-  auto reserve_nic = [state, nic_occupancy](double earliest) {
-    double start = std::max(earliest, state->nic_free);
-    double done = start + nic_occupancy;
-    state->nic_free = done;
-    state->nic_busy_total += nic_occupancy;
-    return done;
-  };
-
-  // Worker loop as chained events. `std::function` held in a shared
-  // wrapper so the closure can reschedule itself.
-  struct Loop {
-    std::function<void(int64_t)> fn;
-  };
-  auto loop = std::make_shared<Loop>();
-  const int64_t target = config.target_updates;
-  const OverheadModel overhead = config.overhead;
-
-  loop->fn = [state, loop, reserve_nic, compute_base, wire, target, overhead,
-              rng](int64_t version_at_pull) {
-    // Compute phase.
-    double compute = compute_base * overhead.SampleJitter(rng);
-    state->simulator.Schedule(compute, [state, loop, reserve_nic, wire,
-                                        target, version_at_pull] {
-      // Push: traverse worker wire, then occupy the server NIC.
-      double push_done = reserve_nic(state->simulator.Now() + wire);
-      state->simulator.ScheduleAt(
-          push_done, [state, loop, reserve_nic, wire, target,
-                      version_at_pull] {
-            // Update lands: measure staleness against the pull snapshot.
-            double staleness =
-                static_cast<double>(state->version - version_at_pull);
-            state->version += 1;
-            state->completed += 1;
-            state->staleness_sum += staleness;
-            state->staleness_max = std::max(state->staleness_max, staleness);
-            state->last_completion = state->simulator.Now();
-            if (state->completed >= target) return;  // stop spawning
-            // Pull the fresh parameters and go again.
-            double pull_done = reserve_nic(state->simulator.Now());
-            int64_t snapshot = state->version;
-            state->simulator.ScheduleAt(pull_done + wire,
-                                        [loop, snapshot] { loop->fn(snapshot); });
-          });
-    });
-  };
-
-  for (int w = 0; w < n; ++w) {
-    state->simulator.Schedule(0.0, [loop] { loop->fn(0); });
-  }
-  state->simulator.Run();
-  // `loop->fn` captures `loop` so the closure can reschedule itself; that
-  // shared_ptr cycle (Loop -> fn -> Loop, dragging `state` along) would
-  // outlive this call. Break it now that the event queue has drained.
-  loop->fn = nullptr;
-
-  return FinalizeStats(state->completed, state->staleness_sum,
-                       state->staleness_max, state->last_completion,
-                       state->nic_busy_total);
-}
-
-/// Engine port: the worker loop becomes three typed events (loop start ->
-/// compute done -> push applied) chained through payload words instead of
-/// heap-allocated closures. The ScheduleAt call sequence mirrors
-/// ParamServerLegacy's exactly and sequential mode assigns seq in call
-/// order, so the event order, RNG draw order, and every stat are
-/// bit-identical (enforced by the golden equivalence tests).
-Result<ParamServerStats> ParamServerEngine(const ParamServerConfig& config,
-                                           int n, Pcg32* rng) {
-  const PsDerived d = Derive(config);
   const int64_t target = config.target_updates;
   const OverheadModel overhead = config.overhead;
   const int server = n;  // node ids: workers [0, n), server n
 
   double nic_free = 0.0;
   double nic_busy_total = 0.0;
-  int64_t version = 0;
+  int64_t version = 0;  // global update counter
   int64_t completed = 0;
   double staleness_sum = 0.0;
   double staleness_max = 0.0;
   double last_completion = 0.0;
 
+  // Reserves the server NIC starting no earlier than `earliest`; returns
+  // the completion time.
   auto reserve_nic = [&](double earliest) {
     double start = std::max(earliest, nic_free);
-    double done = start + d.nic_occupancy;
+    double done = start + nic_occupancy;
     nic_free = done;
-    nic_busy_total += d.nic_occupancy;
+    nic_busy_total += nic_occupancy;
     return done;
   };
 
-  Engine engine(n + 1, EngineOptions{});  // sequential mode
+  // The worker loop is three typed events (loop start -> compute done ->
+  // push applied) chained through payload words. Sequential mode runs them
+  // in one global (time, ScheduleAt-call) order, which fixes both the NIC
+  // reservation order and the order jitter is drawn from `rng`.
+  Engine engine(n + 1, EngineOptions{});
   int loop_type = -1;
   int compute_done_type = -1;
   int push_applied_type = -1;
   // Worker `node` holds parameters pulled at version `a`; start computing.
   loop_type = engine.AddHandler([&](const Event& event) {
-    double compute = d.compute_base * overhead.SampleJitter(rng);
+    double compute = compute_base * overhead.SampleJitter(rng);
     engine.MustScheduleAt(event.node, event.time + compute, compute_done_type,
-                      event.a);
+                          event.a);
   });
   // Worker `node`'s gradient is ready: push over the wire onto the NIC.
   compute_done_type = engine.AddHandler([&](const Event& event) {
-    double push_done = reserve_nic(event.time + d.wire);
+    double push_done = reserve_nic(event.time + wire);
     engine.MustScheduleAt(server, push_done, push_applied_type, event.a,
-                      event.node);
+                          event.node);
   });
-  // Server applies worker `b`'s update (pull snapshot was version `a`).
+  // Server applies worker `b`'s update (pull snapshot was version `a`):
+  // staleness is the number of updates applied since that pull.
   push_applied_type = engine.AddHandler([&](const Event& event) {
     double staleness = static_cast<double>(version - event.a);
     version += 1;
@@ -203,32 +94,28 @@ Result<ParamServerStats> ParamServerEngine(const ParamServerConfig& config,
     staleness_max = std::max(staleness_max, staleness);
     last_completion = event.time;
     if (completed >= target) return;  // stop spawning
+    // Pull the fresh parameters and go again.
     double pull_done = reserve_nic(event.time);
-    engine.MustScheduleAt(static_cast<int>(event.b), pull_done + d.wire,
-                      loop_type, version);
+    engine.MustScheduleAt(static_cast<int>(event.b), pull_done + wire,
+                          loop_type, version);
   });
 
   for (int w = 0; w < n; ++w) {
     engine.MustScheduleAt(w, 0.0, loop_type, 0);
   }
-  DMLSCALE_ASSIGN_OR_RETURN(EngineStats engine_stats, engine.Run());
-  (void)engine_stats;
+  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
 
-  return FinalizeStats(completed, staleness_sum, staleness_max,
-                       last_completion, nic_busy_total);
-}
-
-}  // namespace
-
-Result<ParamServerStats> SimulateParameterServer(
-    const ParamServerConfig& config, int n, Pcg32* rng, SimBackend backend) {
-  DMLSCALE_RETURN_NOT_OK(config.Validate());
-  if (n < 1) return Status::InvalidArgument("n must be >= 1");
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  if (backend == SimBackend::kLegacy) {
-    return ParamServerLegacy(config, n, rng);
+  ParamServerStats stats;
+  stats.completed_updates = completed;
+  if (last_completion > 0.0) {
+    stats.updates_per_sec = static_cast<double>(completed) / last_completion;
+    stats.server_utilization = std::min(1.0, nic_busy_total / last_completion);
   }
-  return ParamServerEngine(config, n, rng);
+  if (completed > 0) {
+    stats.mean_staleness = staleness_sum / static_cast<double>(completed);
+    stats.max_staleness = staleness_max;
+  }
+  return stats;
 }
 
 }  // namespace dmlscale::sim

@@ -7,7 +7,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/hardware.h"
-#include "sim/backend.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -32,6 +31,8 @@ struct ParamServerConfig {
   /// Simulation horizon: stop after this many completed updates.
   int64_t target_updates = 200;
 
+  /// ops_per_update and message_bits must be finite and > 0; the node,
+  /// links and overhead must validate.
   Status Validate() const;
 };
 
@@ -47,12 +48,10 @@ struct ParamServerStats {
   int64_t completed_updates = 0;
 };
 
-/// Runs the simulation with `n` workers. kEngine (the default) runs on
-/// sim::Engine's sequential mode; kLegacy on the closure-based Simulator.
-/// Both produce bit-identical stats (golden equivalence tests).
+/// Runs the simulation with `n` workers on sim::Engine's sequential mode.
+/// Jitter is drawn from `rng` in event order.
 Result<ParamServerStats> SimulateParameterServer(
-    const ParamServerConfig& config, int n, Pcg32* rng,
-    SimBackend backend = SimBackend::kEngine);
+    const ParamServerConfig& config, int n, Pcg32* rng);
 
 }  // namespace dmlscale::sim
 

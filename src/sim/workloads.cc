@@ -2,22 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/collectives.h"
-#include "sim/simulator.h"
 
 namespace dmlscale::sim {
 
 Status GdSimConfig::Validate() const {
-  if (total_ops <= 0.0) return Status::InvalidArgument("total_ops must be > 0");
-  if (message_bits < 0.0) {
-    return Status::InvalidArgument("message_bits must be >= 0");
+  if (!std::isfinite(total_ops) || total_ops <= 0.0) {
+    return Status::InvalidArgument("total_ops must be finite and > 0");
   }
+  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("message_bits", message_bits));
   DMLSCALE_RETURN_NOT_OK(node.Validate());
   DMLSCALE_RETURN_NOT_OK(link.Validate());
+  DMLSCALE_RETURN_NOT_OK(overhead.Validate());
   if (iterations < 1) return Status::InvalidArgument("iterations must be >= 1");
   return Status::OK();
 }
@@ -122,34 +120,13 @@ Result<double> SimulateBpSuperstep(const BpSimConfig& config, Pcg32* rng) {
   return total / static_cast<double>(config.supersteps);
 }
 
-namespace {
-
-/// InvalidArgument naming `field` unless `value` is finite and >= 0. A
-/// positive `n` names the node count the value was evaluated at.
-Status CheckFiniteNonNegative(std::string_view field, double value, int n = 0) {
-  if (std::isfinite(value) && value >= 0.0) return Status::OK();
-  std::string message = std::string(field) + " must be finite and >= 0, got " +
-                        std::to_string(value);
-  if (n > 0) message += " at n=" + std::to_string(n);
-  return Status::InvalidArgument(message);
-}
-
-}  // namespace
-
 Status SuperstepSimConfig::Validate() const {
   if (!compute_seconds) {
     return Status::InvalidArgument("compute_seconds must be set");
   }
   if (!comm_seconds) return Status::InvalidArgument("comm_seconds must be set");
   DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("message_bits", message_bits));
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.sched_fixed_s",
-                                                overhead.sched_fixed_s));
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.sched_per_worker_s",
-                                                overhead.sched_per_worker_s));
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative(
-      "overhead.serialize_s_per_bit", overhead.serialize_s_per_bit));
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("overhead.straggler_sigma",
-                                                overhead.straggler_sigma));
+  DMLSCALE_RETURN_NOT_OK(overhead.Validate());
   if (supersteps < 1) return Status::InvalidArgument("supersteps must be >= 1");
   return Status::OK();
 }
@@ -167,38 +144,18 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
 
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
+  // Workers never communicate inside a superstep, so no event queue is
+  // needed: jitter is drawn in worker order and the barrier is the running
+  // max of the finish times.
   double total = 0.0;
-  if (config.backend == SimBackend::kLegacy) {
-    for (int step = 0; step < config.supersteps; ++step) {
-      Simulator simulator;
-      double barrier = 0.0;
-      // Scheduling delays every worker's start; the barrier falls when the
-      // slowest (jittered) worker finishes.
-      double start = config.overhead.SchedulingSeconds(n);
-      for (int worker = 0; worker < n; ++worker) {
-        double finish = start + compute * config.overhead.SampleJitter(rng);
-        simulator.ScheduleAt(finish, [&barrier, &simulator] {
-          barrier = std::max(barrier, simulator.Now());
-        });
-      }
-      simulator.Run();
-      simulator.ScheduleAt(barrier + comm + serialize, [] {});
-      total += simulator.Run();
+  for (int step = 0; step < config.supersteps; ++step) {
+    const double start = config.overhead.SchedulingSeconds(n);
+    double barrier = 0.0;
+    for (int worker = 0; worker < n; ++worker) {
+      barrier = std::max(barrier,
+                         start + compute * config.overhead.SampleJitter(rng));
     }
-  } else {
-    // Workers never communicate inside a superstep, so no event queue is
-    // needed: jitter is drawn in worker order — the legacy draw sequence —
-    // and the barrier is the running max of the finish times, which is the
-    // legacy value bit for bit.
-    for (int step = 0; step < config.supersteps; ++step) {
-      const double start = config.overhead.SchedulingSeconds(n);
-      double barrier = 0.0;
-      for (int worker = 0; worker < n; ++worker) {
-        barrier = std::max(
-            barrier, start + compute * config.overhead.SampleJitter(rng));
-      }
-      total += barrier + comm + serialize;
-    }
+    total += barrier + comm + serialize;
   }
   const double mean = total / static_cast<double>(config.supersteps);
   // Finite inputs can still overflow, e.g. through a huge straggler draw.

@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/hardware.h"
-#include "sim/backend.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -31,6 +30,8 @@ struct GdSimConfig {
   /// Iterations to average over (straggler jitter makes runs stochastic).
   int iterations = 5;
 
+  /// total_ops must be finite and > 0, message_bits finite and >= 0; the
+  /// node, link and overhead must validate.
   Status Validate() const;
 };
 
@@ -83,10 +84,6 @@ struct SuperstepSimConfig {
   OverheadModel overhead;
   /// Supersteps to average over (straggler jitter makes runs stochastic).
   int supersteps = 3;
-  /// kEngine runs each superstep as a plain loop over the workers (they
-  /// never communicate inside a superstep); kLegacy runs it through the
-  /// closure-based Simulator and is the bit-identical reference.
-  SimBackend backend = SimBackend::kEngine;
 
   Status Validate() const;
 };

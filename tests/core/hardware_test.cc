@@ -23,6 +23,15 @@ TEST(NodeSpecTest, ValidationRejectsBadValues) {
   EXPECT_TRUE((NodeSpec{.name = "x", .peak_flops = 1.0, .efficiency = 1.0})
                   .Validate()
                   .ok());
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE((NodeSpec{.name = "x", .peak_flops = bad}).Validate().ok())
+        << bad;
+    EXPECT_FALSE((NodeSpec{.name = "x", .peak_flops = 1.0, .efficiency = bad})
+                     .Validate()
+                     .ok())
+        << bad;
+  }
 }
 
 TEST(LinkSpecTest, Validation) {

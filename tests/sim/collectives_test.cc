@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/math_util.h"
 
@@ -151,6 +152,26 @@ TEST(CollectivesTest, RejectEmptyAndBadInputs) {
   EXPECT_FALSE(
       SimulateTreeReduce({0.0}, 1e9, core::LinkSpec{}, None()).ok());
   EXPECT_FALSE(SimulateTreeBroadcast(0, 0.0, 1e9, Gigabit(), None()).ok());
+
+  // Non-finite or negative times and payloads are an error Status, never an
+  // engine abort on an event scheduled at NaN or before t = 0.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -1.0}) {
+    EXPECT_FALSE(SimulateTreeReduce({0.0, bad, 0.0}, 1e9, Gigabit(), None())
+                     .ok())
+        << bad;
+    EXPECT_FALSE(SimulateTreeReduce(Zeros(3), bad, Gigabit(), None()).ok())
+        << bad;
+    EXPECT_FALSE(SimulateTreeBroadcast(3, bad, 1e9, Gigabit(), None()).ok())
+        << bad;
+    OverheadModel overhead;
+    overhead.serialize_s_per_bit = bad;
+    EXPECT_FALSE(SimulateTreeReduce(Zeros(3), 1e9, Gigabit(), overhead).ok())
+        << bad;
+  }
+  EXPECT_FALSE(SimulateTwoWaveReduce({0.0, nan}, 1e9, Gigabit(), None()).ok());
+  EXPECT_FALSE(SimulateTorrentBroadcast(4, nan, 1e9, Gigabit(), None()).ok());
 }
 
 // Property: simulated collectives are weakly slower than their idealized

@@ -1,11 +1,10 @@
 // Bit-pattern goldens for every simulation that runs on sim::Engine's
 // sequential mode, the generic superstep loop, and the contended-network
 // front door (EXPECT_EQ against std::bit_cast'ed doubles, never
-// EXPECT_NEAR). Each value was captured while the closure-based legacy
-// backend still shipped, and equals its output bit for bit; these tests also
-// assert that, so the goldens can replace the legacy comparisons. Unlike an
-// engine-vs-legacy diff they also catch drift in code both backends share:
-// TransferSeconds, SampleJitter and topology routing.
+// EXPECT_NEAR). Each value equals what the retired closure-based reference
+// simulator produced on the same inputs, so any drift here means a change
+// to arithmetic, event order, RNG draw order (SampleJitter), transfer
+// pricing or topology routing.
 
 #include <bit>
 #include <cstdint>
@@ -63,10 +62,6 @@ TEST(EngineGoldenTest, TreeReduceMatchesGolden) {
     Result<double> done = SimulateTreeReduce(ready, 5e8, Gigabit(), overhead);
     ASSERT_TRUE(done.ok());
     EXPECT_EQ(done.value(), Pinned(golden.bits)) << "n=" << n;
-    Result<double> legacy = SimulateTreeReduce(ready, 5e8, Gigabit(), overhead,
-                                               SimBackend::kLegacy);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(legacy.value(), Pinned(golden.bits)) << "n=" << n;
   }
 }
 
@@ -85,11 +80,6 @@ TEST(EngineGoldenTest, TreeBroadcastMatchesGolden) {
                                                 OverheadModel::None());
     ASSERT_TRUE(done.ok());
     EXPECT_EQ(done.value(), Pinned(golden.bits)) << "n=" << golden.n;
-    Result<double> legacy =
-        SimulateTreeBroadcast(golden.n, 0.25, 1e9, Gigabit(),
-                              OverheadModel::None(), SimBackend::kLegacy);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(legacy.value(), Pinned(golden.bits)) << "n=" << golden.n;
   }
 }
 
@@ -131,22 +121,20 @@ TEST(EngineGoldenTest, ParamServerMatchesGolden) {
   // in-flight pushes, hence more than 150 completed updates at n > 1.
   config.overhead.straggler_sigma = 0.4;
   for (const PsGolden& golden : kGoldens) {
-    for (SimBackend backend : {SimBackend::kEngine, SimBackend::kLegacy}) {
-      Pcg32 rng(21);
-      Result<ParamServerStats> stats =
-          SimulateParameterServer(config, golden.n, &rng, backend);
-      ASSERT_TRUE(stats.ok());
-      EXPECT_EQ(stats->updates_per_sec, Pinned(golden.updates_per_sec))
-          << "n=" << golden.n;
-      EXPECT_EQ(stats->mean_staleness, Pinned(golden.mean_staleness))
-          << "n=" << golden.n;
-      EXPECT_EQ(stats->max_staleness, Pinned(golden.max_staleness))
-          << "n=" << golden.n;
-      EXPECT_EQ(stats->server_utilization, Pinned(golden.server_utilization))
-          << "n=" << golden.n;
-      EXPECT_EQ(stats->completed_updates, golden.completed_updates)
-          << "n=" << golden.n;
-    }
+    Pcg32 rng(21);
+    Result<ParamServerStats> stats =
+        SimulateParameterServer(config, golden.n, &rng);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->updates_per_sec, Pinned(golden.updates_per_sec))
+        << "n=" << golden.n;
+    EXPECT_EQ(stats->mean_staleness, Pinned(golden.mean_staleness))
+        << "n=" << golden.n;
+    EXPECT_EQ(stats->max_staleness, Pinned(golden.max_staleness))
+        << "n=" << golden.n;
+    EXPECT_EQ(stats->server_utilization, Pinned(golden.server_utilization))
+        << "n=" << golden.n;
+    EXPECT_EQ(stats->completed_updates, golden.completed_updates)
+        << "n=" << golden.n;
   }
 }
 
@@ -165,10 +153,6 @@ TEST(EngineGoldenTest, ShuffleRoundOnLoadedFatTreeMatchesGolden) {
     EXPECT_EQ(SimulatePatternSeconds(pattern, golden.n, edge, network),
               Pinned(golden.bits))
         << "n=" << golden.n;
-    EXPECT_EQ(SimulatePatternSeconds(pattern, golden.n, edge, network,
-                                     SimBackend::kLegacy),
-              Pinned(golden.bits))
-        << "n=" << golden.n;
   }
 }
 
@@ -184,10 +168,6 @@ TEST(EngineGoldenTest, ContendedRingCommSecondsMatchesGolden) {
   core::RingAllReduceComm ring(32e7, edge, network);
   for (const Golden& golden : kGoldens) {
     EXPECT_EQ(SimulateCommSeconds(ring, golden.n, edge, network),
-              Pinned(golden.bits))
-        << "n=" << golden.n;
-    EXPECT_EQ(SimulateCommSeconds(ring, golden.n, edge, network,
-                                  SimBackend::kLegacy),
               Pinned(golden.bits))
         << "n=" << golden.n;
   }
@@ -210,13 +190,10 @@ TEST(EngineGoldenTest, GenericSuperstepMatchesGolden) {
   config.overhead.straggler_sigma = 0.25;
   config.supersteps = 5;
   for (const Golden& golden : kGoldens) {
-    for (SimBackend backend : {SimBackend::kEngine, SimBackend::kLegacy}) {
-      config.backend = backend;
-      Pcg32 rng(77);
-      Result<double> mean = SimulateGenericSuperstep(config, golden.n, &rng);
-      ASSERT_TRUE(mean.ok());
-      EXPECT_EQ(mean.value(), Pinned(golden.bits)) << "n=" << golden.n;
-    }
+    Pcg32 rng(77);
+    Result<double> mean = SimulateGenericSuperstep(config, golden.n, &rng);
+    ASSERT_TRUE(mean.ok());
+    EXPECT_EQ(mean.value(), Pinned(golden.bits)) << "n=" << golden.n;
   }
 }
 
@@ -242,16 +219,12 @@ TEST(EngineGoldenTest, ContendedAnalysisMapeMatchesGolden) {
   options.sim_supersteps = 2;
   options.overhead.straggler_sigma = 0.3;
   options.overhead.sched_fixed_s = 0.005;
-  for (SimBackend backend : {SimBackend::kEngine, SimBackend::kLegacy}) {
-    options.sim_backend = backend;
-    Result<api::AnalysisReport> report = api::Analysis::Run(*scenario, options);
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->contended);
-    ASSERT_TRUE(report->model_vs_sim_mape.has_value());
-    // 38.652615841111988 %.
-    EXPECT_EQ(*report->model_vs_sim_mape,
-              Pinned(UINT64_C(0x40435388ea7736b9)));
-  }
+  Result<api::AnalysisReport> report = api::Analysis::Run(*scenario, options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->contended);
+  ASSERT_TRUE(report->model_vs_sim_mape.has_value());
+  // 38.652615841111988 %.
+  EXPECT_EQ(*report->model_vs_sim_mape, Pinned(UINT64_C(0x40435388ea7736b9)));
 }
 
 }  // namespace

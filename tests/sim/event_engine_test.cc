@@ -67,8 +67,8 @@ TEST(EventEngineTest, SequentialExecutesInTimeOrder) {
 }
 
 TEST(EventEngineTest, SequentialFifoTieBreakingAcrossNodes) {
-  // Three same-time events on three nodes execute in ScheduleAt call order
-  // — the legacy Simulator's (time, schedule-order) contract.
+  // Three same-time events on three nodes execute in ScheduleAt call order:
+  // sequential mode's one global (time, ScheduleAt-call) order.
   Engine engine(3, EngineOptions{});
   std::vector<int> order;
   const int type = engine.AddHandler(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "models/async_gd.h"
 
 namespace dmlscale::sim {
@@ -30,6 +32,34 @@ TEST(ParamServerConfigTest, Validation) {
   bad = BasicConfig();
   bad.target_updates = 0;
   EXPECT_FALSE(bad.Validate().ok());
+
+  // Non-finite work, payload or node speed and negative overheads are
+  // InvalidArgument from the simulation too, not an engine abort.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double value : {nan, inf}) {
+    bad = BasicConfig();
+    bad.ops_per_update = value;
+    EXPECT_FALSE(bad.Validate().ok()) << value;
+    bad = BasicConfig();
+    bad.message_bits = value;
+    EXPECT_FALSE(bad.Validate().ok()) << value;
+    bad = BasicConfig();
+    bad.node.peak_flops = value;
+    EXPECT_FALSE(bad.Validate().ok()) << value;
+  }
+  bad = BasicConfig();
+  bad.overhead.sched_fixed_s = -1.0;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = BasicConfig();
+  bad.overhead.serialize_s_per_bit = nan;
+  EXPECT_FALSE(bad.Validate().ok());
+
+  bad = BasicConfig();
+  bad.ops_per_update = nan;
+  Pcg32 rng(1);
+  EXPECT_EQ(SimulateParameterServer(bad, 4, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ParamServerSimTest, SingleWorkerThroughputMatchesModel) {

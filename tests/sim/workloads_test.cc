@@ -33,6 +33,28 @@ TEST(GdSimConfigTest, Validation) {
   config = BasicConfig();
   config.iterations = 0;
   EXPECT_FALSE(config.Validate().ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double value : {nan, inf}) {
+    config = BasicConfig();
+    config.total_ops = value;
+    EXPECT_FALSE(config.Validate().ok()) << value;
+    config = BasicConfig();
+    config.message_bits = value;
+    EXPECT_FALSE(config.Validate().ok()) << value;
+  }
+  config = BasicConfig();
+  config.overhead.straggler_sigma = -0.1;
+  EXPECT_FALSE(config.Validate().ok());
+
+  // The tree sims run on the engine: a NaN workload must come back as a
+  // Status before any event is scheduled.
+  config = BasicConfig();
+  config.total_ops = nan;
+  Pcg32 rng(1);
+  EXPECT_EQ(SimulateAllReduceSgdIteration(config, 4, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SparkGdSimTest, SingleNodeIsPureCompute) {
