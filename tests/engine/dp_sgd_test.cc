@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "nn/activations.h"
+#include "nn/trainer.h"
 
 namespace dmlscale::engine {
 namespace {
@@ -109,6 +114,64 @@ TEST(DataParallelSgdTest, TrainingConverges) {
     last = result->loss;
   }
   EXPECT_LT(last, first * 0.6);
+}
+
+// nn::TrainMiniBatches with one full-batch mini-batch, no shuffle and
+// `shards_per_batch = workers` executes the same synchronous step: same
+// shard boundaries, same ordered reduction. Losses and every parameter must
+// agree as bit patterns, including more workers than examples.
+TEST(DataParallelSgdTest, BitIdenticalToShardedTrainMiniBatches) {
+  constexpr int kSteps = 20;
+  for (int64_t examples : {3, 30, 64, 256}) {
+    for (int workers : {1, 2, 3, 4, 8}) {
+      Pcg32 rng(1);
+      nn::Dataset data =
+          nn::SyntheticClassification(examples, 10, 4, 0.4, &rng).value();
+      Pcg32 net_rng(2);
+      nn::Network dp_master = nn::Network::FullyConnected({10, 24, 4},
+                                                          &net_rng);
+      nn::Network trainer_net = dp_master.Clone();
+      nn::SoftmaxCrossEntropyLoss loss;
+
+      nn::SgdOptimizer dp_opt(0.5);
+      DataParallelSgd dp(&dp_master, workers, workers);
+      std::vector<double> dp_loss;
+      for (int step = 0; step < kSteps; ++step) {
+        auto result = dp.TrainIteration(data, loss, &dp_opt);
+        ASSERT_TRUE(result.ok());
+        dp_loss.push_back(result->loss);
+      }
+
+      nn::SgdOptimizer trainer_opt(0.5);
+      nn::TrainerOptions options{
+          .epochs = kSteps,
+          .batch_size = examples,
+          .shuffle = false,
+          .threads = static_cast<int>(std::min<int64_t>(workers, examples)),
+          .shards_per_batch = workers};
+      auto history = nn::TrainMiniBatches(&trainer_net, data, loss,
+                                          &trainer_opt, options, nullptr);
+      ASSERT_TRUE(history.ok()) << history.status();
+      ASSERT_EQ(history->epoch_loss.size(), dp_loss.size());
+      for (int step = 0; step < kSteps; ++step) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(history->epoch_loss[step]),
+                  std::bit_cast<uint64_t>(dp_loss[step]))
+            << "examples=" << examples << " workers=" << workers
+            << " step=" << step;
+      }
+      auto dp_params = dp_master.Parameters();
+      auto trainer_params = trainer_net.Parameters();
+      ASSERT_EQ(dp_params.size(), trainer_params.size());
+      for (size_t p = 0; p < dp_params.size(); ++p) {
+        for (int64_t i = 0; i < dp_params[p]->size(); ++i) {
+          ASSERT_EQ(std::bit_cast<uint64_t>((*trainer_params[p])[i]),
+                    std::bit_cast<uint64_t>((*dp_params[p])[i]))
+              << "examples=" << examples << " workers=" << workers
+              << " tensor=" << p << " index=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(DataParallelSgdTest, RejectsEmptyBatchAndNullOptimizer) {
