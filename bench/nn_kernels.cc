@@ -172,9 +172,12 @@ void BM_GemmRowSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmRowSharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
-// One epoch of conv-net training; thread count = state arg. Also reports
-// the steady-state tensor allocations per epoch (must be 0 — the batch
-// buffers, shard slices, and im2col scratch are all reused).
+// One epoch of conv-net training; thread count = state arg. Every row runs
+// the same program — four gradient shards per 32-example batch plus their
+// ordered reduction — so the rows differ only in how many threads execute
+// the shards. Also reports the steady-state tensor allocations per epoch
+// (must be 0 — the batch buffers, shard slices, and im2col scratch are all
+// reused).
 void BM_TrainConvNetEpoch(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   Pcg32 data_rng(5);
@@ -193,7 +196,7 @@ void BM_TrainConvNetEpoch(benchmark::State& state) {
                              .batch_size = 32,
                              .shuffle = true,
                              .threads = threads,
-                             .shard_grain = threads > 1 ? 8 : 0};
+                             .shards_per_batch = 4};
   int64_t allocs_delta = 0;
   int64_t iters = 0;
   for (auto _ : state) {

@@ -41,6 +41,10 @@ int main(int argc, char** argv) {
   double batch = args->GetDouble("batch", 1000.0);
   models::GdWorkload workload =
       models::LogisticRegressionWorkload(features, batch, 32.0);
+  if (Status status = workload.Validate(); !status.ok()) {
+    std::cerr << status << "\n";
+    return 1;
+  }
   core::NodeSpec node{.name = "worker", .peak_flops = 50e9, .efficiency = 0.8};
   core::LinkSpec link = api::presets::TenGigabitEthernet();
 

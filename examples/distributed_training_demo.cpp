@@ -1,19 +1,21 @@
 // Distributed-training demo: executes REAL data-parallel gradient descent
 // (the execution pattern the Section IV-A model describes) with the
-// in-process engine, shows that the parallel update is identical to
+// batch-parallel trainer, shows that the parallel update is identical to
 // sequential batch GD, and then asks the dmlscale::api facade what the
 // same job would cost on an actual cluster (analytic model + discrete-
 // event simulator behind one Analysis::Run call).
 //
 //   ./distributed_training_demo [--workers=4] [--examples=256]
 
+#include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "api/api.h"
 #include "common/arg_parser.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "engine/dp_sgd.h"
+#include "nn/trainer.h"
 
 using namespace dmlscale;  // NOLINT: example brevity
 
@@ -32,8 +34,14 @@ int main(int argc, char** argv) {
     std::cout << "Flags: --workers --examples\n";
     return 0;
   }
-  int workers = static_cast<int>(args->GetInt("workers", 4));
+  int64_t workers = args->GetInt("workers", 4);
   int64_t examples = args->GetInt("examples", 256);
+  if (workers < 1) {
+    std::cerr << Status::InvalidArgument("--workers must be >= 1, got " +
+                                         std::to_string(workers))
+              << "\n";
+    return 1;
+  }
 
   // Train a small sigmoid network on synthetic data, data-parallel.
   Pcg32 rng(1);
@@ -47,21 +55,36 @@ int main(int argc, char** argv) {
   nn::Network sequential = master.Clone();
   nn::SoftmaxCrossEntropyLoss loss;
   nn::SgdOptimizer par_opt(0.5), seq_opt(0.5);
-  engine::DataParallelSgd dp(&master, workers, /*num_threads=*/workers);
+
+  // One full-batch step per epoch, split into `workers` gradient shards:
+  // the synchronous data-parallel iteration, twenty times.
+  constexpr int kIterations = 20;
+  nn::TrainerOptions trainer_options{
+      .epochs = kIterations,
+      .batch_size = examples,
+      .shuffle = false,
+      .threads = static_cast<int>(std::min(workers, examples)),
+      .shards_per_batch = workers};
+  auto par = nn::TrainMiniBatches(&master, *data, loss, &par_opt,
+                                  trainer_options, /*rng=*/nullptr);
+  if (!par.ok()) {
+    std::cerr << par.status() << "\n";
+    return 1;
+  }
 
   std::cout << "Training 10-24-4 sigmoid network on " << examples
             << " examples with " << workers << " data-parallel workers:\n";
   TablePrinter table({"iteration", "parallel loss", "sequential loss"});
-  for (int iter = 0; iter < 20; ++iter) {
-    auto par = dp.TrainIteration(*data, loss, &par_opt);
+  for (int iter = 0; iter < kIterations; ++iter) {
     auto seq = nn::TrainBatch(&sequential, data->features, data->targets,
                               loss, &seq_opt);
-    if (!par.ok() || !seq.ok()) {
-      std::cerr << "training failed\n";
+    if (!seq.ok()) {
+      std::cerr << seq.status() << "\n";
       return 1;
     }
-    if (iter % 4 == 0 || iter == 19) {
-      table.AddRow({std::to_string(iter), FormatDouble(par->loss, 6),
+    if (iter % 4 == 0 || iter == kIterations - 1) {
+      table.AddRow({std::to_string(iter),
+                    FormatDouble(par->epoch_loss[static_cast<size_t>(iter)], 6),
                     FormatDouble(seq.value(), 6)});
     }
   }

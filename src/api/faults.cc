@@ -2,9 +2,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "common/string_util.h"
 
 namespace dmlscale::api {
 
@@ -13,24 +10,6 @@ namespace {
 constexpr std::string_view kDistributions[] = {"exponential", "weibull"};
 constexpr std::string_view kRecoveries[] = {"checkpoint-restart", "replica",
                                             "speculative"};
-
-std::string Menu(const std::string_view* begin, const std::string_view* end) {
-  std::vector<std::string> names(begin, end);
-  return Join(names, ", ", "<none>");
-}
-
-/// kInvalidArgument when `key` is present but its owning selection is not
-/// the active one (the ResolveNetworkSpec RequireOwner idiom).
-Status RequireOwner(const ModelParams& params, const std::string& key,
-                    const std::string& selected, std::string_view owner,
-                    const std::string& owner_kind) {
-  if (params.Has(key) && selected != owner) {
-    return Status::InvalidArgument(
-        "parameter '" + key + "' requires " + owner_kind + "='" +
-        std::string(owner) + "' (selected: '" + selected + "')");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -66,9 +45,8 @@ Result<core::FaultSpec> ResolveFaultSpec(const ModelParams& params) {
     spec.distribution = core::FaultDistribution::kWeibull;
     spec.weibull_shape = params.GetOr("weibull_shape", 1.0);
   } else {
-    return Status::InvalidArgument(
-        "unknown mtbf_dist '" + dist + "'; available: " +
-        Menu(std::begin(kDistributions), std::end(kDistributions)));
+    return Status::InvalidArgument("unknown mtbf_dist '" + dist +
+                                   "'; available: " + Menu(kDistributions));
   }
   if (recovery == "checkpoint-restart") {
     spec.recovery = core::RecoveryStrategy::kCheckpointRestart;
@@ -79,9 +57,8 @@ Result<core::FaultSpec> ResolveFaultSpec(const ModelParams& params) {
     spec.recovery = core::RecoveryStrategy::kSpeculativeReexec;
     spec.speculation_threshold = params.GetOr("spec_threshold", 2.0);
   } else {
-    return Status::InvalidArgument(
-        "unknown recovery '" + recovery + "'; available: " +
-        Menu(std::begin(kRecoveries), std::end(kRecoveries)));
+    return Status::InvalidArgument("unknown recovery '" + recovery +
+                                   "'; available: " + Menu(kRecoveries));
   }
 
   spec.mtbf_seconds = params.GetOr("mtbf", 0.0);

@@ -22,24 +22,6 @@ constexpr std::string_view kTopologies[] = {"ideal-switch", "star", "fat-tree",
                                             "mesh2d"};
 constexpr std::string_view kQueues[] = {"queue-free", "mm1"};
 
-std::string Menu(const std::string_view* begin, const std::string_view* end) {
-  std::vector<std::string> names(begin, end);
-  return Join(names, ", ", "<none>");
-}
-
-/// kInvalidArgument when `key` is present but `active` (its topology/queue
-/// owner) is not the selected one.
-Status RequireOwner(const ModelParams& params, const std::string& key,
-                    const std::string& selected, std::string_view owner,
-                    const std::string& owner_kind) {
-  if (params.Has(key) && selected != owner) {
-    return Status::InvalidArgument(
-        "parameter '" + key + "' requires " + owner_kind + "='" +
-        std::string(owner) + "' (selected: '" + selected + "')");
-  }
-  return Status::OK();
-}
-
 Result<int> IntegerParam(const ModelParams& params, const std::string& key,
                          double def, double min) {
   double value = params.GetOr(key, def);
@@ -88,9 +70,8 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
                               IntegerParam(params, "mesh_width", 0.0, 0.0));
     spec.topology = std::make_shared<core::Mesh2dTopology>(width);
   } else {
-    return Status::InvalidArgument(
-        "unknown topology '" + topology + "'; available: " +
-        Menu(std::begin(kTopologies), std::end(kTopologies)));
+    return Status::InvalidArgument("unknown topology '" + topology +
+                                   "'; available: " + Menu(kTopologies));
   }
 
   if (queue == "queue-free") {
@@ -103,8 +84,7 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
     spec.queue = std::make_shared<core::Mm1QueueModel>(load);
   } else {
     return Status::InvalidArgument("unknown queue '" + queue +
-                                   "'; available: " +
-                                   Menu(std::begin(kQueues), std::end(kQueues)));
+                                   "'; available: " + Menu(kQueues));
   }
 
   return spec;

@@ -55,10 +55,9 @@ Status ModelParams::ExpectOnly(
     std::initializer_list<std::string_view> allowed) const {
   auto check = [&](const std::string& key) -> Status {
     if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      std::vector<std::string> known(allowed.begin(), allowed.end());
-      return Status::InvalidArgument("unknown parameter '" + key +
-                                     "' (accepted: " +
-                                     Join(known, ", ", "<none>") + ")");
+      return Status::InvalidArgument(
+          "unknown parameter '" + key + "' (accepted: " +
+          Menu({allowed.begin(), allowed.size()}) + ")");
     }
     return Status::OK();
   };
@@ -67,6 +66,22 @@ Status ModelParams::ExpectOnly(
   }
   for (const auto& [key, value] : strings_) {
     if (Status s = check(key); !s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+std::string Menu(std::span<const std::string_view> names) {
+  std::vector<std::string> parts(names.begin(), names.end());
+  return Join(parts, ", ", "<none>");
+}
+
+Status RequireOwner(const ModelParams& params, const std::string& key,
+                    const std::string& selected, std::string_view owner,
+                    const std::string& owner_kind) {
+  if (params.Has(key) && selected != owner) {
+    return Status::InvalidArgument(
+        "parameter '" + key + "' requires " + owner_kind + "='" +
+        std::string(owner) + "' (selected: '" + selected + "')");
   }
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -74,6 +75,21 @@ class ModelParams {
   std::map<std::string, double> values_;
   std::map<std::string, std::string> strings_;
 };
+
+// Helpers shared by the facet resolvers (network, faults, serving), which
+// select a variant by a string key and own variant-specific numeric keys.
+
+/// `names` joined as "a, b, c" ("<none>" when empty): the menu an unknown
+/// selection lists.
+std::string Menu(std::span<const std::string_view> names);
+
+/// kInvalidArgument when `key` is present but its owner is not the selected
+/// variant, e.g. `pod` without topology='fat-tree'.
+[[nodiscard]] Status RequireOwner(const ModelParams& params,
+                                  const std::string& key,
+                                  const std::string& selected,
+                                  std::string_view owner,
+                                  const std::string& owner_kind);
 
 }  // namespace dmlscale::api
 

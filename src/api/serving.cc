@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/string_util.h"
 #include "nn/network.h"
 #include "nn/tensor.h"
 
@@ -17,24 +16,6 @@ constexpr std::string_view kArrivalKinds[] = {"poisson", "diurnal", "mmpp"};
 constexpr std::string_view kCachePolicies[] = {"none", "lru", "lfu"};
 constexpr std::string_view kDispatchPolicies[] = {"least-outstanding",
                                                  "round-robin"};
-
-std::string Menu(const std::string_view* begin, const std::string_view* end) {
-  std::vector<std::string> names(begin, end);
-  return Join(names, ", ", "<none>");
-}
-
-/// kInvalidArgument when `key` is present but its owning selection is not
-/// the active one (the ResolveNetworkSpec RequireOwner idiom).
-Status RequireOwner(const ModelParams& params, const std::string& key,
-                    const std::string& selected, std::string_view owner,
-                    const std::string& owner_kind) {
-  if (params.Has(key) && selected != owner) {
-    return Status::InvalidArgument(
-        "parameter '" + key + "' requires " + owner_kind + "='" +
-        std::string(owner) + "' (selected: '" + selected + "')");
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -99,9 +80,8 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
         "trace arrivals carry a gap vector, which a scalar parameter bag "
         "cannot express; build the serve::ServingSpec directly");
   } else {
-    return Status::InvalidArgument(
-        "unknown arrivals '" + arrivals + "'; available: " +
-        Menu(std::begin(kArrivalKinds), std::end(kArrivalKinds)));
+    return Status::InvalidArgument("unknown arrivals '" + arrivals +
+                                   "'; available: " + Menu(kArrivalKinds));
   }
   spec.arrivals.rate_qps = params.GetOr("qps", 0.0);
 
@@ -112,9 +92,8 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
   } else if (cache == "lfu") {
     spec.cache.policy = serve::CachePolicy::kLfu;
   } else {
-    return Status::InvalidArgument(
-        "unknown cache '" + cache + "'; available: " +
-        Menu(std::begin(kCachePolicies), std::end(kCachePolicies)));
+    return Status::InvalidArgument("unknown cache '" + cache +
+                                   "'; available: " + Menu(kCachePolicies));
   }
   if (spec.cache.policy != serve::CachePolicy::kNone) {
     spec.cache.hit_rate = params.GetOr("hit_rate", 0.0);
@@ -128,9 +107,8 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
   } else if (dispatch == "round-robin") {
     spec.dispatch = serve::DispatchPolicy::kRoundRobin;
   } else {
-    return Status::InvalidArgument(
-        "unknown dispatch '" + dispatch + "'; available: " +
-        Menu(std::begin(kDispatchPolicies), std::end(kDispatchPolicies)));
+    return Status::InvalidArgument("unknown dispatch '" + dispatch +
+                                   "'; available: " + Menu(kDispatchPolicies));
   }
 
   spec.batcher.max_batch = static_cast<int>(params.GetOr("batch_max", 1.0));

@@ -8,7 +8,6 @@
 #include "bp/mrf.h"
 #include "bp/parallel_bp.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/graphical_inference.h"
@@ -120,47 +119,38 @@ Result<core::TimingSample> NnTrainerWorkload::Measure(int nodes) {
   trainer_options.epochs = options_.epochs;
   trainer_options.batch_size = options_.batch_size;
   trainer_options.shuffle = true;
-  // Exactly min(nodes, batch length) gradient shards per mini-batch — the
-  // explicit shard count, not a grain, because a grain cannot express
-  // every count (ceil(10 / ceil(10/6)) = 5, never 6).
-  trainer_options.shards_per_batch = nodes > 1 ? nodes : 0;
+  // Exactly min(nodes, batch length) gradient shards per mini-batch.
+  trainer_options.shards_per_batch = nodes;
   trainer_options.threads = nodes > 1 ? options_.threads : 1;
 
   Pcg32 shuffle_rng(DeriveSeed(options_.seed, 3), 3);
-  Stopwatch stopwatch;
   DMLSCALE_ASSIGN_OR_RETURN(
       nn::TrainingHistory history,
       nn::TrainMiniBatches(&network, data, loss, &optimizer, trainer_options,
                            &shuffle_rng));
-  double wall_seconds = stopwatch.ElapsedSeconds();
   last_epoch_loss_ = history.epoch_loss;
   if (history.total_batches < 1) {
     return Status::Internal("training executed no batches");
   }
 
-  double seconds;
-  if (options_.use_wall_clock) {
-    seconds = wall_seconds;
-  } else {
-    // Work-clock: price the EXECUTED counters on the scenario's hardware.
-    // Multiply-add convention (Section V-A): 2 ops per MA, training = 3
-    // forward-equivalents; optimizer step and each replica reduction are
-    // one fused multiply-add per weight (2 ops).
-    double ma = static_cast<double>(network.ForwardMultiplyAddsPerExample());
-    double weights = static_cast<double>(network.WeightCount());
-    double compute_ops =
-        6.0 * ma * static_cast<double>(history.bottleneck_examples) +
-        2.0 * weights *
-            static_cast<double>(history.replica_reductions +
-                                history.total_batches);
-    seconds = compute_ops / cluster_.node.EffectiveFlops();
-    if (!cluster_.shared_memory && history.replica_reductions > 0) {
-      // Parameter broadcast + gradient gather through the master, 64-bit
-      // parameters, once per replica reduction.
-      double bits = 2.0 * 64.0 * weights *
-                    static_cast<double>(history.replica_reductions);
-      seconds += bits / cluster_.link.bandwidth_bps;
-    }
+  // Work-clock: price the EXECUTED counters on the scenario's hardware.
+  // Multiply-add convention (Section V-A): 2 ops per MA, training = 3
+  // forward-equivalents; optimizer step and each replica reduction are
+  // one fused multiply-add per weight (2 ops).
+  double ma = static_cast<double>(network.ForwardMultiplyAddsPerExample());
+  double weights = static_cast<double>(network.WeightCount());
+  double compute_ops =
+      6.0 * ma * static_cast<double>(history.bottleneck_examples) +
+      2.0 * weights *
+          static_cast<double>(history.replica_reductions +
+                              history.total_batches);
+  double seconds = compute_ops / cluster_.node.EffectiveFlops();
+  if (!cluster_.shared_memory && history.replica_reductions > 0) {
+    // Parameter broadcast + gradient gather through the master, 64-bit
+    // parameters, once per replica reduction.
+    double bits = 2.0 * 64.0 * weights *
+                  static_cast<double>(history.replica_reductions);
+    seconds += bits / cluster_.link.bandwidth_bps;
   }
   // Per optimizer step — the "one unit of progress" AlgorithmModel prices.
   return core::TimingSample{
@@ -241,33 +231,26 @@ Result<core::TimingSample> BpSweepWorkload::Measure(int nodes) {
 
   bp::BpOptions bp_options{.max_iterations = options_.max_iterations,
                            .tolerance = options_.tolerance};
-  Stopwatch stopwatch;
   DMLSCALE_ASSIGN_OR_RETURN(
       bp::ParallelBpStats stats,
       bp::RunParallelBp(&solver, partition, bp_options, options_.threads));
-  double wall_seconds = stopwatch.ElapsedSeconds();
   last_iterations_ = stats.run.iterations;
   last_converged_ = stats.run.converged;
   if (stats.run.iterations < 1) {
     return Status::Internal("BP executed no supersteps");
   }
 
-  double seconds;
-  if (options_.use_wall_clock) {
-    seconds = wall_seconds;
-  } else {
-    int64_t max_edges = 0;
-    for (int64_t e : stats.edges_per_worker) max_edges = std::max(max_edges, e);
-    double compute_ops = static_cast<double>(max_edges) *
-                         models::BpOperationsPerEdge(options_.states);
-    seconds = static_cast<double>(stats.run.iterations) * compute_ops /
-              cluster_.node.EffectiveFlops();
-    if (!cluster_.shared_memory && stats.cut_directed_edges > 0) {
-      double bits = static_cast<double>(stats.cut_directed_edges) *
-                    static_cast<double>(options_.states) * 64.0;
-      seconds += static_cast<double>(stats.run.iterations) * bits /
-                 cluster_.link.bandwidth_bps;
-    }
+  int64_t max_edges = 0;
+  for (int64_t e : stats.edges_per_worker) max_edges = std::max(max_edges, e);
+  double compute_ops = static_cast<double>(max_edges) *
+                       models::BpOperationsPerEdge(options_.states);
+  double seconds = static_cast<double>(stats.run.iterations) * compute_ops /
+                   cluster_.node.EffectiveFlops();
+  if (!cluster_.shared_memory && stats.cut_directed_edges > 0) {
+    double bits = static_cast<double>(stats.cut_directed_edges) *
+                  static_cast<double>(options_.states) * 64.0;
+    seconds += static_cast<double>(stats.run.iterations) * bits /
+               cluster_.link.bandwidth_bps;
   }
   // Per superstep, using the iterations the run ACTUALLY took.
   return core::TimingSample{
@@ -298,11 +281,10 @@ DMLSCALE_REGISTER_WORKLOAD(
 DMLSCALE_REGISTER_WORKLOAD(
     "nn-trainer",
     "width_scale (Fig. 2 tower scale, default 0.1), examples, batch, epochs, "
-    "seed, threads, wall_clock",
+    "seed, threads",
     [](const ModelParams& params, const Scenario& scenario) -> WorkloadResult {
       DMLSCALE_RETURN_NOT_OK(params.ExpectOnly(
-          {"width_scale", "examples", "batch", "epochs", "seed", "threads",
-           "wall_clock"}));
+          {"width_scale", "examples", "batch", "epochs", "seed", "threads"}));
       double width_scale = params.GetOr("width_scale", 0.1);
       if (width_scale <= 0.0 || width_scale > 1.0) {
         return Status::InvalidArgument("width_scale must be in (0, 1]");
@@ -316,7 +298,6 @@ DMLSCALE_REGISTER_WORKLOAD(
       options.epochs = static_cast<int>(params.GetOr("epochs", 1.0));
       options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
       options.threads = static_cast<int>(params.GetOr("threads", 1.0));
-      options.use_wall_clock = params.GetOr("wall_clock", 0.0) != 0.0;
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<NnTrainerWorkload> workload,
                                 NnTrainerWorkload::Create(scenario,
                                                           std::move(options)));
@@ -325,11 +306,11 @@ DMLSCALE_REGISTER_WORKLOAD(
 
 DMLSCALE_REGISTER_WORKLOAD(
     "bp-sweep",
-    "rows, cols, states, coupling, max_iterations, seed, threads, wall_clock",
+    "rows, cols, states, coupling, max_iterations, seed, threads",
     [](const ModelParams& params, const Scenario& scenario) -> WorkloadResult {
       DMLSCALE_RETURN_NOT_OK(params.ExpectOnly(
           {"rows", "cols", "states", "coupling", "max_iterations", "seed",
-           "threads", "wall_clock"}));
+           "threads"}));
       BpSweepWorkloadOptions options;
       options.grid_rows = static_cast<int64_t>(params.GetOr("rows", 24.0));
       options.grid_cols = static_cast<int64_t>(params.GetOr("cols", 24.0));
@@ -339,7 +320,6 @@ DMLSCALE_REGISTER_WORKLOAD(
           static_cast<int>(params.GetOr("max_iterations", 30.0));
       options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
       options.threads = static_cast<int>(params.GetOr("threads", 1.0));
-      options.use_wall_clock = params.GetOr("wall_clock", 0.0) != 0.0;
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<BpSweepWorkload> workload,
                                 BpSweepWorkload::Create(scenario,
                                                         std::move(options)));

@@ -28,7 +28,7 @@ namespace dmlscale::api {
 ///     node count mapped onto in-process parallelism (gradient shards /
 ///     partition workers).
 ///
-/// Measured workloads default to a deterministic WORK-CLOCK: they run the
+/// Measured workloads price with a deterministic WORK-CLOCK: they run the
 /// real computation, read the execution counters it leaves behind (the
 /// trainer's bottleneck-shard examples and replica reductions, the BP
 /// run's per-worker edge updates and cut edges), and price those counters
@@ -36,9 +36,8 @@ namespace dmlscale::api {
 /// executed — shard imbalance, short final batches, bias terms, measured
 /// convergence — but is a pure function of (options, nodes): byte-identical
 /// across runs and across `threads` settings, which is what lets
-/// calibration live inside tests, sweeps, and TSan CI jobs. Set
-/// `use_wall_clock` in the workload options to price with a real stopwatch
-/// instead (meaningful on dedicated hardware; never deterministic).
+/// calibration live inside tests, sweeps, and TSan CI jobs. No wall-clock
+/// reading reaches a sample.
 ///
 /// `TimingSample::seconds` is normalized PER SUPERSTEP — one mini-batch
 /// optimizer step, one BP superstep — matching `core::AlgorithmModel`'s
@@ -55,8 +54,7 @@ class Workload {
   virtual bool measured() const = 0;
 
   /// One timing sample at `nodes` >= 1. Pure function of (workload
-  /// configuration, nodes) unless the workload was opted into wall-clock
-  /// pricing — independent of call order and thread count.
+  /// configuration, nodes) — independent of call order and thread count.
   [[nodiscard]] virtual Result<core::TimingSample> Measure(int nodes) = 0;
 
   /// One sample per entry of `nodes`, in order. Fails on the first
@@ -108,9 +106,6 @@ struct NnTrainerWorkloadOptions {
   /// trainer is bit-identical for every thread count and the work-clock
   /// reads counters, never the wall. TSan jobs run with threads > 1.
   int threads = 1;
-  /// Price samples with a real stopwatch instead of the work-clock.
-  /// NON-DETERMINISTIC — keep off in tests and CI.
-  bool use_wall_clock = false;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -184,8 +179,6 @@ struct BpSweepWorkloadOptions {
   /// Real threads executing the logical workers (wall-clock only; the BP
   /// run is bit-identical to sequential for any thread count).
   int threads = 1;
-  /// See NnTrainerWorkloadOptions::use_wall_clock.
-  bool use_wall_clock = false;
 
   [[nodiscard]] Status Validate() const;
 };

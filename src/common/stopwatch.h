@@ -22,9 +22,11 @@ class Stopwatch {
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
-  // The one sanctioned clock: monotonic, and only ever surfaced through
-  // opt-in wall-clock paths (TimingSample.wall_clock). dml-lint bans clock
-  // types elsewhere in src/ (rule DML001), so timing goes through here.
+  // The one sanctioned clock: monotonic, and never part of a result. In
+  // src/ it only times the sweep runner's run diagnostic
+  // (SweepReport::wall_seconds, kept out of the CSV and the ranking).
+  // dml-lint bans clock types elsewhere in src/ (rule DML001), so timing
+  // goes through here.
   using Clock = std::chrono::steady_clock;  // dml-lint: allow(wall-clock)
   Clock::time_point start_;
 };

@@ -9,14 +9,14 @@
 namespace dmlscale::models {
 
 Status GdWorkload::Validate() const {
-  if (ops_per_example <= 0.0) {
-    return Status::InvalidArgument("ops_per_example must be > 0");
+  if (!std::isfinite(ops_per_example) || ops_per_example <= 0.0) {
+    return Status::InvalidArgument("ops_per_example must be finite and > 0");
   }
-  if (batch_size <= 0.0) {
-    return Status::InvalidArgument("batch_size must be > 0");
+  if (!std::isfinite(batch_size) || batch_size <= 0.0) {
+    return Status::InvalidArgument("batch_size must be finite and > 0");
   }
-  if (model_params <= 0.0) {
-    return Status::InvalidArgument("model_params must be > 0");
+  if (!std::isfinite(model_params) || model_params <= 0.0) {
+    return Status::InvalidArgument("model_params must be finite and > 0");
   }
   if (bits_per_param != 32.0 && bits_per_param != 64.0) {
     return Status::InvalidArgument("bits_per_param must be 32 or 64");

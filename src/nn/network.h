@@ -58,8 +58,8 @@ class Network {
   Status AccumulateGradientsFrom(Network& other);
 
   /// Adds `weight` * other's gradients into this network's gradients —
-  /// the shard-weighted reduction step shared by the batch-parallel
-  /// trainer and the data-parallel SGD engine. Allocation-free.
+  /// the batch-parallel trainer's shard-weighted reduction step.
+  /// Allocation-free.
   Status AccumulateScaledGradientsFrom(Network& other, double weight);
 
   /// Total trainable weights.

@@ -32,11 +32,7 @@ Status PermuteInto(const Dataset& data, const std::vector<int64_t>& order,
 }
 
 int64_t NumShards(int64_t batch_len, const TrainerOptions& options) {
-  if (options.shards_per_batch > 0) {
-    return std::min(options.shards_per_batch, batch_len);
-  }
-  if (options.shard_grain <= 0) return 1;
-  return (batch_len + options.shard_grain - 1) / options.shard_grain;
+  return std::max<int64_t>(1, std::min(options.shards_per_batch, batch_len));
 }
 
 }  // namespace
@@ -58,9 +54,6 @@ Result<TrainingHistory> TrainMiniBatches(Network* network,
   if (options.threads < 1) {
     return Status::InvalidArgument("threads must be >= 1");
   }
-  if (options.shard_grain < 0) {
-    return Status::InvalidArgument("shard_grain must be >= 0");
-  }
   if (options.shards_per_batch < 0) {
     return Status::InvalidArgument("shards_per_batch must be >= 0");
   }
@@ -72,7 +65,7 @@ Result<TrainingHistory> TrainMiniBatches(Network* network,
   std::vector<int64_t> order(static_cast<size_t>(examples));
   std::iota(order.begin(), order.end(), 0);
 
-  // Shard boundaries depend on batch length and grain only — NOT on
+  // Shard boundaries depend on batch length and shard count only — NOT on
   // options.threads — so any thread count reproduces the serial result
   // bit for bit. The largest (first) batch bounds the replica count.
   const int64_t max_shards =
@@ -80,8 +73,7 @@ Result<TrainingHistory> TrainMiniBatches(Network* network,
   if (options.threads > 1 && max_shards <= 1) {
     return Status::InvalidArgument(
         "threads > 1 requires multiple gradient shards per batch, but "
-        "shard_grain=" + std::to_string(options.shard_grain) +
-        ", shards_per_batch=" + std::to_string(options.shards_per_batch) +
+        "shards_per_batch=" + std::to_string(options.shards_per_batch) +
         " yields one shard for batches of " +
         std::to_string(std::min(options.batch_size, examples)) +
         "; the request would be silently serial");

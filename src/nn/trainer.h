@@ -16,14 +16,15 @@ namespace dmlscale::nn {
 /// single-node baseline whose distributed counterparts the scalability
 /// models describe.
 ///
-/// Intra-batch data parallelism: with `shard_grain > 0` every mini-batch
-/// is split into ceil(len / shard_grain) fixed shards; each shard's
-/// gradients are computed on a private network replica (concurrently when
-/// `threads > 1`) and reduced into the master in ascending shard order.
-/// Because shard boundaries depend only on the batch length and the grain
-/// — never on `threads` — and the reduction order is fixed, results are
-/// bit-identical for every thread count (the same determinism discipline
-/// as the sweep engine).
+/// Intra-batch data parallelism — the synchronous data-parallel step the
+/// Section IV-A model prices: every mini-batch is split into
+/// `shards_per_batch` fixed shards (capped at the batch length); each
+/// shard's gradients are computed on a private network replica
+/// (concurrently when `threads > 1`) and reduced into the master in
+/// ascending shard order. Because shard boundaries depend only on the batch
+/// length and the shard count — never on `threads` — and the reduction
+/// order is fixed, results are bit-identical for every thread count (the
+/// same determinism discipline as the sweep engine).
 ///
 /// All per-epoch buffers (shuffled copy, mini-batch/shard slices, network
 /// scratch) are allocated once and reused, so steady-state training
@@ -35,18 +36,13 @@ struct TrainerOptions {
   /// Shuffle example order each epoch (deterministic via the given rng).
   bool shuffle = true;
   /// Worker threads executing gradient shards (>= 1). Affects wall-clock
-  /// only, never results. threads > 1 requires shard_grain > 0 (rejected
-  /// otherwise — a single shard per batch cannot run concurrently).
+  /// only, never results. threads > 1 requires more than one shard per
+  /// batch (rejected otherwise — a single shard cannot run concurrently).
   int threads = 1;
-  /// Examples per gradient shard; 0 = one shard per mini-batch (the
-  /// classic serial semantics). Changing the grain changes floating-point
-  /// summation order (not correctness).
-  int64_t shard_grain = 0;
-  /// Exact shard count per mini-batch (capped at the batch length);
-  /// overrides shard_grain when > 0. A grain cannot express every count —
-  /// ceil(10 / ceil(10/6)) = 5, never 6 — and the calibration workloads
-  /// need "n shards = n modeled nodes" to hold exactly.
-  int64_t shards_per_batch = 0;
+  /// Gradient shards per mini-batch, capped at the batch length; 0 and 1
+  /// both mean one shard (the classic serial semantics). Changing the count
+  /// changes floating-point summation order (not correctness).
+  int64_t shards_per_batch = 1;
 };
 
 struct TrainingHistory {

@@ -57,11 +57,25 @@ TEST(WorkloadRegistryTest, MissListsTheMenu) {
 TEST(WorkloadRegistryTest, TypodParameterIsRejected) {
   auto scenario = SparkScenario();
   ASSERT_TRUE(scenario.ok());
-  auto workload =
-      Workloads().Create("nn-trainer", {{"epocs", 2.0}}, *scenario);
-  ASSERT_FALSE(workload.ok());
-  EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(workload.status().message().find("epocs"), std::string::npos);
+  // A typo, and `wall_clock`, which the measured workloads do not take
+  // (they price only with the work-clock): both list the accepted keys.
+  struct Case {
+    std::string workload, key, accepted;
+  };
+  const std::string trainer_keys =
+      "width_scale, examples, batch, epochs, seed, threads";
+  for (const Case& c :
+       {Case{"nn-trainer", "epocs", trainer_keys},
+        Case{"nn-trainer", "wall_clock", trainer_keys},
+        Case{"bp-sweep", "wall_clock",
+             "rows, cols, states, coupling, max_iterations, seed, threads"}}) {
+    auto workload = Workloads().Create(c.workload, {{c.key, 2.0}}, *scenario);
+    ASSERT_FALSE(workload.ok()) << c.workload << " " << c.key;
+    EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(workload.status().message(), "unknown parameter '" + c.key +
+                                               "' (accepted: " + c.accepted +
+                                               ")");
+  }
 }
 
 TEST(WorkloadRegistryTest, FactoryBuildsUsableWorkload) {

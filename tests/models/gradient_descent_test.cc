@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/speedup.h"
 
 namespace dmlscale::models {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 core::NodeSpec SparkNode() { return core::presets::XeonE3_1240Double(); }
 core::LinkSpec Gigabit() { return core::LinkSpec{.bandwidth_bps = 1e9}; }
@@ -17,9 +20,17 @@ TEST(GdWorkloadTest, Validation) {
   EXPECT_TRUE(workload.Validate().ok());
   workload.bits_per_param = 16.0;
   EXPECT_FALSE(workload.Validate().ok());
-  workload = SparkMnistWorkload();
-  workload.batch_size = 0.0;
-  EXPECT_FALSE(workload.Validate().ok());
+  for (double bad : {0.0, -1.0, std::nan(""), kInf, -kInf}) {
+    workload = SparkMnistWorkload();
+    workload.batch_size = bad;
+    EXPECT_FALSE(workload.Validate().ok()) << "batch_size=" << bad;
+    workload = SparkMnistWorkload();
+    workload.ops_per_example = bad;
+    EXPECT_FALSE(workload.Validate().ok()) << "ops_per_example=" << bad;
+    workload = SparkMnistWorkload();
+    workload.model_params = bad;
+    EXPECT_FALSE(workload.Validate().ok()) << "model_params=" << bad;
+  }
 }
 
 TEST(GdWorkloadTest, MessageBits) {

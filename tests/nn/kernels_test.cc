@@ -325,7 +325,7 @@ struct TrainRun {
   std::vector<double> final_params;
 };
 
-TrainRun TrainConvNet(int threads, int64_t shard_grain, int epochs) {
+TrainRun TrainConvNet(int threads, int64_t shards, int epochs) {
   Pcg32 data_rng(11);
   Dataset data = SyntheticImages(48, 8, 2, 0.2, &data_rng).value();
   Pcg32 net_rng(12);
@@ -342,7 +342,7 @@ TrainRun TrainConvNet(int threads, int64_t shard_grain, int epochs) {
                          .batch_size = 16,
                          .shuffle = true,
                          .threads = threads,
-                         .shard_grain = shard_grain};
+                         .shards_per_batch = shards};
   auto history =
       TrainMiniBatches(&net, data, loss, &optimizer, options, &shuffle_rng);
   EXPECT_TRUE(history.ok()) << history.status();
@@ -357,11 +357,9 @@ TrainRun TrainConvNet(int threads, int64_t shard_grain, int epochs) {
 }
 
 TEST(ThreadedTrainerTest, HistoryAndParametersBitIdenticalAcrossThreads) {
-  TrainRun serial = TrainConvNet(/*threads=*/1, /*shard_grain=*/4,
-                                 /*epochs=*/3);
+  TrainRun serial = TrainConvNet(/*threads=*/1, /*shards=*/4, /*epochs=*/3);
   for (int threads : {2, 4}) {
-    TrainRun threaded = TrainConvNet(threads, /*shard_grain=*/4,
-                                     /*epochs=*/3);
+    TrainRun threaded = TrainConvNet(threads, /*shards=*/4, /*epochs=*/3);
     ASSERT_EQ(serial.history.epoch_loss.size(),
               threaded.history.epoch_loss.size());
     for (size_t e = 0; e < serial.history.epoch_loss.size(); ++e) {
@@ -379,36 +377,45 @@ TEST(ThreadedTrainerTest, HistoryAndParametersBitIdenticalAcrossThreads) {
 }
 
 TEST(ThreadedTrainerTest, ShardedLossMatchesUnshardedWithinTolerance) {
-  // Sharding changes summation order, so histories differ only in the
-  // last bits.
-  TrainRun whole = TrainConvNet(1, /*shard_grain=*/0, /*epochs=*/2);
-  TrainRun sharded = TrainConvNet(1, /*shard_grain=*/8, /*epochs=*/2);
-  ASSERT_EQ(whole.history.epoch_loss.size(),
-            sharded.history.epoch_loss.size());
-  for (size_t e = 0; e < whole.history.epoch_loss.size(); ++e) {
-    EXPECT_NEAR(whole.history.epoch_loss[e], sharded.history.epoch_loss[e],
-                1e-9);
+  // Synchronous data-parallel SGD is batch SGD for any shard count:
+  // sharding changes only the summation order, so losses and final
+  // parameters differ from the single-shard run in the last bits.
+  TrainRun whole = TrainConvNet(1, /*shards=*/1, /*epochs=*/2);
+  for (int64_t shards : {2, 3, 8}) {
+    TrainRun sharded = TrainConvNet(1, shards, /*epochs=*/2);
+    ASSERT_EQ(whole.history.epoch_loss.size(),
+              sharded.history.epoch_loss.size());
+    for (size_t e = 0; e < whole.history.epoch_loss.size(); ++e) {
+      EXPECT_NEAR(whole.history.epoch_loss[e], sharded.history.epoch_loss[e],
+                  1e-9)
+          << "shards=" << shards << " epoch=" << e;
+    }
+    ASSERT_EQ(whole.final_params.size(), sharded.final_params.size());
+    for (size_t i = 0; i < whole.final_params.size(); ++i) {
+      ASSERT_NEAR(whole.final_params[i], sharded.final_params[i], 1e-9)
+          << "shards=" << shards << " param=" << i;
+    }
   }
 }
 
-int64_t AllocationsForEpochs(int epochs, int threads, int64_t grain) {
+int64_t AllocationsForEpochs(int epochs, int threads, int64_t shards) {
   int64_t before = Tensor::HeapAllocationCount();
-  TrainConvNet(threads, grain, epochs);
+  TrainConvNet(threads, shards, epochs);
   return Tensor::HeapAllocationCount() - before;
 }
 
 TEST(ThreadedTrainerTest, SteadyStateTrainingAllocatesNothing) {
-  for (auto [threads, grain] :
-       std::vector<std::pair<int, int64_t>>{{1, 0}, {1, 4}, {2, 4}}) {
+  for (auto [threads, shards] :
+       std::vector<std::pair<int, int64_t>>{{1, 1}, {1, 4}, {2, 4}}) {
     // Warm-up run so one-time lazy allocations (gtest, libc) are paid.
-    AllocationsForEpochs(1, threads, grain);
-    int64_t one_epoch = AllocationsForEpochs(1, threads, grain);
-    int64_t four_epochs = AllocationsForEpochs(4, threads, grain);
+    AllocationsForEpochs(1, threads, shards);
+    int64_t one_epoch = AllocationsForEpochs(1, threads, shards);
+    int64_t four_epochs = AllocationsForEpochs(4, threads, shards);
     // Every allocation happens during setup (replicas, scratch warm-up,
     // first batch); three additional epochs must not allocate a single
     // tensor buffer.
     EXPECT_EQ(one_epoch, four_epochs)
-        << "threads=" << threads << " grain=" << grain;
+        << "threads=" << threads << " shards=" << shards;
   }
 }
 

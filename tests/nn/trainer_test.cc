@@ -6,17 +6,27 @@ namespace dmlscale::nn {
 namespace {
 
 TEST(TrainerTest, MiniBatchTrainingReducesLoss) {
-  Pcg32 rng(1);
-  auto data = SyntheticClassification(200, 6, 3, 0.3, &rng).value();
-  Network net = Network::FullyConnected({6, 16, 3}, &rng);
-  SoftmaxCrossEntropyLoss loss;
-  SgdOptimizer optimizer(0.3);
-  auto history = TrainMiniBatches(
-      &net, data, loss, &optimizer,
-      {.epochs = 15, .batch_size = 32, .shuffle = true}, &rng);
-  ASSERT_TRUE(history.ok());
-  ASSERT_EQ(history->epoch_loss.size(), 15u);
-  EXPECT_LT(history->final_loss(), history->epoch_loss.front() * 0.5);
+  // Serial, and as the synchronous data-parallel step (4 gradient shards
+  // per batch on 2 threads).
+  for (TrainerOptions options :
+       {TrainerOptions{.epochs = 15, .batch_size = 32, .shuffle = true},
+        TrainerOptions{.epochs = 15,
+                       .batch_size = 32,
+                       .shuffle = true,
+                       .threads = 2,
+                       .shards_per_batch = 4}}) {
+    Pcg32 rng(1);
+    auto data = SyntheticClassification(200, 6, 3, 0.3, &rng).value();
+    Network net = Network::FullyConnected({6, 16, 3}, &rng);
+    SoftmaxCrossEntropyLoss loss;
+    SgdOptimizer optimizer(0.3);
+    auto history =
+        TrainMiniBatches(&net, data, loss, &optimizer, options, &rng);
+    ASSERT_TRUE(history.ok()) << history.status();
+    ASSERT_EQ(history->epoch_loss.size(), 15u);
+    EXPECT_LT(history->final_loss(), history->epoch_loss.front() * 0.5)
+        << "shards_per_batch=" << options.shards_per_batch;
+  }
 }
 
 TEST(TrainerTest, AccuracyImprovesOverChance) {
@@ -81,9 +91,8 @@ TEST(TrainerTest, ShuffleChangesBatchOrderNotOutcomeQuality) {
 }
 
 TEST(TrainerTest, ShardsPerBatchYieldsExactCountsAndCounters) {
-  // A grain cannot express 6 shards of a 10-example batch
-  // (ceil(10 / ceil(10/6)) = 5); the explicit override must. ComputeShard
-  // splits 10 over 6 as 2,2,2,2,1,1 -> bottleneck 2 per batch.
+  // Exactly 6 shards of a 10-example batch: ComputeShard splits 10 over 6
+  // as 2,2,2,2,1,1 -> bottleneck 2 per batch.
   Pcg32 rng(5);
   auto data = SyntheticClassification(20, 4, 2, 0.3, &rng).value();
   Network net = Network::FullyConnected({4, 6, 2}, &rng);
@@ -99,7 +108,7 @@ TEST(TrainerTest, ShardsPerBatchYieldsExactCountsAndCounters) {
   EXPECT_EQ(history->replica_reductions, 12);  // 6 shards x 2 batches
   EXPECT_EQ(history->bottleneck_examples, 4);  // 2 per batch
 
-  // The override is capped at the batch length (never empty shards), and
+  // The count is capped at the batch length (never empty shards), and
   // single-shard training leaves the reduction counter at zero.
   Network capped = Network::FullyConnected({4, 6, 2}, &rng);
   auto capped_history = TrainMiniBatches(
@@ -147,18 +156,15 @@ TEST(TrainerTest, RejectsBadArguments) {
   EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
                                 {.threads = 0}, &rng)
                    .ok());
-  EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
-                                {.shard_grain = -1}, &rng)
-                   .ok());
   // threads > 1 with single-shard batches would silently run serially;
-  // it must be rejected instead — both as grain 0 and as a grain at
-  // least as large as the batch.
+  // it must be rejected instead — both with the default shard count and
+  // with shards that the batch length caps to one.
   EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
-                                {.threads = 4, .shard_grain = 0}, &rng)
+                                {.threads = 4}, &rng)
                    .ok());
   EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
-                                {.batch_size = 8, .threads = 4,
-                                 .shard_grain = 1000},
+                                {.batch_size = 1, .threads = 4,
+                                 .shards_per_batch = 4},
                                 &rng)
                    .ok());
   Dataset empty{Tensor({0, 3}), Tensor({0, 2})};
