@@ -1,11 +1,14 @@
 // The serving DES: the shard-count-invariance contract (1/2/4/8-shard runs
-// EXPECT_EQ bit-identical), the Erlang-C cross-check (batchless Poisson
-// grids agree with AnalyzeMmk within a 15% MAPE budget), the batching and
-// cache mechanics, and a DES-backed Q3 answer matching the analytic one.
+// EXPECT_EQ bit-identical), bit-pattern goldens that pin every dispatch
+// decision, the Erlang-C cross-check (batchless Poisson grids agree with
+// AnalyzeMmk within a 15% MAPE budget), the batching and cache mechanics,
+// and a DES-backed Q3 answer matching the analytic one.
 
 #include "serve/serving_sim.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +100,110 @@ TEST(ServingSimTest, ResultIsShardCountInvariant) {
     EXPECT_EQ(sharded->latency.bins(), serial->latency.bins());
     EXPECT_EQ(sharded->engine.events_executed, serial->engine.events_executed);
   }
+}
+
+// --- Goldens ---------------------------------------------------------------
+// Least-outstanding dispatch decides which replica's service stream and
+// batch queue each miss lands in, so any change to a dispatch decision
+// (including the rotated tie-break among equally loaded replicas) moves
+// these numbers. The doubles are pinned as bit patterns (EXPECT_EQ, never
+// EXPECT_NEAR); the trailing comments give them in decimal.
+
+struct ServingGolden {
+  uint64_t mean_latency_bits;
+  uint64_t p99_bits;
+  uint64_t duration_bits;
+  int64_t batches;
+  uint64_t cache_misses;
+};
+
+double Pinned(uint64_t bits) { return std::bit_cast<double>(bits); }
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+void ExpectGolden(const ServingSimConfig& config, const ServingGolden& golden) {
+  Result<ServingSimStats> stats = SimulateServing(config);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->mean_latency_s, Pinned(golden.mean_latency_bits))
+      << std::hex << "bits 0x" << Bits(stats->mean_latency_s);
+  EXPECT_EQ(stats->p99_s, Pinned(golden.p99_bits))
+      << std::hex << "bits 0x" << Bits(stats->p99_s);
+  EXPECT_EQ(stats->duration_s, Pinned(golden.duration_bits))
+      << std::hex << "bits 0x" << Bits(stats->duration_s);
+  EXPECT_EQ(stats->batches, golden.batches);
+  EXPECT_EQ(stats->cache_misses, golden.cache_misses);
+}
+
+// A batchless Poisson fleet of `replicas` exponential servers at
+// utilization `rho`, 20k measured requests.
+ServingSimConfig BatchlessFleet(int replicas, double rho, uint64_t seed) {
+  ServingSimConfig config;
+  config.spec.replicas = replicas;
+  config.spec.replica.service.per_item_s = 0.001;
+  config.spec.arrivals.rate_qps = rho * replicas / 0.001;
+  config.num_requests = 20000;
+  config.warmup_requests = 2000;
+  config.seed = seed;
+  return config;
+}
+
+TEST(ServingSimGoldenTest, FullSpecMatchesGolden) {
+  ServingSimConfig config = FullConfig();
+  config.num_requests = 20000;
+  config.warmup_requests = 2000;
+  ExpectGolden(config, {UINT64_C(0x3f6344b633525de7),  // 0.0023521002390898163
+                        UINT64_C(0x3f8240b8c28b8bb4),  // 0.0089125093813374537
+                        UINT64_C(0x40260899df5ee5e6),  // 11.01679895432876
+                        11690, 15636});
+}
+
+TEST(ServingSimGoldenTest, BusyBatchlessFleetMatchesGolden) {
+  // rho = 0.9 over 37 replicas: a non-power-of-two fleet under load.
+  ExpectGolden(BatchlessFleet(37, 0.9, 41),
+               {UINT64_C(0x3f5a4bd5aab8aa2d),  // 0.0016049944487216514
+                UINT64_C(0x3f7941779adc0ad4),  // 0.0061659500186148249
+                UINT64_C(0x3fe539a1184491f5),  // 0.66328482379736775
+                22000, 0});
+}
+
+TEST(ServingSimGoldenTest, IdleFleetMatchesGolden) {
+  // rho = 0.05 over 37 replicas: nearly every pick is a tie among idle
+  // replicas, so the rotated tie-break decides the dispatch order.
+  ExpectGolden(BatchlessFleet(37, 0.05, 43),
+               {UINT64_C(0x3f51fa0c5376e891),  // 0.0010972137805383179
+                UINT64_C(0x3f73288ef59a5b20),  // 0.0046773514128719829
+                UINT64_C(0x4027c94a0e2626e8),  // 11.893143121869301
+                22000, 0});
+}
+
+TEST(ServingSimGoldenTest, BusyBatchedFleetOf256MatchesGolden) {
+  // 256 replicas at ~1400 effective qps each behind a 30% cache, with the
+  // batcher on: completion acks retire several requests at once.
+  ServingSimConfig config;
+  config.spec.replicas = 256;
+  config.spec.arrivals.rate_qps = 1400.0 * 256;
+  config.spec.batcher.max_batch = 8;
+  config.spec.batcher.max_delay_s = 0.002;
+  config.spec.replica.service.fixed_s = 0.0002;
+  config.spec.replica.service.per_item_s = 0.0003;
+  config.spec.cache.policy = CachePolicy::kLru;
+  config.spec.cache.hit_rate = 0.3;
+  config.spec.cache.hit_latency_s = 100e-6;
+  config.num_requests = 20000;
+  config.warmup_requests = 2000;
+  config.seed = 47;
+  ExpectGolden(config, {UINT64_C(0x3f61bae418240556),  // 0.0021643118826665626
+                        UINT64_C(0x3f7bb13e6afd94a8),  // 0.0067608297539198184
+                        UINT64_C(0x3fb147a1dcf7a0cb),  // 0.067499271819204384
+                        5176, 15332});
+}
+
+TEST(ServingSimGoldenTest, SingleReplicaMatchesGolden) {
+  ExpectGolden(BatchlessFleet(1, 0.8, 53),
+               {UINT64_C(0x3f7614e9665c1c0b),  // 0.0053910367184988412
+                UINT64_C(0x3f98014153d878f5),  // 0.023442288153199226
+                UINT64_C(0x403b4806aa2dedc4),  // 27.281351696217612
+                22000, 0});
 }
 
 TEST(ServingSimTest, BatchlessPoissonGridMatchesErlangCWithin15Percent) {
