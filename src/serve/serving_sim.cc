@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "serve/dispatch_index.h"
 
 namespace dmlscale::serve {
 
@@ -82,7 +83,7 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
   // Least-outstanding dispatch state: requests sent minus completions
   // heard back, per replica. The counts lag reality by the response wire
   // time — exactly the information a production load balancer has.
-  std::vector<int64_t> outstanding(static_cast<size_t>(replicas), 0);
+  LeastOutstandingIndex outstanding(replicas);
   double last_arrival_s = 0.0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -173,20 +174,12 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
       return;
     }
     if (cached) ++cache_misses;
-    int chosen = next_replica;
-    if (spec.dispatch == DispatchPolicy::kLeastOutstanding) {
-      // Strict-min scan starting at the cursor: ties go to the earliest
-      // replica in rotated order, so the idle-fleet case degrades to
-      // round-robin and stays deterministic.
-      for (int i = 1; i < replicas; ++i) {
-        int r = (next_replica + i) % replicas;
-        if (outstanding[static_cast<size_t>(r)] <
-            outstanding[static_cast<size_t>(chosen)]) {
-          chosen = r;
-        }
-      }
-    }
-    outstanding[static_cast<size_t>(chosen)] += 1;
+    // Ties go to the earliest replica in rotated order from the cursor, so
+    // the idle-fleet case degrades to round-robin and stays deterministic.
+    const int chosen = spec.dispatch == DispatchPolicy::kLeastOutstanding
+                           ? outstanding.Pick(next_replica)
+                           : next_replica;
+    outstanding.Add(chosen, 1);
     engine.Send(frontend, chosen, wire, event.time, kEnqueue, id, 0,
                 event.time);
     next_replica = (chosen + 1) % replicas;
@@ -231,7 +224,7 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
 
   // Completion acknowledgment at the frontend (a = replica, b = count).
   kDone = engine.AddHandler([&](const sim::Event& event) {
-    outstanding[static_cast<size_t>(event.a)] -= event.b;
+    outstanding.Add(static_cast<int>(event.a), -event.b);
   });
 
   engine.MustScheduleAt(frontend, process.NextArrivalSeconds(), kArrive, 0);

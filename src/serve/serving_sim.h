@@ -17,14 +17,16 @@ namespace dmlscale::serve {
 /// execute -> depart.
 ///
 /// Determinism: node ids [0, replicas) are the replicas, node `replicas`
-/// is the frontend (arrival stream + cache + round-robin dispatch). Every
-/// piece of mutable state — the arrival process, the cache RNG, the
-/// dispatch counter, per-replica batch queues, per-node latency histograms
-/// — is owned by exactly one node and touched only by handlers dispatched
-/// on it; cross-node effects travel through Send() with delay = `wire_s`
-/// (the engine lookahead). Per-node histograms merge in node order after
-/// the run. By the engine's windowed-mode contract the result is therefore
-/// bit-identical for every shard count — EXPECT_EQ-tested at 1/2/4/8.
+/// is the frontend (arrival stream + cache + dispatch per
+/// ServingSpec::dispatch, least-outstanding by default). Every piece of
+/// mutable state — the arrival process, the cache RNG, the dispatch cursor
+/// and outstanding-count index, per-replica batch queues, per-node latency
+/// histograms — is owned by exactly one node and touched only by handlers
+/// dispatched on it; cross-node effects travel through Send() with delay =
+/// `wire_s` (the engine lookahead). Per-node histograms merge in node order
+/// after the run. By the engine's windowed-mode contract the result is
+/// therefore bit-identical for every shard count — EXPECT_EQ-tested at
+/// 1/2/4/8.
 struct ServingSimConfig {
   ServingSpec spec;
   /// Measured requests (> 0).
