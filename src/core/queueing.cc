@@ -143,11 +143,13 @@ Result<MmkMetrics> AnalyzeMmk(int servers, double arrival_rate,
 }
 
 Status BatchServiceModel::Validate() const {
-  if (fixed_s < 0.0) {
-    return Status::InvalidArgument("batch fixed cost must be >= 0");
+  if (!std::isfinite(fixed_s) || fixed_s < 0.0) {
+    return Status::InvalidArgument(
+        "batch fixed cost (fixed_s) must be finite and >= 0");
   }
-  if (per_item_s <= 0.0) {
-    return Status::InvalidArgument("batch per-item cost must be > 0");
+  if (!std::isfinite(per_item_s) || per_item_s <= 0.0) {
+    return Status::InvalidArgument(
+        "batch per-item cost (per_item_s) must be finite and > 0");
   }
   return Status::OK();
 }

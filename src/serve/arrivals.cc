@@ -23,34 +23,40 @@ const char* ToString(ArrivalKind kind) {
 }
 
 Status ArrivalSpec::Validate() const {
-  if (kind != ArrivalKind::kTrace && rate_qps <= 0.0) {
+  if (kind != ArrivalKind::kTrace &&
+      (!std::isfinite(rate_qps) || rate_qps <= 0.0)) {
     return Status::InvalidArgument(
-        "arrival rate must be > 0 qps (set `qps`)");
+        "arrival rate must be finite and > 0 qps (set `qps`)");
   }
   switch (kind) {
     case ArrivalKind::kPoisson:
       break;
     case ArrivalKind::kDiurnal:
-      if (diurnal_period_s <= 0.0) {
-        return Status::InvalidArgument("diurnal period must be > 0 s");
-      }
-      if (diurnal_peak_to_trough < 1.0) {
+      if (!std::isfinite(diurnal_period_s) || diurnal_period_s <= 0.0) {
         return Status::InvalidArgument(
-            "diurnal peak-to-trough ratio must be >= 1");
+            "diurnal period must be finite and > 0 s");
+      }
+      if (!std::isfinite(diurnal_peak_to_trough) ||
+          diurnal_peak_to_trough < 1.0) {
+        return Status::InvalidArgument(
+            "diurnal peak-to-trough ratio must be finite and >= 1");
       }
       break;
     case ArrivalKind::kMmpp:
-      if (burst_rate_multiplier <= 1.0) {
+      if (!std::isfinite(burst_rate_multiplier) ||
+          burst_rate_multiplier <= 1.0) {
         return Status::InvalidArgument(
-            "MMPP burst rate multiplier must be > 1 (otherwise use poisson)");
+            "MMPP burst rate multiplier must be finite and > 1 (otherwise "
+            "use poisson)");
       }
-      if (burst_fraction <= 0.0 || burst_fraction >= 1.0) {
+      if (!(burst_fraction > 0.0 && burst_fraction < 1.0)) {
         return Status::InvalidArgument(
             "MMPP burst fraction must be in (0, 1)");
       }
-      if (burst_mean_duration_s <= 0.0) {
+      if (!std::isfinite(burst_mean_duration_s) ||
+          burst_mean_duration_s <= 0.0) {
         return Status::InvalidArgument(
-            "MMPP burst mean duration must be > 0 s");
+            "MMPP burst mean duration must be finite and > 0 s");
       }
       break;
     case ArrivalKind::kTrace: {
@@ -60,8 +66,9 @@ Status ArrivalSpec::Validate() const {
       }
       double total = 0.0;
       for (double gap : trace_gaps_s) {
-        if (gap < 0.0) {
-          return Status::InvalidArgument("trace gaps must be >= 0 s");
+        if (!std::isfinite(gap) || gap < 0.0) {
+          return Status::InvalidArgument(
+              "trace gaps must be finite and >= 0 s");
         }
         total += gap;
       }

@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -10,8 +11,8 @@ Status BatcherSpec::Validate() const {
   if (max_batch < 1) {
     return Status::InvalidArgument("batch_max must be >= 1");
   }
-  if (max_delay_s < 0.0) {
-    return Status::InvalidArgument("batch_delay must be >= 0 s");
+  if (!std::isfinite(max_delay_s) || max_delay_s < 0.0) {
+    return Status::InvalidArgument("batch_delay must be finite and >= 0 s");
   }
   return Status::OK();
 }

@@ -1,5 +1,7 @@
 #include "serve/cache.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace dmlscale::serve {
@@ -25,13 +27,14 @@ Status CacheSpec::Validate() const {
     }
     return Status::OK();
   }
-  if (hit_rate < 0.0 || hit_rate >= 1.0) {
+  if (!(hit_rate >= 0.0 && hit_rate < 1.0)) {
     return Status::InvalidArgument(
         "cache hit_rate must be in [0, 1) — a hit rate of 1 would mean no "
         "backend exists to fill the cache");
   }
-  if (hit_latency_s < 0.0) {
-    return Status::InvalidArgument("cache hit latency must be >= 0 s");
+  if (!std::isfinite(hit_latency_s) || hit_latency_s < 0.0) {
+    return Status::InvalidArgument(
+        "cache hit_latency must be finite and >= 0 s");
   }
   return Status::OK();
 }

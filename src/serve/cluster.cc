@@ -1,6 +1,7 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -24,12 +25,17 @@ Status ServingSpec::Validate() const {
   if (replicas < 1) {
     return Status::InvalidArgument("replicas must be >= 1");
   }
-  if (quantile <= 0.0 || quantile >= 1.0) {
+  if (!(quantile > 0.0 && quantile < 1.0)) {
     return Status::InvalidArgument(
         "planning quantile must be in (0, 1), e.g. 0.99 for p99");
   }
-  if (target_latency_s < 0.0 || target_qps < 0.0) {
-    return Status::InvalidArgument("serving targets must be >= 0");
+  if (!std::isfinite(target_latency_s) || target_latency_s < 0.0) {
+    return Status::InvalidArgument(
+        "serving target_latency must be finite and >= 0 s");
+  }
+  if (!std::isfinite(target_qps) || target_qps < 0.0) {
+    return Status::InvalidArgument(
+        "serving target_qps must be finite and >= 0");
   }
   if (target_qps > 0.0 && target_latency_s == 0.0) {
     return Status::InvalidArgument(

@@ -1,5 +1,7 @@
 #include "serve/replica.h"
 
+#include <cmath>
+
 #include "core/communication_model.h"
 
 namespace dmlscale::serve {
@@ -10,8 +12,8 @@ Status ReplicaSpec::Validate() const {
   }
   DMLSCALE_RETURN_NOT_OK(service.Validate());
   if (shards > 1) {
-    if (rejoin_bits < 0.0) {
-      return Status::InvalidArgument("rejoin_bits must be >= 0");
+    if (!std::isfinite(rejoin_bits) || rejoin_bits < 0.0) {
+      return Status::InvalidArgument("rejoin_bits must be finite and >= 0");
     }
     DMLSCALE_RETURN_NOT_OK(link.Validate());
   }

@@ -1,5 +1,7 @@
 #include "api/serving.h"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -144,6 +146,43 @@ TEST(ResolveServingSpecTest, MissingServiceModelPointsAtCalibration) {
             std::string::npos);
   EXPECT_NE(spec.status().message().find("CalibrateBatchService"),
             std::string::npos);
+}
+
+TEST(ResolveServingSpecTest, NonFiniteNumbersNameTheirKey) {
+  // NaN passes every `<`/`<=` range check, so each validator must test
+  // finiteness itself; the status names the offending key.
+  struct Case {
+    const char* key;
+    const char* named;
+  };
+  constexpr Case kCases[] = {
+      {"qps", "qps"},
+      {"batch_delay", "batch_delay"},
+      {"service_fixed", "fixed_s"},
+      {"service_per_item", "per_item_s"},
+      {"rejoin_bits", "rejoin_bits"},
+      {"hit_rate", "hit_rate"},
+      {"hit_latency", "hit_latency"},
+      {"quantile", "quantile"},
+      {"target_qps", "target_qps"},
+      {"target_latency", "target_latency"},
+  };
+  const core::LinkSpec link{.bandwidth_bps = 1e10, .latency_s = 1e-6};
+  ModelParams base{
+      {"qps", 100.0}, {"service_per_item", 0.001}, {"shards", 2.0}};
+  base.Set("cache", "lru");
+  ASSERT_TRUE(ResolveServingSpec(base, link).ok());
+  for (const Case& c : kCases) {
+    for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      ModelParams params = base;
+      params.Set(c.key, bad);
+      auto spec = ResolveServingSpec(params, link);
+      ASSERT_FALSE(spec.ok()) << c.key << "=" << bad;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(spec.status().message().find(c.named), std::string::npos)
+          << c.key << "=" << bad << ": " << spec.status();
+    }
+  }
 }
 
 TEST(CalibrateBatchServiceTest, FitRecoversTheWorkClockExactly) {

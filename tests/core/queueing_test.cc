@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/status.h"
 
@@ -161,6 +163,15 @@ TEST(BatchServiceModelTest, ValidateRejectsBadCoefficients) {
   EXPECT_FALSE((BatchServiceModel{-0.1, 0.001}).Validate().ok());
   EXPECT_FALSE((BatchServiceModel{0.1, 0.0}).Validate().ok());
   EXPECT_FALSE((BatchServiceModel{0.1, -0.001}).Validate().ok());
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    Status fixed = BatchServiceModel{bad, 0.001}.Validate();
+    EXPECT_EQ(fixed.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(fixed.message().find("fixed_s"), std::string::npos) << bad;
+    Status per_item = BatchServiceModel{0.1, bad}.Validate();
+    EXPECT_EQ(per_item.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(per_item.message().find("per_item_s"), std::string::npos)
+        << bad;
+  }
 }
 
 }  // namespace

@@ -6,12 +6,16 @@
 #include "serve/arrivals.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace dmlscale::serve {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<double> Gaps(const ArrivalSpec& spec, uint64_t seed, int count) {
   ArrivalProcess process(spec, seed, 0);
@@ -46,8 +50,32 @@ TEST(ArrivalSpecTest, ValidationIsActionable) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("qps"), std::string::npos);
 
+  // NaN slips through a plain `<=` check; it and +inf must name the key.
+  for (double bad : {std::nan(""), kInf}) {
+    spec.rate_qps = bad;
+    status = spec.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(status.message().find("qps"), std::string::npos) << bad;
+  }
+
   spec.rate_qps = 100.0;
   EXPECT_TRUE(spec.Validate().ok());
+
+  spec.kind = ArrivalKind::kDiurnal;
+  spec.diurnal_peak_to_trough = 2.0;
+  EXPECT_TRUE(spec.Validate().ok());
+  for (double bad : {std::nan(""), kInf}) {
+    ArrivalSpec diurnal = spec;
+    diurnal.diurnal_period_s = bad;
+    EXPECT_NE(diurnal.Validate().message().find("diurnal period"),
+              std::string::npos)
+        << bad;
+    diurnal = spec;
+    diurnal.diurnal_peak_to_trough = bad;
+    EXPECT_NE(diurnal.Validate().message().find("peak-to-trough"),
+              std::string::npos)
+        << bad;
+  }
 
   spec.kind = ArrivalKind::kMmpp;
   EXPECT_FALSE(spec.Validate().ok());  // multiplier still 1
@@ -55,6 +83,23 @@ TEST(ArrivalSpecTest, ValidationIsActionable) {
   spec.burst_fraction = 0.2;
   spec.burst_mean_duration_s = 5.0;
   EXPECT_TRUE(spec.Validate().ok());
+  for (double bad : {std::nan(""), kInf}) {
+    ArrivalSpec mmpp = spec;
+    mmpp.burst_rate_multiplier = bad;
+    EXPECT_NE(mmpp.Validate().message().find("burst rate multiplier"),
+              std::string::npos)
+        << bad;
+    mmpp = spec;
+    mmpp.burst_fraction = bad;
+    EXPECT_NE(mmpp.Validate().message().find("burst fraction"),
+              std::string::npos)
+        << bad;
+    mmpp = spec;
+    mmpp.burst_mean_duration_s = bad;
+    EXPECT_NE(mmpp.Validate().message().find("burst mean duration"),
+              std::string::npos)
+        << bad;
+  }
 
   ArrivalSpec trace;
   trace.kind = ArrivalKind::kTrace;
@@ -63,6 +108,8 @@ TEST(ArrivalSpecTest, ValidationIsActionable) {
   EXPECT_FALSE(trace.Validate().ok());  // needs one positive gap
   trace.trace_gaps_s = {0.1, 0.0, 0.2};
   EXPECT_TRUE(trace.Validate().ok());
+  trace.trace_gaps_s = {0.1, std::nan("")};
+  EXPECT_FALSE(trace.Validate().ok());
 }
 
 TEST(ArrivalProcessTest, PoissonInterArrivalMeanAndCvMatchTheory) {

@@ -5,6 +5,10 @@
 
 #include "serve/cache.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -28,6 +32,20 @@ TEST(CacheSpecTest, HitRateMustLeaveABackend) {
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
   spec.hit_rate = 0.999;
   EXPECT_TRUE(spec.Validate().ok());
+  // NaN slips through a plain range check; it and +inf must name the key.
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    CacheSpec rate = spec;
+    rate.hit_rate = bad;
+    EXPECT_EQ(rate.Validate().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(rate.Validate().message().find("hit_rate"), std::string::npos)
+        << bad;
+    CacheSpec latency = spec;
+    latency.hit_latency_s = bad;
+    EXPECT_EQ(latency.Validate().code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(latency.Validate().message().find("hit_latency"),
+              std::string::npos)
+        << bad;
+  }
 }
 
 TEST(CacheSpecTest, MissRateIsOneWithoutACache) {
