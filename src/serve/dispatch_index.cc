@@ -10,10 +10,10 @@ namespace dmlscale::serve {
 
 LeastOutstandingIndex::LeastOutstandingIndex(int replicas) {
   DMLSCALE_CHECK_GE(replicas, 1);
-  leaves_ = std::bit_ceil(static_cast<size_t>(replicas));
+  const auto real = static_cast<size_t>(replicas);
+  leaves_ = std::bit_ceil(real);
   min_.assign(2 * leaves_, std::numeric_limits<int64_t>::max());
-  std::fill_n(min_.begin() + static_cast<std::ptrdiff_t>(leaves_), replicas,
-              0);
+  std::fill_n(min_.begin() + static_cast<std::ptrdiff_t>(leaves_), real, 0);
   for (size_t node = leaves_ - 1; node >= 1; --node) {
     min_[node] = std::min(min_[2 * node], min_[2 * node + 1]);
   }
