@@ -39,7 +39,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   int64_t vertices = args->GetInt("vertices", 20000);
-  int states = static_cast<int>(args->GetInt("states", 2));
+  int64_t states_flag = args->GetInt("states", 2);
+  if (states_flag < 1) {
+    std::cerr << Status::InvalidArgument("--states must be >= 1, got " +
+                                         std::to_string(states_flag))
+              << "\n";
+    return 1;
+  }
+  int states = static_cast<int>(states_flag);
 
   Pcg32 rng(1234);
   auto g = graph::BarabasiAlbert(vertices, 3, &rng);

@@ -1,7 +1,6 @@
 #include "api/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,16 +20,6 @@ constexpr std::string_view kNetworkKeys[] = {
 constexpr std::string_view kTopologies[] = {"ideal-switch", "star", "fat-tree",
                                             "mesh2d"};
 constexpr std::string_view kQueues[] = {"queue-free", "mm1"};
-
-Result<int> IntegerParam(const ModelParams& params, const std::string& key,
-                         double def, double min) {
-  double value = params.GetOr(key, def);
-  if (value < min || value != std::floor(value)) {
-    return Status::InvalidArgument(key + " must be an integer >= " +
-                                   FormatDouble(min, 0));
-  }
-  return static_cast<int>(value);
-}
 
 }  // namespace
 

@@ -1,6 +1,8 @@
 #include "api/params.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/string_util.h"
@@ -84,6 +86,20 @@ Status RequireOwner(const ModelParams& params, const std::string& key,
         std::string(owner) + "' (selected: '" + selected + "')");
   }
   return Status::OK();
+}
+
+Result<int> IntegerParam(const ModelParams& params, const std::string& key,
+                         double def, double min) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  double value = params.GetOr(key, def);
+  // Spelled so NaN fails too (every comparison with NaN is false); inf
+  // fails the upper bound.
+  if (!(value >= min && value <= kMax) || value != std::floor(value)) {
+    return Status::InvalidArgument(key + " must be an integer in [" +
+                                   FormatDouble(min, 0) + ", " +
+                                   std::to_string(kMax) + "]");
+  }
+  return static_cast<int>(value);
 }
 
 }  // namespace dmlscale::api

@@ -91,6 +91,13 @@ std::string Menu(std::span<const std::string_view> names);
                                   std::string_view owner,
                                   const std::string& owner_kind);
 
+/// The whole-number value for `key` (`def` when absent); kInvalidArgument
+/// naming the key unless it is finite, integral and in [min, INT_MAX], so
+/// the narrowing to int is always defined.
+[[nodiscard]] Result<int> IntegerParam(const ModelParams& params,
+                                       const std::string& key, double def,
+                                       double min);
+
 }  // namespace dmlscale::api
 
 #endif  // DMLSCALE_API_PARAMS_H_

@@ -1,6 +1,8 @@
 #include "api/registry.h"
 
+#include <cmath>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,20 @@ namespace {
 using ComputeResult = Result<std::unique_ptr<core::ComputationModel>>;
 using CommResult = Result<std::unique_ptr<core::CommunicationModel>>;
 
+// The value of `key` (`def` when absent; required when `def` is empty);
+// InvalidArgument naming the key unless it is finite and > 0. The check is
+// spelled positively because NaN fails every comparison, so a plain
+// `value <= 0.0` would let it through to the model constructors.
+Result<double> PositiveParam(const ModelParams& params, const std::string& key,
+                             std::optional<double> def = std::nullopt) {
+  if (!def.has_value() && !params.Has(key)) return params.Get(key).status();
+  double value = params.GetOr(key, def.value_or(0.0));
+  if (!(std::isfinite(value) && value > 0.0)) {
+    return Status::InvalidArgument(key + " must be finite and > 0");
+  }
+  return value;
+}
+
 // ---------------------------------------------------------------------------
 // Built-in computation models (Section III / IV formulas from core/).
 // BottleneckCompute takes a callable, which a scalar parameter bag cannot
@@ -45,10 +61,8 @@ DMLSCALE_REGISTER_COMPUTE_MODEL(
     "perfectly-parallel", "total_flops",
     [](const ModelParams& params, const core::NodeSpec& node) -> ComputeResult {
       DMLSCALE_RETURN_NOT_OK(params.ExpectOnly({"total_flops"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double total_flops, params.Get("total_flops"));
-      if (total_flops <= 0.0) {
-        return Status::InvalidArgument("total_flops must be > 0");
-      }
+      DMLSCALE_ASSIGN_OR_RETURN(double total_flops,
+                                PositiveParam(params, "total_flops"));
       return std::unique_ptr<core::ComputationModel>(
           std::make_unique<core::PerfectlyParallelCompute>(total_flops, node));
     },
@@ -59,13 +73,12 @@ DMLSCALE_REGISTER_COMPUTE_MODEL(
     [](const ModelParams& params, const core::NodeSpec& node) -> ComputeResult {
       DMLSCALE_RETURN_NOT_OK(
           params.ExpectOnly({"total_flops", "serial_fraction"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double total_flops, params.Get("total_flops"));
+      DMLSCALE_ASSIGN_OR_RETURN(double total_flops,
+                                PositiveParam(params, "total_flops"));
       DMLSCALE_ASSIGN_OR_RETURN(double serial, params.Get("serial_fraction"));
-      if (total_flops <= 0.0) {
-        return Status::InvalidArgument("total_flops must be > 0");
-      }
-      if (serial < 0.0 || serial > 1.0) {
-        return Status::InvalidArgument("serial_fraction must be in [0, 1]");
+      if (!(serial >= 0.0 && serial <= 1.0)) {  // NaN fails, so it is caught
+        return Status::InvalidArgument(
+            "serial_fraction must be finite and in [0, 1]");
       }
       return std::unique_ptr<core::ComputationModel>(
           std::make_unique<core::AmdahlCompute>(total_flops, serial, node));
@@ -80,12 +93,6 @@ DMLSCALE_REGISTER_COMPUTE_MODEL(
 // `queue`, ...), so any collective can be priced on a contended fabric
 // without caller changes.
 // ---------------------------------------------------------------------------
-
-Result<double> PositiveBits(const ModelParams& params) {
-  DMLSCALE_ASSIGN_OR_RETURN(double bits, params.Get("bits"));
-  if (bits <= 0.0) return Status::InvalidArgument("bits must be > 0");
-  return bits;
-}
 
 DMLSCALE_REGISTER_COMM_MODEL(
     "shared-memory", "(no parameters; network keys accepted and ignored)",
@@ -102,7 +109,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "linear", "bits (per node, through a single master)",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -114,7 +121,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "fixed-volume", "bits (independent of n)",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -128,9 +135,9 @@ DMLSCALE_REGISTER_COMM_MODEL(
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(
           ExpectOnlyWithNetworkKeys(params, {"bits", "rounds"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
-      double rounds = params.GetOr("rounds", 1.0);
-      if (rounds <= 0.0) return Status::InvalidArgument("rounds must be > 0");
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
+      DMLSCALE_ASSIGN_OR_RETURN(double rounds,
+                                PositiveParam(params, "rounds", 1.0));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -143,7 +150,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "torrent-broadcast", "bits",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -156,7 +163,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "two-wave", "bits",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -169,7 +176,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "ring-allreduce", "bits",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -182,7 +189,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "recursive-doubling", "bits",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -195,7 +202,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "shuffle", "bits (total volume across all nodes)",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       return std::unique_ptr<core::CommunicationModel>(
@@ -207,7 +214,7 @@ DMLSCALE_REGISTER_COMM_MODEL(
     "spark-gd", "bits (torrent broadcast + two-wave aggregation, Fig. 2)",
     [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
       DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveBits(params));
+      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
       DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
                                 ResolveNetworkSpec(params));
       // Stages price their own traffic on the shared fabric; the composite

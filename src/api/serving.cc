@@ -13,7 +13,7 @@ namespace dmlscale::api {
 namespace {
 
 constexpr std::string_view kArrivalKinds[] = {"poisson", "diurnal", "mmpp"};
-constexpr std::string_view kCachePolicies[] = {"none", "lru", "lfu"};
+constexpr std::string_view kCachePolicies[] = {"none", "lru"};
 constexpr std::string_view kDispatchPolicies[] = {"least-outstanding",
                                                  "round-robin"};
 
@@ -32,9 +32,8 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
       {"qps", "diurnal_period", "peak_to_trough", "burst_multiplier",
        "burst_fraction", "burst_duration", "batch_max", "batch_delay",
        "service_fixed", "service_per_item", "shards", "rejoin_bits",
-       "hit_rate", "hit_latency", "cache_capacity", "replicas", "quantile",
-       "target_qps", "target_latency", "max_replicas", "arrivals", "cache",
-       "dispatch"}));
+       "hit_rate", "hit_latency", "replicas", "quantile", "target_qps",
+       "target_latency", "max_replicas", "arrivals", "cache", "dispatch"}));
 
   const std::string arrivals = params.GetStringOr("arrivals", "poisson");
   const std::string cache = params.GetStringOr("cache", "none");
@@ -51,12 +50,11 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
       RequireOwner(params, "burst_fraction", arrivals, "mmpp", "arrivals"));
   DMLSCALE_RETURN_NOT_OK(
       RequireOwner(params, "burst_duration", arrivals, "mmpp", "arrivals"));
-  if ((params.Has("hit_rate") || params.Has("hit_latency") ||
-       params.Has("cache_capacity")) &&
+  if ((params.Has("hit_rate") || params.Has("hit_latency")) &&
       cache == "none") {
     return Status::InvalidArgument(
-        "cache parameters are meaningless without a cache tier; pick "
-        "cache='lru' or 'lfu', or drop them");
+        "cache parameters are meaningless without a cache tier; set "
+        "cache='lru' or drop them");
   }
   if (params.Has("rejoin_bits") && params.GetOr("shards", 1.0) <= 1.0) {
     return Status::InvalidArgument(
@@ -89,8 +87,6 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
     spec.cache.policy = serve::CachePolicy::kNone;
   } else if (cache == "lru") {
     spec.cache.policy = serve::CachePolicy::kLru;
-  } else if (cache == "lfu") {
-    spec.cache.policy = serve::CachePolicy::kLfu;
   } else {
     return Status::InvalidArgument("unknown cache '" + cache +
                                    "'; available: " + Menu(kCachePolicies));
@@ -98,8 +94,6 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
   if (spec.cache.policy != serve::CachePolicy::kNone) {
     spec.cache.hit_rate = params.GetOr("hit_rate", 0.0);
     spec.cache.hit_latency_s = params.GetOr("hit_latency", 0.0);
-    spec.cache.capacity =
-        static_cast<int64_t>(params.GetOr("cache_capacity", 0.0));
   }
 
   if (dispatch == "least-outstanding") {
@@ -111,20 +105,24 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
                                    "'; available: " + Menu(kDispatchPolicies));
   }
 
-  spec.batcher.max_batch = static_cast<int>(params.GetOr("batch_max", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.batcher.max_batch,
+                            IntegerParam(params, "batch_max", 1.0, 1.0));
   spec.batcher.max_delay_s = params.GetOr("batch_delay", 0.0);
 
-  spec.replica.shards = static_cast<int>(params.GetOr("shards", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.replica.shards,
+                            IntegerParam(params, "shards", 1.0, 1.0));
   spec.replica.service.fixed_s = params.GetOr("service_fixed", 0.0);
   spec.replica.service.per_item_s = params.GetOr("service_per_item", 0.0);
   spec.replica.rejoin_bits = params.GetOr("rejoin_bits", 0.0);
   spec.replica.link = link;
 
-  spec.replicas = static_cast<int>(params.GetOr("replicas", 1.0));
+  DMLSCALE_ASSIGN_OR_RETURN(spec.replicas,
+                            IntegerParam(params, "replicas", 1.0, 1.0));
   spec.quantile = params.GetOr("quantile", 0.99);
   spec.target_qps = params.GetOr("target_qps", 0.0);
   spec.target_latency_s = params.GetOr("target_latency", 0.0);
-  spec.max_replicas = static_cast<int>(params.GetOr("max_replicas", 4096.0));
+  DMLSCALE_ASSIGN_OR_RETURN(
+      spec.max_replicas, IntegerParam(params, "max_replicas", 4096.0, 1.0));
 
   if (spec.replica.service.per_item_s <= 0.0) {
     return Status::InvalidArgument(

@@ -19,19 +19,21 @@ namespace dmlscale::api {
 ///   numeric: qps, diurnal_period, peak_to_trough, burst_multiplier,
 ///            burst_fraction, burst_duration, batch_max, batch_delay,
 ///            service_fixed, service_per_item, shards, rejoin_bits,
-///            hit_rate, hit_latency, cache_capacity, replicas, quantile,
-///            target_qps, target_latency, max_replicas
+///            hit_rate, hit_latency, replicas, quantile, target_qps,
+///            target_latency, max_replicas
 ///   string:  arrivals ("poisson" | "diurnal" | "mmpp"),
-///            cache ("none" | "lru" | "lfu"),
+///            cache ("none" | "lru": a tier declared by hit_rate and
+///            hit_latency; nothing evicts, see serve::CacheSpec),
 ///            dispatch ("least-outstanding" | "round-robin")
 ///
 /// Every key is validated eagerly with an actionable InvalidArgument:
-/// unknown keys list the accepted menu, and shape-owned keys (the diurnal
-/// and MMPP knobs, the cache knobs, rejoin_bits) name the selection they
-/// require. Trace arrivals carry a gap vector a scalar bag cannot express —
-/// build the ServingSpec directly for those. The empty bag resolves to the
-/// default (inert) spec without validation, keeping a scenario
-/// serving-free.
+/// unknown keys list the accepted menu, the integer keys (batch_max,
+/// shards, replicas, max_replicas) must be whole numbers that fit an int,
+/// and shape-owned keys (the diurnal and MMPP knobs, the cache knobs,
+/// rejoin_bits) name the selection they require. Trace arrivals carry a
+/// gap vector a scalar bag cannot express — build the ServingSpec directly
+/// for those. The empty bag resolves to the default (inert) spec without
+/// validation, keeping a scenario serving-free.
 ///
 /// `link` is the intra-replica interconnect pricing the model-parallel
 /// rejoin collective (only read when shards > 1); Scenario::Builder passes

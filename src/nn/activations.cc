@@ -1,6 +1,5 @@
 #include "nn/activations.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace dmlscale::nn {
@@ -64,82 +63,6 @@ Status ReluLayer::BackwardInto(const Tensor& grad_output,
 
 std::unique_ptr<Layer> ReluLayer::Clone() const {
   return std::make_unique<ReluLayer>();
-}
-
-Status TanhLayer::ForwardInto(const Tensor& input, Tensor* output) {
-  output->ResizeTo(input.shape());
-  const double* in = input.data();
-  double* out = output->data();
-  for (int64_t i = 0; i < input.size(); ++i) out[i] = std::tanh(in[i]);
-  last_output_.CopyFrom(*output);
-  return Status::OK();
-}
-
-Status TanhLayer::BackwardInto(const Tensor& grad_output,
-                               Tensor* grad_input) {
-  if (!grad_output.SameShape(last_output_)) {
-    return Status::InvalidArgument("tanh: grad shape mismatch");
-  }
-  grad_input->ResizeTo(grad_output.shape());
-  const double* go = grad_output.data();
-  const double* y = last_output_.data();
-  double* gi = grad_input->data();
-  for (int64_t i = 0; i < grad_output.size(); ++i) {
-    gi[i] = go[i] * (1.0 - y[i] * y[i]);
-  }
-  return Status::OK();
-}
-
-std::unique_ptr<Layer> TanhLayer::Clone() const {
-  return std::make_unique<TanhLayer>();
-}
-
-Status SoftmaxLayer::ForwardInto(const Tensor& input, Tensor* output) {
-  if (input.rank() != 2) {
-    return Status::InvalidArgument("softmax: expected rank-2 input");
-  }
-  output->ResizeTo(input.shape());
-  int64_t batch = input.dim(0);
-  int64_t classes = input.dim(1);
-  for (int64_t b = 0; b < batch; ++b) {
-    const double* in_row = input.data() + b * classes;
-    double* row = output->data() + b * classes;
-    double max_logit = in_row[0];
-    for (int64_t c = 1; c < classes; ++c) {
-      max_logit = std::max(max_logit, in_row[c]);
-    }
-    double sum = 0.0;
-    for (int64_t c = 0; c < classes; ++c) {
-      row[c] = std::exp(in_row[c] - max_logit);
-      sum += row[c];
-    }
-    for (int64_t c = 0; c < classes; ++c) row[c] /= sum;
-  }
-  last_output_.CopyFrom(*output);
-  return Status::OK();
-}
-
-Status SoftmaxLayer::BackwardInto(const Tensor& grad_output,
-                                  Tensor* grad_input) {
-  if (!grad_output.SameShape(last_output_)) {
-    return Status::InvalidArgument("softmax: grad shape mismatch");
-  }
-  int64_t batch = last_output_.dim(0);
-  int64_t classes = last_output_.dim(1);
-  grad_input->ResizeTo({batch, classes});
-  for (int64_t b = 0; b < batch; ++b) {
-    const double* y = last_output_.data() + b * classes;
-    const double* go = grad_output.data() + b * classes;
-    double dot = 0.0;
-    for (int64_t c = 0; c < classes; ++c) dot += y[c] * go[c];
-    double* gi = grad_input->data() + b * classes;
-    for (int64_t c = 0; c < classes; ++c) gi[c] = y[c] * (go[c] - dot);
-  }
-  return Status::OK();
-}
-
-std::unique_ptr<Layer> SoftmaxLayer::Clone() const {
-  return std::make_unique<SoftmaxLayer>();
 }
 
 }  // namespace dmlscale::nn

@@ -32,32 +32,6 @@ class ReluLayer final : public Layer {
   Tensor last_input_;
 };
 
-/// Elementwise tanh.
-class TanhLayer final : public Layer {
- public:
-  Status ForwardInto(const Tensor& input, Tensor* output) override;
-  Status BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  std::string name() const override { return "tanh"; }
-  std::unique_ptr<Layer> Clone() const override;
-
- private:
-  Tensor last_output_;
-};
-
-/// Row-wise softmax over {batch, classes} inputs. Usually combined with
-/// cross-entropy via SoftmaxCrossEntropyLoss, which bypasses this layer's
-/// Backward for numerical stability; the standalone Backward is exact.
-class SoftmaxLayer final : public Layer {
- public:
-  Status ForwardInto(const Tensor& input, Tensor* output) override;
-  Status BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  std::string name() const override { return "softmax"; }
-  std::unique_ptr<Layer> Clone() const override;
-
- private:
-  Tensor last_output_;
-};
-
 }  // namespace dmlscale::nn
 
 #endif  // DMLSCALE_NN_ACTIVATIONS_H_

@@ -105,18 +105,6 @@ Status Network::CopyParametersFrom(Network& other) {
   return Status::OK();
 }
 
-Status Network::AccumulateGradientsFrom(Network& other) {
-  const auto& dst = Gradients();
-  const auto& src = other.Gradients();
-  if (dst.size() != src.size()) {
-    return Status::InvalidArgument("gradient count mismatch");
-  }
-  for (size_t i = 0; i < dst.size(); ++i) {
-    DMLSCALE_RETURN_NOT_OK(dst[i]->AddInPlace(*src[i]));
-  }
-  return Status::OK();
-}
-
 Status Network::AccumulateScaledGradientsFrom(Network& other, double weight) {
   const auto& dst = Gradients();
   const auto& src = other.Gradients();

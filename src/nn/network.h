@@ -53,10 +53,6 @@ class Network {
   /// Copies parameter values from another network of identical topology.
   Status CopyParametersFrom(Network& other);
 
-  /// Adds another replica's gradients into this network's gradients
-  /// (the data-parallel aggregation step).
-  Status AccumulateGradientsFrom(Network& other);
-
   /// Adds `weight` * other's gradients into this network's gradients —
   /// the batch-parallel trainer's shard-weighted reduction step.
   /// Allocation-free.

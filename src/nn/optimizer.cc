@@ -29,43 +29,6 @@ Status SgdOptimizer::Step(Network* network, double scale) {
   return Status::OK();
 }
 
-MomentumOptimizer::MomentumOptimizer(double learning_rate, double momentum)
-    : learning_rate_(learning_rate), momentum_(momentum) {
-  DMLSCALE_CHECK_GT(learning_rate, 0.0);
-  DMLSCALE_CHECK(momentum >= 0.0 && momentum < 1.0);
-}
-
-Status MomentumOptimizer::Step(Network* network, double scale) {
-  if (network == nullptr) return Status::InvalidArgument("null network");
-  if (scale <= 0.0) return Status::InvalidArgument("scale must be > 0");
-  const auto& params = network->Parameters();
-  const auto& grads = network->Gradients();
-  if (params.size() != grads.size()) {
-    return Status::Internal("parameter/gradient arity mismatch");
-  }
-  if (velocity_.empty()) {
-    velocity_.reserve(params.size());
-    for (Tensor* p : params) velocity_.emplace_back(p->shape());
-  }
-  if (velocity_.size() != params.size()) {
-    return Status::InvalidArgument("optimizer bound to another topology");
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    Tensor* p = params[i];
-    Tensor* g = grads[i];
-    Tensor& v = velocity_[i];
-    if (!p->SameShape(*g) || !p->SameShape(v)) {
-      return Status::InvalidArgument("shape mismatch in momentum step");
-    }
-    for (int64_t j = 0; j < p->size(); ++j) {
-      v[j] = momentum_ * v[j] + (*g)[j] * scale;
-      (*p)[j] -= learning_rate_ * v[j];
-    }
-  }
-  network->ZeroGradients();
-  return Status::OK();
-}
-
 Result<double> TrainBatch(Network* network, const Tensor& input,
                           const Tensor& targets, const Loss& loss,
                           SgdOptimizer* optimizer) {

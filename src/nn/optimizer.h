@@ -22,27 +22,6 @@ class SgdOptimizer {
   double learning_rate_;
 };
 
-/// SGD with classical (heavy-ball) momentum:
-///   v = momentum * v + grad;  w -= lr * v.
-/// Converges faster than plain SGD on ill-conditioned objectives; the
-/// velocity buffers are lazily shaped on the first Step.
-class MomentumOptimizer {
- public:
-  MomentumOptimizer(double learning_rate, double momentum);
-
-  /// Applies accumulated gradients (scaled by `scale`), updates velocity,
-  /// then zeroes the gradients.
-  Status Step(Network* network, double scale = 1.0);
-
-  double learning_rate() const { return learning_rate_; }
-  double momentum() const { return momentum_; }
-
- private:
-  double learning_rate_;
-  double momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 /// One full batch-gradient-descent iteration on (input, targets):
 /// zero grads, forward, loss, backward, SGD step. Returns the loss before
 /// the update.

@@ -1,32 +1,22 @@
 #ifndef DMLSCALE_SERVE_CACHE_H_
 #define DMLSCALE_SERVE_CACHE_H_
 
-#include <cstdint>
-#include <list>
-#include <map>
-#include <string>
-
 #include "common/status.h"
 
 namespace dmlscale::serve {
 
-/// Eviction policy of the response-cache tier in front of the replicas.
+/// Whether a response-cache tier sits in front of the replicas.
 enum class CachePolicy {
   kNone,  // no cache: every request reaches a replica
-  kLru,   // evict the least recently used entry
-  kLfu,   // evict the least frequently used entry (oldest breaks ties)
+  kLru,   // a cache tier, declared by its hit rate (see CacheSpec)
 };
 
-const char* ToString(CachePolicy policy);
-
-/// Declarative cache tier. The simulator and the analytic model both treat
-/// the hit RATE as an input parameter (production hit rates come from
-/// content popularity, which the scenario author knows and this library
-/// does not), and short-circuit hits at `hit_latency_s` — the modeling
-/// philosophy everywhere in this repo: measured inputs, modeled
-/// consequences. The executable CacheTier below exists for trace studies
-/// and for validating that a declared hit_rate is achievable at a given
-/// capacity and popularity skew.
+/// A response-cache tier declared by its hit rate: nothing is stored and
+/// nothing evicts. The simulator and the analytic model both treat the hit
+/// RATE as an input parameter (production hit rates come from content
+/// popularity, which the scenario author knows and this library does not),
+/// and short-circuit hits at `hit_latency_s` — the modeling philosophy
+/// everywhere in this repo: measured inputs, modeled consequences.
 struct CacheSpec {
   CachePolicy policy = CachePolicy::kNone;
   /// Probability a request short-circuits at the cache, in [0, 1).
@@ -34,8 +24,6 @@ struct CacheSpec {
   /// Latency of a cache hit, seconds (>= 0; typically micro-, not
   /// milliseconds).
   double hit_latency_s = 0.0;
-  /// Entry capacity of the executable tier (only read by CacheTier users).
-  int64_t capacity = 0;
 
   bool Enabled() const { return policy != CachePolicy::kNone; }
 
@@ -43,39 +31,6 @@ struct CacheSpec {
   double MissRate() const { return Enabled() ? 1.0 - hit_rate : 1.0; }
 
   [[nodiscard]] Status Validate() const;
-};
-
-/// Executable LRU/LFU cache over integer keys, fully deterministic:
-/// ordered containers only, ties broken by insertion sequence. Not used on
-/// the serving hot path (see CacheSpec) but exercised by trace tests to
-/// ground declared hit rates.
-class CacheTier {
- public:
-  /// `policy` must not be kNone; `capacity` >= 1.
-  CacheTier(CachePolicy policy, int64_t capacity);
-
-  /// Probe-and-admit: returns true on a hit (touching recency/frequency);
-  /// on a miss, admits the key, evicting per policy when full.
-  bool Access(int64_t key);
-
-  int64_t size() const { return static_cast<int64_t>(entries_.size()); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  double HitRate() const;
-
- private:
-  struct Entry {
-    uint64_t frequency = 0;
-    uint64_t last_touch = 0;  // global touch sequence, the LRU/LFU tie-break
-  };
-  void Evict();
-
-  CachePolicy policy_;
-  int64_t capacity_;
-  std::map<int64_t, Entry> entries_;
-  uint64_t touch_seq_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace dmlscale::serve

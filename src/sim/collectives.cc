@@ -183,31 +183,4 @@ Result<double> SimulateTwoWaveReduce(const std::vector<double>& ready_times,
   return busy;
 }
 
-Result<double> SimulateRingAllReduce(const std::vector<double>& ready_times,
-                                     double bits, core::LinkSpec link,
-                                     const OverheadModel& overhead) {
-  DMLSCALE_RETURN_NOT_OK(
-      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
-  int n = static_cast<int>(ready_times.size());
-  if (n == 1) return ready_times[0];
-  double chunk = bits / static_cast<double>(n);
-  double step = TransferSeconds(chunk, link, overhead);
-  // Bulk-synchronous ring: every step waits for the slowest participant.
-  double start = *std::max_element(ready_times.begin(), ready_times.end());
-  return start + 2.0 * static_cast<double>(n - 1) * step;
-}
-
-Result<double> SimulateRecursiveDoubling(
-    const std::vector<double>& ready_times, double bits, core::LinkSpec link,
-    const OverheadModel& overhead) {
-  DMLSCALE_RETURN_NOT_OK(
-      CheckCommon(ready_times.size(), ready_times, bits, link, overhead));
-  int n = static_cast<int>(ready_times.size());
-  if (n == 1) return ready_times[0];
-  double step = TransferSeconds(bits, link, overhead);
-  double rounds = static_cast<double>(CeilLog2(static_cast<uint64_t>(n)));
-  double start = *std::max_element(ready_times.begin(), ready_times.end());
-  return start + rounds * step;
-}
-
 }  // namespace dmlscale::sim

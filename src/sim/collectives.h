@@ -47,19 +47,6 @@ Result<double> SimulateTwoWaveReduce(const std::vector<double>& ready_times,
                                      double bits, core::LinkSpec link,
                                      const OverheadModel& overhead);
 
-/// Ring all-reduce: 2 (n - 1) steps exchanging `bits / n` chunks; each step
-/// starts when the slowest participant is ready.
-Result<double> SimulateRingAllReduce(const std::vector<double>& ready_times,
-                                     double bits, core::LinkSpec link,
-                                     const OverheadModel& overhead);
-
-/// Recursive-doubling (butterfly) all-reduce: ceil(log2 n) bulk-synchronous
-/// rounds of pairwise full-payload exchanges, starting when the slowest
-/// participant is ready.
-Result<double> SimulateRecursiveDoubling(const std::vector<double>& ready_times,
-                                         double bits, core::LinkSpec link,
-                                         const OverheadModel& overhead);
-
 }  // namespace dmlscale::sim
 
 #endif  // DMLSCALE_SIM_COLLECTIVES_H_

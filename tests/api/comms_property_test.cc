@@ -5,6 +5,7 @@
 // (topology / queue / oversubscription / load) without special-casing.
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,6 +111,24 @@ TEST(CommsPropertyTest, TopologyNumericsRequireTheirTopology) {
   EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(model.status().message().find("oversubscription"),
             std::string::npos);
+}
+
+TEST(CommsPropertyTest, FatTreePodMustFitAnInt) {
+  // pod is narrowed to int; inf and values past INT_MAX have no int to
+  // become, so they are rejected before the cast, like NaN and fractions.
+  for (double pod : {std::numeric_limits<double>::infinity(), 1e12,
+                     std::nan(""), 4.5, 1.0}) {
+    ModelParams params = *CommModels().Example("ring-allreduce");
+    params.Set("topology", "fat-tree").Set("pod", pod);
+    auto model = CommModels().Create("ring-allreduce", params, TestLink());
+    ASSERT_FALSE(model.ok()) << "pod=" << pod;
+    EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(model.status().message().find("pod"), std::string::npos)
+        << model.status();
+  }
+  ModelParams params = *CommModels().Example("ring-allreduce");
+  params.Set("topology", "fat-tree").Set("pod", 8.0);
+  EXPECT_TRUE(CommModels().Create("ring-allreduce", params, TestLink()).ok());
 }
 
 TEST(CommsPropertyTest, ComputeEntriesConstructFromTheirExamples) {

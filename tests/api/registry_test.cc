@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -92,6 +94,47 @@ TEST(RegistryTest, InvalidParameterValueFails) {
       TestNode());
   ASSERT_FALSE(compute.ok());
   EXPECT_EQ(compute.status().code(), StatusCode::kInvalidArgument);
+
+  // NaN passes every `<=` range check and inf prices an infinite time, so
+  // each factory must reject both itself, naming the key.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    struct ComputeCase {
+      const char* model;
+      ModelParams params;
+      const char* key;
+    };
+    const ComputeCase compute_cases[] = {
+        {"perfectly-parallel", {{"total_flops", bad}}, "total_flops"},
+        {"amdahl",
+         {{"total_flops", bad}, {"serial_fraction", 0.1}},
+         "total_flops"},
+        {"amdahl",
+         {{"total_flops", 1e9}, {"serial_fraction", bad}},
+         "serial_fraction"},
+    };
+    for (const ComputeCase& c : compute_cases) {
+      auto model = ComputeModels().Create(c.model, c.params, TestNode());
+      ASSERT_FALSE(model.ok()) << c.model << " " << c.key << "=" << bad;
+      EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(model.status().message().find(c.key), std::string::npos)
+          << model.status();
+    }
+    // Every numeric key of every comm example: `bits` everywhere, plus the
+    // tree's `rounds`.
+    for (const std::string& name : CommModels().Names()) {
+      const ModelParams example = *CommModels().Example(name);
+      for (const auto& [key, value] : example.values()) {
+        ModelParams params = example;
+        params.Set(key, bad);
+        auto model = CommModels().Create(name, params, TestLink());
+        ASSERT_FALSE(model.ok()) << name << " " << key << "=" << bad;
+        EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(model.status().message().find(key), std::string::npos)
+            << model.status();
+      }
+    }
+  }
 }
 
 TEST(RegistryTest, SparkGdCompositeMatchesClosedForm) {

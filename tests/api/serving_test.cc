@@ -35,14 +35,13 @@ TEST(ResolveServingSpecTest, ResolvesEveryKey) {
                      {"rejoin_bits", 2e6},
                      {"hit_rate", 0.4},
                      {"hit_latency", 80e-6},
-                     {"cache_capacity", 1000.0},
                      {"replicas", 8.0},
                      {"quantile", 0.95},
                      {"target_qps", 9000.0},
                      {"target_latency", 0.02},
                      {"max_replicas", 256.0}};
   params.Set("arrivals", "mmpp");
-  params.Set("cache", "lfu");
+  params.Set("cache", "lru");
   params.Set("dispatch", "round-robin");
   core::LinkSpec link{.bandwidth_bps = 1e10, .latency_s = 1e-6};
   auto spec = ResolveServingSpec(params, link);
@@ -59,10 +58,9 @@ TEST(ResolveServingSpecTest, ResolvesEveryKey) {
   EXPECT_EQ(spec->replica.service.per_item_s, 0.0002);
   EXPECT_EQ(spec->replica.rejoin_bits, 2e6);
   EXPECT_EQ(spec->replica.link.bandwidth_bps, 1e10);
-  EXPECT_EQ(spec->cache.policy, serve::CachePolicy::kLfu);
+  EXPECT_EQ(spec->cache.policy, serve::CachePolicy::kLru);
   EXPECT_EQ(spec->cache.hit_rate, 0.4);
   EXPECT_EQ(spec->cache.hit_latency_s, 80e-6);
-  EXPECT_EQ(spec->cache.capacity, 1000);
   EXPECT_EQ(spec->dispatch, serve::DispatchPolicy::kRoundRobin);
   EXPECT_EQ(spec->replicas, 8);
   EXPECT_EQ(spec->quantile, 0.95);
@@ -72,10 +70,16 @@ TEST(ResolveServingSpecTest, ResolvesEveryKey) {
 }
 
 TEST(ResolveServingSpecTest, TypoedKeyFailsLoudly) {
-  auto spec = ResolveServingSpec(ModelParams{{"qsp", 100.0}});
-  ASSERT_FALSE(spec.ok());
-  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(spec.status().message().find("qsp"), std::string::npos);
+  // cache_capacity is no key: the cache tier is declared by its hit rate
+  // and nothing evicts, so a capacity would configure nothing.
+  for (const std::string key : {"qsp", "cache_capacity"}) {
+    auto spec = ResolveServingSpec(ModelParams{{key, 100.0}});
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("unknown parameter '" + key + "'"),
+              std::string::npos)
+        << spec.status();
+  }
 }
 
 TEST(ResolveServingSpecTest, UnknownSelectionsListTheMenu) {
@@ -86,12 +90,18 @@ TEST(ResolveServingSpecTest, UnknownSelectionsListTheMenu) {
   EXPECT_NE(bad_arrivals.status().message().find("poisson, diurnal, mmpp"),
             std::string::npos);
 
-  ModelParams cache{{"qps", 100.0}, {"service_per_item", 0.001}};
-  cache.Set("cache", "arc");
-  auto bad_cache = ResolveServingSpec(cache);
-  ASSERT_FALSE(bad_cache.ok());
-  EXPECT_NE(bad_cache.status().message().find("none, lru, lfu"),
-            std::string::npos);
+  // No eviction runs (the tier is declared by its hit rate), so lfu is as
+  // unknown as arc.
+  for (const char* unknown : {"arc", "lfu"}) {
+    ModelParams cache{{"qps", 100.0}, {"service_per_item", 0.001}};
+    cache.Set("cache", unknown);
+    auto bad_cache = ResolveServingSpec(cache);
+    ASSERT_FALSE(bad_cache.ok()) << unknown;
+    EXPECT_EQ(bad_cache.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(
+        bad_cache.status().message().ends_with("available: none, lru"))
+        << bad_cache.status();
+  }
 
   ModelParams dispatch{{"qps", 100.0}, {"service_per_item", 0.001}};
   dispatch.Set("dispatch", "random");
@@ -121,6 +131,7 @@ TEST(ResolveServingSpecTest, CacheKeysNeedACacheTier) {
       ModelParams{{"qps", 100.0}, {"hit_rate", 0.5}});
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().message().find("cache='lru'"), std::string::npos);
+  EXPECT_EQ(spec.status().message().find("lfu"), std::string::npos);
 }
 
 TEST(ResolveServingSpecTest, RejoinBitsNeedShards) {
@@ -181,6 +192,20 @@ TEST(ResolveServingSpecTest, NonFiniteNumbersNameTheirKey) {
       EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(spec.status().message().find(c.named), std::string::npos)
           << c.key << "=" << bad << ": " << spec.status();
+    }
+  }
+  // The integer keys are narrowed to int: NaN, inf and values past INT_MAX
+  // have no int to become, so they are rejected before the cast.
+  for (const char* key : {"batch_max", "shards", "replicas", "max_replicas"}) {
+    for (double bad :
+         {std::nan(""), std::numeric_limits<double>::infinity(), 1e12}) {
+      ModelParams params = base;
+      params.Set(key, bad);
+      auto spec = ResolveServingSpec(params, link);
+      ASSERT_FALSE(spec.ok()) << key << "=" << bad;
+      EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(spec.status().message().find(key), std::string::npos)
+          << key << "=" << bad << ": " << spec.status();
     }
   }
 }

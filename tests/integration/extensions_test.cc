@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "core/calibration.h"
-#include "core/cost.h"
 #include "core/validation.h"
 #include "models/async_gd.h"
 #include "models/gradient_descent.h"
@@ -118,24 +117,6 @@ TEST(CalibrationIntegration, FeedbackLoopImprovesHeldOutPrediction) {
     calibrated_err += std::fabs((*calibrated)->Seconds(n) - actual) / actual;
   }
   EXPECT_LT(calibrated_err, apriori_err * 0.5);
-}
-
-TEST(CostIntegration, DeadlinePlanningOnFig2Model) {
-  models::SparkGdModel model(models::SparkMnistWorkload(),
-                             core::presets::XeonE3_1240Double(), Gigabit());
-  // Cheapest config within 2x of the fastest achievable time.
-  double fastest = model.Seconds(1);
-  for (int n = 2; n <= 16; ++n) fastest = std::min(fastest, model.Seconds(n));
-  auto cheapest = core::CheapestWithinDeadline(model, 16, 2.0 * fastest);
-  ASSERT_TRUE(cheapest.ok());
-  // Meeting a loose deadline takes far fewer workers than the optimum 9.
-  EXPECT_LT(cheapest.value(), 9);
-  EXPECT_LE(model.Seconds(cheapest.value()), 2.0 * fastest);
-
-  // Efficiency ceiling: 70% efficiency holds only at small scale.
-  auto at70 = core::MaxNodesAtEfficiency(model, 16, 0.7);
-  ASSERT_TRUE(at70.ok());
-  EXPECT_LT(at70.value(), 9);
 }
 
 TEST(LogisticRegressionWorkloadTest, BehavesLikeAnyGdWorkload) {

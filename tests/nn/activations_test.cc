@@ -77,55 +77,6 @@ TEST(ReluTest, GradientMasksNegativeInputs) {
   EXPECT_DOUBLE_EQ((*grad)[2], 5.0);
 }
 
-TEST(TanhTest, KnownValuesAndGradient) {
-  TanhLayer layer;
-  Tensor input({1, 2}, {0.0, 1.0});
-  auto out = layer.Forward(input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_DOUBLE_EQ((*out)[0], 0.0);
-  EXPECT_NEAR((*out)[1], std::tanh(1.0), 1e-12);
-  Pcg32 rng(2);
-  Tensor random_input({3, 3});
-  random_input.FillGaussian(0.8, &rng);
-  GradientCheck(&layer, random_input, 1e-6);
-}
-
-TEST(SoftmaxTest, RowsSumToOne) {
-  SoftmaxLayer layer;
-  Pcg32 rng(3);
-  Tensor input({4, 6});
-  input.FillGaussian(2.0, &rng);
-  auto out = layer.Forward(input);
-  ASSERT_TRUE(out.ok());
-  for (int64_t b = 0; b < 4; ++b) {
-    double sum = 0.0;
-    for (int64_t c = 0; c < 6; ++c) sum += out->At2(b, c);
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
-TEST(SoftmaxTest, NumericallyStableForLargeLogits) {
-  SoftmaxLayer layer;
-  Tensor input({1, 2}, {1000.0, 1000.0});
-  auto out = layer.Forward(input);
-  ASSERT_TRUE(out.ok());
-  EXPECT_NEAR((*out)[0], 0.5, 1e-12);
-  EXPECT_NEAR((*out)[1], 0.5, 1e-12);
-}
-
-TEST(SoftmaxTest, GradientCheck) {
-  SoftmaxLayer layer;
-  Pcg32 rng(4);
-  Tensor input({2, 5});
-  input.FillGaussian(1.0, &rng);
-  GradientCheck(&layer, input, 1e-6);
-}
-
-TEST(SoftmaxTest, RejectsRank3Input) {
-  SoftmaxLayer layer;
-  EXPECT_FALSE(layer.Forward(Tensor({1, 2, 3})).ok());
-}
-
 TEST(ActivationTest, ShapeMismatchInBackward) {
   SigmoidLayer layer;
   ASSERT_TRUE(layer.Forward(Tensor({1, 3})).ok());

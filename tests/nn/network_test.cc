@@ -113,24 +113,6 @@ TEST(NetworkTest, CopyParametersRejectsMismatchedTopology) {
   EXPECT_FALSE(b.CopyParametersFrom(a).ok());
 }
 
-TEST(NetworkTest, AccumulateGradients) {
-  Pcg32 rng(11);
-  Network a = Network::FullyConnected({3, 2}, &rng);
-  Network b = a.Clone();
-  Tensor input({1, 3}, {1.0, 2.0, 3.0});
-  Tensor target({1, 2}, {1.0, 0.0});
-  MeanSquaredError loss;
-  ASSERT_TRUE(a.ComputeGradients(input, target, loss).ok());
-  ASSERT_TRUE(b.ComputeGradients(input, target, loss).ok());
-  // a += b makes a's gradients exactly double.
-  Tensor before = *a.Gradients()[0];
-  ASSERT_TRUE(a.AccumulateGradientsFrom(b).ok());
-  Tensor after = *a.Gradients()[0];
-  for (int64_t i = 0; i < before.size(); ++i) {
-    EXPECT_DOUBLE_EQ(after[i], 2.0 * before[i]);
-  }
-}
-
 TEST(SgdOptimizerTest, StepMovesAgainstGradient) {
   Pcg32 rng(12);
   Network net = Network::FullyConnected({2, 1}, &rng);

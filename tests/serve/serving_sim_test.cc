@@ -307,7 +307,7 @@ TEST(ServingSimTest, CacheHitsShortCircuitAtTheHitLatency) {
   ServingSimConfig config;
   config.spec.arrivals.rate_qps = 500.0;
   config.spec.replica.service.per_item_s = 0.001;
-  config.spec.cache.policy = CachePolicy::kLfu;
+  config.spec.cache.policy = CachePolicy::kLru;
   config.spec.cache.hit_rate = 0.6;
   config.spec.cache.hit_latency_s = 50e-6;
   config.num_requests = 10000;

@@ -105,37 +105,6 @@ TEST(TwoWaveReduceTest, SingleNodeFree) {
   EXPECT_DOUBLE_EQ(t.value(), 7.0);
 }
 
-TEST(RingAllReduceTest, MatchesClosedForm) {
-  auto t = SimulateRingAllReduce(Zeros(4), 1e9, Gigabit(), None());
-  ASSERT_TRUE(t.ok());
-  // 2 * (4 - 1) steps of (1e9/4)/1e9 s = 6 * 0.25 = 1.5 s.
-  EXPECT_DOUBLE_EQ(t.value(), 1.5);
-}
-
-TEST(RingAllReduceTest, WaitsForSlowestParticipant) {
-  std::vector<double> ready = Zeros(4);
-  ready[2] = 3.0;
-  auto t = SimulateRingAllReduce(ready, 1e9, Gigabit(), None());
-  ASSERT_TRUE(t.ok());
-  EXPECT_DOUBLE_EQ(t.value(), 3.0 + 1.5);
-}
-
-TEST(RecursiveDoublingTest, MatchesClosedForm) {
-  auto t8 = SimulateRecursiveDoubling(Zeros(8), 1e9, Gigabit(), None());
-  ASSERT_TRUE(t8.ok());
-  EXPECT_DOUBLE_EQ(t8.value(), 3.0);
-  auto t1 = SimulateRecursiveDoubling({5.0}, 1e9, Gigabit(), None());
-  EXPECT_DOUBLE_EQ(t1.value(), 5.0);
-}
-
-TEST(RecursiveDoublingTest, WaitsForSlowest) {
-  std::vector<double> ready = Zeros(4);
-  ready[1] = 2.0;
-  auto t = SimulateRecursiveDoubling(ready, 1e9, Gigabit(), None());
-  ASSERT_TRUE(t.ok());
-  EXPECT_DOUBLE_EQ(t.value(), 2.0 + 2.0);
-}
-
 TEST(CollectivesTest, SerializationOverheadSlowsTransfers) {
   OverheadModel overhead;
   overhead.serialize_s_per_bit = 1e-9;  // doubles the effective cost

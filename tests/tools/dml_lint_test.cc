@@ -167,7 +167,7 @@ TEST(DmlLintUnordered, SuppressionComment) {
 // ---------------------------------------------------------------------------
 
 TEST(DmlLintFloat, FiresOnFloatDeclarationInCore) {
-  EXPECT_TRUE(Fires("src/core/cost.cc", "float x = 0;\n", "DML003"));
+  EXPECT_TRUE(Fires("src/core/speedup.cc", "float x = 0;\n", "DML003"));
 }
 
 TEST(DmlLintFloat, FiresOnFloatLiteralInSim) {
@@ -176,7 +176,7 @@ TEST(DmlLintFloat, FiresOnFloatLiteralInSim) {
 
 TEST(DmlLintFloat, PassesOnDoubleInCore) {
   EXPECT_FALSE(
-      Fires("src/core/cost.cc", "double x = 1.5; double y = 2e-3;\n",
+      Fires("src/core/speedup.cc", "double x = 1.5; double y = 2e-3;\n",
             "DML003"));
 }
 
@@ -186,12 +186,12 @@ TEST(DmlLintFloat, PassesOnFloatOutsideCoreSim) {
 
 TEST(DmlLintFloat, PassesOnHexLiteralEndingInF) {
   EXPECT_FALSE(
-      Fires("src/core/cost.cc", "unsigned x = 0x1F; unsigned y = 0xacf;\n",
+      Fires("src/core/speedup.cc", "unsigned x = 0x1F; unsigned y = 0xacf;\n",
             "DML003"));
 }
 
 TEST(DmlLintFloat, SuppressionComment) {
-  EXPECT_FALSE(Fires("src/core/cost.cc",
+  EXPECT_FALSE(Fires("src/core/speedup.cc",
                      "float x = 0;  // dml-lint: allow(float-numerics)\n",
                      "DML003"));
 }

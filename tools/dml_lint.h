@@ -31,7 +31,7 @@ const std::vector<RuleInfo>& Rules();
 /// Lints one translation unit held in memory. `path` decides which
 /// path-scoped rules apply (e.g. float-numerics only under core/ and sim/)
 /// and is echoed into findings; it should be repo-relative with forward
-/// slashes, e.g. "src/core/cost.cc". Deterministic: findings are ordered by
+/// slashes, e.g. "src/core/speedup.cc". Deterministic: findings are ordered by
 /// line, then rule id.
 ///
 /// Suppression: a violation line carrying `// dml-lint: allow(<rule-name>)`
