@@ -135,6 +135,51 @@ TEST(EventEngineTest, WindowedDeliversThroughMailboxes) {
   EXPECT_GE(stats.value().windows, 4);
 }
 
+// Pins the per-destination delivery order. Four sources, spread over
+// different shards at 2/4/8 shards, each send two equal-time messages to one
+// destination in the same window. The destination's own event at that time
+// was scheduled earlier, so it runs first; the messages follow in
+// (src, send_seq) order at every shard count. Each source first sends fewer
+// fillers the higher its id, so send_seq order alone disagrees with it.
+TEST(EventEngineTest, WindowedDeliveryOrdersTiesBySrcThenSendSeq) {
+  constexpr int kNodes = 16;
+  constexpr int kDst = 11;
+  constexpr int kSink = 12;
+  for (int shards : {1, 2, 4, 8}) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    EngineOptions options;
+    options.lookahead = 1.0;
+    options.exec.num_shards = shards;
+    options.exec.pool = &pool;
+    Engine engine(kNodes, options);
+    std::vector<int64_t> order;
+    const int record = engine.AddHandler([&](const Event& event) {
+      if (event.node == kDst) order.push_back(event.a);
+    });
+    // b = fillers to send before the two messages to kDst.
+    const int burst = engine.AddHandler([&](const Event& event) {
+      for (int64_t f = 0; f < event.b; ++f) {
+        engine.Send(event.node, kSink, 5.0, event.time, record);
+      }
+      for (int64_t k = 0; k < 2; ++k) {
+        engine.Send(event.node, kDst, 3.0, event.time, record,
+                    10 * event.node + k);
+      }
+    });
+    engine.MustScheduleAt(kDst, 5.0, record, -1);
+    engine.MustScheduleAt(15, 2.0, burst, 0, 0);
+    engine.MustScheduleAt(1, 2.0, burst, 0, 3);
+    engine.MustScheduleAt(8, 2.0, burst, 0, 1);
+    engine.MustScheduleAt(6, 2.0, burst, 0, 2);
+    Result<EngineStats> stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << "shards=" << shards;
+    EXPECT_EQ(order, (std::vector<int64_t>{-1, 10, 11, 60, 61, 80, 81, 150,
+                                           151}))
+        << "shards=" << shards;
+    EXPECT_EQ(stats.value().messages_delivered, 14) << "shards=" << shards;
+  }
+}
+
 TEST(EventEngineTest, MaxEventsGuardTurnsRunawayChainIntoError) {
   // A self-rescheduling chain that would hang forever without the guard.
   EngineOptions options;
