@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,11 @@ namespace dmlscale::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A window that follows one with fewer events than this steps its shards
+// one after another on the caller: below it, the pool round trip costs more
+// than the window's work. Results are shard-invariant either way.
+constexpr int64_t kInlineWindowEvents = 2048;
 
 }  // namespace
 
@@ -27,6 +33,7 @@ Engine::Engine(int num_nodes, EngineOptions options)
   if (windowed_) {
     node_seq_.assign(static_cast<size_t>(num_nodes), 0);
     send_seq_.assign(static_cast<size_t>(num_nodes), 0);
+    inbox_begin_.assign(static_cast<size_t>(num_nodes) + 1, 0);
   }
   int shards = std::max(options_.exec.num_shards, 1);
   outboxes_.resize(static_cast<size_t>(shards));
@@ -98,7 +105,9 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
                   int64_t a, int64_t b, double x) {
   DMLSCALE_CHECK(src >= 0 && src < num_nodes_);
   DMLSCALE_CHECK_GE(delay, 0.0);
-  if (!windowed_) {
+  if (!windowed_ || !running_) {
+    // Sequential mode, or before Run: calls are serial, so schedule at once
+    // in call order.
     DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
     MustScheduleAt(dst, now + delay, type, a, b, x);
     return;
@@ -107,7 +116,7 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
   DMLSCALE_CHECK_GE(delay, options_.lookahead);
   DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
-  Mailbox::Message message;
+  Message message;
   message.time = now + delay;
   message.src = static_cast<int32_t>(src);
   message.send_seq = send_seq_[static_cast<size_t>(src)]++;
@@ -124,18 +133,63 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
       src < boundary
           ? static_cast<int>(src / (base + 1))
           : static_cast<int>(remainder + (src - boundary) / base);
-  outboxes_[static_cast<size_t>(shard)].out.push_back(std::move(message));
+  outboxes_[static_cast<size_t>(shard)].messages.push_back(std::move(message));
 }
 
-void Engine::Deliver(Mailbox::Message message) {
-  Event event = message.event;
-  event.seq = node_seq_[static_cast<size_t>(event.node)]++;
-  queues_[static_cast<size_t>(event.node)].Push(event);
+double Engine::GroupOutboxesByDestination() {
+  // Counting sort by destination: count each node's messages, turn the
+  // counts into group ends with a prefix sum, then scatter from the back,
+  // which moves each end down to its group's start and keeps outbox order
+  // within a group.
+  std::fill(inbox_begin_.begin(), inbox_begin_.end(), 0);
+  size_t total = 0;
+  double earliest = kInf;
+  for (const Outbox& box : outboxes_) {
+    for (const Message& message : box.messages) {
+      ++inbox_begin_[static_cast<size_t>(message.event.node)];
+      earliest = std::min(earliest, message.time);
+    }
+    total += box.messages.size();
+  }
+  std::partial_sum(inbox_begin_.begin(), inbox_begin_.end(),
+                   inbox_begin_.begin());
+  inbox_.resize(total);
+  for (auto box = outboxes_.rbegin(); box != outboxes_.rend(); ++box) {
+    for (auto message = box->messages.rbegin();
+         message != box->messages.rend(); ++message) {
+      inbox_[--inbox_begin_[static_cast<size_t>(message->event.node)]] =
+          *message;
+    }
+    box->messages.clear();
+  }
+  return earliest;
 }
 
 void Engine::StepShard(int shard, double window_end) {
   engine::ShardRange range = engine::ComputeShard(
       0, num_nodes_, options_.exec.num_shards, shard);
+  // Deliver this shard's slice of the last barrier's messages before any
+  // node steps, each destination's group in (arrival time, src, send seq)
+  // order whatever the outbox order was: its seq stamps, and thus
+  // everything downstream, are then shard-invariant.
+  for (int64_t node = range.begin; node < range.end; ++node) {
+    Message* first = inbox_.data() + inbox_begin_[static_cast<size_t>(node)];
+    Message* last =
+        inbox_.data() + inbox_begin_[static_cast<size_t>(node) + 1];
+    if (last - first > 1) {
+      std::sort(first, last, [](const Message& a, const Message& b) {
+        if (a.time != b.time) return a.time < b.time;
+        if (a.src != b.src) return a.src < b.src;
+        return a.send_seq < b.send_seq;
+      });
+    }
+    EventHeap& queue = queues_[static_cast<size_t>(node)];
+    for (; first != last; ++first) {
+      Event event = first->event;
+      event.seq = node_seq_[static_cast<size_t>(node)]++;
+      queue.Push(event);
+    }
+  }
   int64_t executed = 0;
   double end_time = shard_end_time_[static_cast<size_t>(shard)];
   double next_time = kInf;
@@ -214,6 +268,8 @@ Result<EngineStats> Engine::RunWindowed() {
     if (!queue.empty()) t_min = std::min(t_min, queue.Top().time);
   }
 
+  // The first window follows none, so it goes to the pool.
+  int64_t last_window_events = kInlineWindowEvents;
   while (t_min != kInf) {
     if (options_.time_horizon > 0.0 && t_min > options_.time_horizon) {
       return Status::ResourceExhausted(
@@ -224,8 +280,10 @@ Result<EngineStats> Engine::RunWindowed() {
           std::to_string(stats.end_time) + ")");
     }
     const double window_end = t_min + options_.lookahead;
-    if (num_shards == 1) {
-      StepShard(0, window_end);
+    if (num_shards == 1 || last_window_events < kInlineWindowEvents) {
+      // Shards touch disjoint nodes within a window, so stepping them in
+      // turn is equivalent to stepping them concurrently.
+      for (int s = 0; s < num_shards; ++s) StepShard(s, window_end);
     } else {
       engine::ParallelFor(options_.exec.pool, 0, num_nodes_, num_shards,
                           [this, window_end](int shard, int64_t /*begin*/,
@@ -236,13 +294,15 @@ Result<EngineStats> Engine::RunWindowed() {
     ++stats.windows;
     bool overflow = false;
     double next_time = kInf;
+    last_window_events = 0;
     for (int s = 0; s < num_shards; ++s) {
-      stats.events_executed += shard_events_[static_cast<size_t>(s)];
+      last_window_events += shard_events_[static_cast<size_t>(s)];
       stats.end_time =
           std::max(stats.end_time, shard_end_time_[static_cast<size_t>(s)]);
       next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
       overflow = overflow || shard_overflow_[static_cast<size_t>(s)] != 0;
     }
+    stats.events_executed += last_window_events;
     if (options_.max_events > 0 &&
         (overflow || stats.events_executed > options_.max_events)) {
       return Status::ResourceExhausted(
@@ -252,33 +312,10 @@ Result<EngineStats> Engine::RunWindowed() {
           " events executed, sim time reached " +
           std::to_string(stats.end_time) + ")");
     }
-    // Window barrier: merge the per-shard outboxes and deliver in
-    // (arrival time, src, send seq) order — the ordering that makes the
-    // destination's seq stamps, and thus everything downstream,
-    // shard-count-invariant.
-    size_t total = 0;
-    for (const Mailbox& box : outboxes_) total += box.out.size();
-    if (total > 0) {
-      std::vector<Mailbox::Message> merged;
-      merged.reserve(total);
-      for (Mailbox& box : outboxes_) {
-        for (Mailbox::Message& message : box.out) {
-          merged.push_back(std::move(message));
-        }
-        box.out.clear();
-      }
-      std::sort(merged.begin(), merged.end(),
-                [](const Mailbox::Message& a, const Mailbox::Message& b) {
-                  if (a.time != b.time) return a.time < b.time;
-                  if (a.src != b.src) return a.src < b.src;
-                  return a.send_seq < b.send_seq;
-                });
-      for (Mailbox::Message& message : merged) {
-        next_time = std::min(next_time, message.time);
-        Deliver(std::move(message));
-        ++stats.messages_delivered;
-      }
-    }
+    // Window barrier: group the outboxes by destination for the shards'
+    // next steps to deliver; the earliest arrival may start the next window.
+    next_time = std::min(next_time, GroupOutboxesByDestination());
+    stats.messages_delivered += static_cast<int64_t>(inbox_.size());
     t_min = next_time;
   }
   return stats;

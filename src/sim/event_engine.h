@@ -15,12 +15,15 @@ namespace dmlscale::sim {
 /// How a consumer wants an engine-backed simulation executed. Defaults run
 /// serially; the result is bit-identical for every shard count (the
 /// windowed engine's contract), so sharding is purely a wall-clock knob.
+/// A window that follows one with few events steps its shards one after
+/// another on the calling thread, because the pool round trip would cost
+/// more than the window's work.
 struct EngineExec {
   /// Fixed shard count the node set is partitioned into (>= 1). More than
   /// one requires a pool and a positive lookahead.
   int num_shards = 1;
-  /// Worker pool the shards are stepped on (not owned). Required when
-  /// num_shards > 1; ignored otherwise.
+  /// Worker pool the shards of a large window are stepped on (not owned).
+  /// Required when num_shards > 1; ignored otherwise.
   ThreadPool* pool = nullptr;
 };
 
@@ -70,12 +73,13 @@ struct EngineStats {
 ///
 /// Determinism contract (windowed mode): a node's state may be touched only
 /// by handlers dispatched on that node; cross-node effects go through
-/// Send(), which buffers into per-shard outboxes during a window and
-/// delivers at the window barrier in (arrival time, src node, src send seq)
-/// order. Node-local event order, mailbox order, and the ordered reductions
-/// below are therefore invariant under the shard count — serial and
-/// threaded runs are bit-identical, the PR 3/4 fixed-shard pattern applied
-/// to simulation itself.
+/// Send(), which buffers into per-shard outboxes during a window. The
+/// window barrier groups the outboxes by destination node, and the shard
+/// owning a destination delivers its group at the start of its next step,
+/// in (arrival time, src node, src send seq) order. Node-local event order,
+/// delivery order, and the ordered reductions below are therefore
+/// invariant under the shard count — serial and threaded runs are
+/// bit-identical.
 class Engine {
  public:
   /// A handler dispatches one typed event. It runs on the shard owning
@@ -105,8 +109,11 @@ class Engine {
                       int64_t b = 0, double x = 0.0);
 
   /// Sends a cross-node message: an event on `dst` at `now + delay`, where
-  /// `now` is the sending event's time (or 0 before Run). In windowed mode
-  /// `delay` must be >= lookahead; in sequential mode any delay >= 0.
+  /// `now` is the sending event's time (or 0 before Run). During a windowed
+  /// Run `delay` must be >= lookahead; otherwise any delay >= 0. Before
+  /// Run, calls are serial, so a Send schedules its event at once, in call
+  /// order, in either mode; such sends do not count in
+  /// EngineStats::messages_delivered.
   void Send(int src, int dst, double delay, double now, int type,
             int64_t a = 0, int64_t b = 0, double x = 0.0);
 
@@ -118,21 +125,26 @@ class Engine {
   int num_nodes() const { return num_nodes_; }
 
  private:
-  struct Mailbox {
-    // Outgoing cross-node message, buffered until the window barrier.
-    struct Message {
-      double time = 0.0;     // arrival time at dst
-      int32_t src = 0;       // sending node: first-order tie-break
-      uint64_t send_seq = 0; // per-src send counter: final tie-break
-      Event event;           // event.seq stamped at delivery
-    };
-    std::vector<Message> out;
+  // Cross-node message, buffered from Send until its destination's shard
+  // delivers it.
+  struct Message {
+    double time = 0.0;     // arrival time at dst
+    int32_t src = 0;       // sending node: first-order tie-break
+    uint64_t send_seq = 0; // per-src send counter: final tie-break
+    Event event;           // event.seq stamped at delivery
+  };
+  // A source shard's sends in one window. Each sits on its own cache line:
+  // shards append concurrently, and adjacent vector headers would share one.
+  struct alignas(64) Outbox {
+    std::vector<Message> messages;
   };
 
   Status ValidateOptions() const;
   Result<EngineStats> RunSequential();
   Result<EngineStats> RunWindowed();
-  void Deliver(Mailbox::Message message);
+  // Window barrier: moves every outbox into inbox_, grouped by destination.
+  // Returns the earliest arrival time (infinity when there is none).
+  double GroupOutboxesByDestination();
   void StepShard(int shard, double window_end);
 
   int num_nodes_;
@@ -143,7 +155,12 @@ class Engine {
   uint64_t global_seq_ = 0;              // sequential mode: total order
   std::vector<uint64_t> node_seq_;       // windowed mode: per-node order
   std::vector<uint64_t> send_seq_;       // windowed mode: per-src mailbox key
-  std::vector<Mailbox> outboxes_;        // one per shard
+  std::vector<Outbox> outboxes_;         // one per source shard
+  // The last barrier's messages in destination-node order: node d's group
+  // is inbox_[inbox_begin_[d], inbox_begin_[d + 1]), so each shard's nodes
+  // own one contiguous slice. Reused across windows.
+  std::vector<Message> inbox_;
+  std::vector<size_t> inbox_begin_;      // num_nodes + 1 entries
   // Per-shard window results, merged in shard order at each barrier.
   std::vector<int64_t> shard_events_;
   std::vector<double> shard_end_time_;

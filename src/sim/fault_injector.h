@@ -39,7 +39,8 @@ struct RetryPolicy {
 ///    i's handlers and read only from i's handlers (AdmitOrRetry runs on the
 ///    DESTINATION node; LinkFactor/SampleSlowdown take the calling node);
 ///  - cross-node crash notifications go through Send(), which the engine
-///    delivers in (arrival time, src, send seq) order at window barriers.
+///    delivers to each destination in (arrival time, src, send seq) order
+///    after the window they were sent in.
 /// Hence serial and 2/4/8-shard runs are bit-identical, fault events
 /// included (property-tested in engine_determinism_test).
 class FaultInjector {

@@ -102,6 +102,47 @@ TEST(ServingSimTest, ResultIsShardCountInvariant) {
   }
 }
 
+// The engine steps a window's shards on the pool only when the window
+// before it executed at least 2048 events, and on the caller otherwise.
+// This fleet's 20 ms windows hold ~800 events while the MMPP process is
+// quiet and ~3200 while it bursts, so the run crosses that threshold in
+// both directions (four times each way at seed 3) and mixes both paths.
+TEST(ServingSimTest, BurstyWindowsCrossingTheInlineRuleAreShardInvariant) {
+  ServingSimConfig base;
+  base.spec.replicas = 80;
+  base.spec.replica.service.per_item_s = 0.001;
+  base.spec.arrivals.kind = ArrivalKind::kMmpp;
+  base.spec.arrivals.rate_qps = 16000.0;
+  base.spec.arrivals.burst_rate_multiplier = 4.0;
+  base.spec.arrivals.burst_fraction = 0.2;
+  base.spec.arrivals.burst_mean_duration_s = 0.06;
+  base.wire_s = 0.02;
+  base.num_requests = 24000;
+  base.seed = 3;
+  Result<ServingSimStats> serial = SimulateServing(base);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  for (int shards : kShardCounts) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    ServingSimConfig config = base;
+    config.exec.num_shards = shards;
+    config.exec.pool = &pool;
+    Result<ServingSimStats> sharded = SimulateServing(config);
+    ASSERT_TRUE(sharded.ok()) << "shards=" << shards;
+    EXPECT_EQ(sharded->mean_latency_s, serial->mean_latency_s)
+        << "shards=" << shards;
+    EXPECT_EQ(sharded->p50_s, serial->p50_s);
+    EXPECT_EQ(sharded->p99_s, serial->p99_s);
+    EXPECT_EQ(sharded->duration_s, serial->duration_s);
+    EXPECT_EQ(sharded->batches, serial->batches);
+    EXPECT_EQ(sharded->replica_utilization, serial->replica_utilization);
+    EXPECT_EQ(sharded->latency.bins(), serial->latency.bins());
+    EXPECT_EQ(sharded->engine.events_executed, serial->engine.events_executed);
+    EXPECT_EQ(sharded->engine.windows, serial->engine.windows);
+    EXPECT_EQ(sharded->engine.messages_delivered,
+              serial->engine.messages_delivered);
+  }
+}
+
 // --- Goldens ---------------------------------------------------------------
 // Least-outstanding dispatch decides which replica's service stream and
 // batch queue each miss lands in, so any change to a dispatch decision

@@ -168,6 +168,73 @@ TEST(EngineDeterminismTest, ReplicaRecoveryPsIsShardCountInvariant) {
   }
 }
 
+// The cases above run ~100 events per window, so the engine steps every
+// window after the first on the calling thread. These keep the pool path
+// under test (and under TSan): 4099 nodes, twice the engine's 2048-event
+// inline threshold, with jitter too small to split a ring step or a PS
+// phase across windows, so every window holds all 4099 nodes' events.
+constexpr int kPoolNodes = 4099;
+
+TEST(EngineDeterminismTest, PoolSteppedRingIsShardCountInvariant) {
+  RingScaleConfig base = RingConfig();
+  base.num_nodes = kPoolNodes;
+  base.bits = int64_t{kPoolNodes} * 8000;
+  base.straggler_sigma = 0.05;
+  base.max_steps = 5;
+  Result<ScaleStats> serial = SimulateRingAllReduceAtScale(base);
+  ASSERT_TRUE(serial.ok());
+  // One window per ring step, each holding every node's event.
+  ASSERT_EQ(serial.value().engine.windows, base.max_steps + 1);
+  ASSERT_EQ(serial.value().engine.events_executed,
+            int64_t{kPoolNodes} * (base.max_steps + 1));
+  for (int shards : kShardCounts) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    RingScaleConfig config = base;
+    config.exec.num_shards = shards;
+    config.exec.pool = &pool;
+    Result<ScaleStats> sharded = SimulateRingAllReduceAtScale(config);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
+        << "shards=" << shards;
+    EXPECT_EQ(sharded.value().engine.events_executed,
+              serial.value().engine.events_executed);
+    EXPECT_EQ(sharded.value().engine.windows, serial.value().engine.windows);
+    EXPECT_EQ(sharded.value().engine.messages_delivered,
+              serial.value().engine.messages_delivered);
+  }
+}
+
+TEST(EngineDeterminismTest, PoolSteppedParameterServerIsShardCountInvariant) {
+  PsScaleConfig base = PsConfig();
+  base.num_workers = kPoolNodes;
+  base.steps_per_worker = 3;
+  base.compute_seconds = 2e-5;
+  base.straggler_sigma = 0.05;
+  Result<ScaleStats> serial = SimulateParameterServerAtScale(base);
+  ASSERT_TRUE(serial.ok());
+  // Worker and server phases alternate, one window each, each holding one
+  // event per worker: steps + 1 worker phases and steps server phases.
+  const int64_t phases = 2 * base.steps_per_worker + 1;
+  ASSERT_EQ(serial.value().engine.windows, phases);
+  ASSERT_EQ(serial.value().engine.events_executed,
+            int64_t{kPoolNodes} * phases);
+  for (int shards : kShardCounts) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    PsScaleConfig config = base;
+    config.exec.num_shards = shards;
+    config.exec.pool = &pool;
+    Result<ScaleStats> sharded = SimulateParameterServerAtScale(config);
+    ASSERT_TRUE(sharded.ok());
+    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
+        << "shards=" << shards;
+    EXPECT_EQ(sharded.value().engine.events_executed,
+              serial.value().engine.events_executed);
+    EXPECT_EQ(sharded.value().engine.windows, serial.value().engine.windows);
+    EXPECT_EQ(sharded.value().engine.messages_delivered,
+              serial.value().engine.messages_delivered);
+  }
+}
+
 TEST(EngineDeterminismTest, MoreShardsThanNodesStillIdentical) {
   RingScaleConfig config = RingConfig();
   config.num_nodes = 5;

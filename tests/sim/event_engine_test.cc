@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -177,6 +178,56 @@ TEST(EventEngineTest, WindowedDeliveryOrdersTiesBySrcThenSendSeq) {
                                            151}))
         << "shards=" << shards;
     EXPECT_EQ(stats.value().messages_delivered, 14) << "shards=" << shards;
+  }
+}
+
+// One run of a two-node engine whose only message is sent before Run:
+// Send(0 -> 1, delay 0.1) at time 0, optionally behind a local event on
+// node 0 at t = 1.0. Records (node, time) per executed event.
+Result<EngineStats> RunSendBeforeRun(
+    double lookahead, int shards, bool local_event,
+    std::vector<std::pair<int, double>>* order) {
+  ThreadPool pool(static_cast<size_t>(shards));
+  EngineOptions options;
+  options.lookahead = lookahead;
+  options.exec.num_shards = shards;
+  options.exec.pool = &pool;
+  Engine engine(2, options);
+  const int record = engine.AddHandler([order](const Event& event) {
+    order->emplace_back(event.node, event.time);
+  });
+  if (local_event) engine.MustScheduleAt(0, 1.0, record);
+  engine.Send(0, 1, 0.1, 0.0, record);
+  return engine.Run();
+}
+
+TEST(EventEngineTest, SendBeforeRunMatchesSequentialMode) {
+  for (bool local_event : {true, false}) {
+    std::vector<std::pair<int, double>> expected;
+    Result<EngineStats> sequential =
+        RunSendBeforeRun(0.0, 1, local_event, &expected);
+    ASSERT_TRUE(sequential.ok());
+    if (local_event) {
+      EXPECT_EQ(expected,
+                (std::vector<std::pair<int, double>>{{1, 0.1}, {0, 1.0}}));
+    } else {
+      EXPECT_EQ(expected, (std::vector<std::pair<int, double>>{{1, 0.1}}));
+    }
+    for (int shards : {1, 2, 4}) {
+      std::vector<std::pair<int, double>> order;
+      Result<EngineStats> windowed =
+          RunSendBeforeRun(0.1, shards, local_event, &order);
+      ASSERT_TRUE(windowed.ok()) << "shards=" << shards;
+      EXPECT_EQ(order, expected)
+          << "shards=" << shards << " local_event=" << local_event;
+      EXPECT_EQ(windowed.value().events_executed,
+                sequential.value().events_executed)
+          << "shards=" << shards << " local_event=" << local_event;
+      // A send made before Run is scheduled at once, not delivered.
+      EXPECT_EQ(windowed.value().messages_delivered, 0)
+          << "shards=" << shards << " local_event=" << local_event;
+      EXPECT_EQ(windowed.value().end_time, sequential.value().end_time);
+    }
   }
 }
 
