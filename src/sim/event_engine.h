@@ -119,7 +119,9 @@ class Engine {
 
   /// Drains the queues. Returns ResourceExhausted when a guard trips
   /// (max_events executed and events remain, or the next event lies beyond
-  /// time_horizon); otherwise the run's stats.
+  /// time_horizon); otherwise the run's stats. A guard stops a windowed run
+  /// mid-window, with messages in flight, so an engine whose Run failed
+  /// must not be run again.
   [[nodiscard]] Result<EngineStats> Run();
 
   int num_nodes() const { return num_nodes_; }
