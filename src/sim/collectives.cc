@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "common/math_util.h"
-#include "sim/event_engine.h"
+#include "sim/event_heap.h"
 
 namespace dmlscale::sim {
 
@@ -59,14 +60,32 @@ Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
     pending_children[static_cast<size_t>(i)] = kids;
   }
 
-  // Sequential mode: events run in one global (time, ScheduleAt-call)
-  // order, so the link reservations below happen in a fixed order.
-  Engine engine(n, EngineOptions{});
-  int recv_type = -1;
-  auto send_up = [&](int node) {
+  // Events pop in one (time, seq) order with seq stamped at each push, so
+  // the link reservations below happen in a fixed order. kStart: leaf
+  // `node` is ready to send; kReceived: `node` finishes receiving a child's
+  // message.
+  constexpr int32_t kStart = 0;
+  constexpr int32_t kReceived = 1;
+  EventHeap events;
+  uint64_t seq = 0;
+  for (int i = 0; i < n; ++i) {
+    if (pending_children[static_cast<size_t>(i)] == 0) {
+      events.Push(Event{.time = ready_times[static_cast<size_t>(i)],
+                        .seq = seq++, .type = kStart, .node = i});
+    }
+  }
+  while (!events.empty()) {
+    const Event event = events.PopTop();
+    const int node = event.node;
+    if (event.type == kReceived) {
+      up_ready[static_cast<size_t>(node)] =
+          std::max(up_ready[static_cast<size_t>(node)], event.time);
+      if (--pending_children[static_cast<size_t>(node)] > 0) continue;
+    }
+    // `node` is ready to send upward.
     if (node == 0) {
       completion = std::max(completion, up_ready[0]);
-      return;
+      continue;
     }
     int parent = (node - 1) / 2;
     // Reception occupies the parent's link; sequential per parent.
@@ -74,26 +93,9 @@ Result<double> SimulateTreeReduce(const std::vector<double>& ready_times,
                             link_busy[static_cast<size_t>(parent)]);
     double done = start + transfer;
     link_busy[static_cast<size_t>(parent)] = done;
-    // Event: `parent` finishes receiving a child's message at `done`.
-    engine.MustScheduleAt(parent, done, recv_type, 0, 0, done);
-  };
-  recv_type = engine.AddHandler([&](const Event& event) {
-    int parent = event.node;
-    up_ready[static_cast<size_t>(parent)] =
-        std::max(up_ready[static_cast<size_t>(parent)], event.x);
-    if (--pending_children[static_cast<size_t>(parent)] == 0) {
-      send_up(parent);
-    }
-  });
-  int start_type =
-      engine.AddHandler([&](const Event& event) { send_up(event.node); });
-
-  for (int i = 0; i < n; ++i) {
-    if (pending_children[static_cast<size_t>(i)] == 0) {
-      engine.MustScheduleAt(i, ready_times[static_cast<size_t>(i)], start_type);
-    }
+    events.Push(
+        Event{.time = done, .seq = seq++, .type = kReceived, .node = parent});
   }
-  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
   return completion;
 }
 
@@ -107,25 +109,22 @@ Result<double> SimulateTreeBroadcast(int num_nodes, double start_time,
 
   double transfer = TransferSeconds(bits, link, overhead);
   double completion = start_time;
-  Engine engine(num_nodes, EngineOptions{});  // sequential mode
-  // Event: `node` holds the payload at event.x and forwards to its children
-  // sequentially over its own link.
-  int deliver_type = -1;
-  deliver_type = engine.AddHandler([&](const Event& event) {
-    int node = event.node;
-    double at = event.x;
-    completion = std::max(completion, at);
-    double busy = at;
+  // Event: `node` holds the payload at event.time and forwards to its
+  // children sequentially over its own link.
+  EventHeap events;
+  uint64_t seq = 0;
+  events.Push(Event{.time = start_time, .seq = seq++, .node = 0});
+  while (!events.empty()) {
+    const Event event = events.PopTop();
+    const int node = event.node;
+    completion = std::max(completion, event.time);
+    double busy = event.time;
     for (int child : {2 * node + 1, 2 * node + 2}) {
       if (child >= num_nodes) continue;
       busy += transfer;
-      double arrive = busy;
-      engine.MustScheduleAt(child, arrive, deliver_type, 0, 0, arrive);
+      events.Push(Event{.time = busy, .seq = seq++, .node = child});
     }
-  });
-
-  engine.MustScheduleAt(0, start_time, deliver_type, 0, 0, start_time);
-  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
+  }
   return completion;
 }
 

@@ -14,8 +14,8 @@ namespace dmlscale::sim {
 /// local computation finishes (`ready_times`, one per node) and returns the
 /// completion time of the collective. Unlike the closed-form models, these
 /// propagate stragglers and pipeline partially completed subtrees. The two
-/// event-driven sims (tree reduce, tree broadcast) run on sim::Engine's
-/// sequential mode.
+/// event-driven sims (tree reduce, tree broadcast) are plain loops over one
+/// EventHeap: equal-time events run in the order they were pushed.
 ///
 /// `bits` and every ready or start time must be finite and >= 0, the link
 /// and overhead valid; anything else is InvalidArgument.

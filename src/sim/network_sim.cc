@@ -1,10 +1,11 @@
 #include "sim/network_sim.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/check.h"
-#include "sim/event_engine.h"
+#include "sim/event_heap.h"
 
 namespace dmlscale::sim {
 
@@ -32,13 +33,19 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
   std::vector<double> link_free(static_cast<size_t>(num_links), 0.0);
   double finish = 0.0;
 
-  // One engine node per fabric link, sequential mode: arrivals run in one
-  // global (time, ScheduleAt-call) order, so simultaneous arrivals at a link
-  // are served in the order they were scheduled.
-  Engine engine(num_links, EngineOptions{});
-  // Event on node `link`: flow `a`'s head reaches hop `b` at event.time.
-  int arrive_type = -1;
-  arrive_type = engine.AddHandler([&](const Event& event) {
+  // Arrivals pop in one (time, seq) order with seq stamped at each push, so
+  // simultaneous arrivals at a link are served in the order they were
+  // pushed. Event: flow `a`'s head reaches hop `b` of its path at
+  // event.time.
+  EventHeap arrivals;
+  uint64_t seq = 0;
+  for (size_t f = 0; f < round.flows.size(); ++f) {
+    if (paths[f].empty()) continue;  // src == dst: local hand-off, free
+    arrivals.Push(
+        Event{.time = 0.0, .seq = seq++, .a = static_cast<int64_t>(f)});
+  }
+  while (!arrivals.empty()) {
+    const Event event = arrivals.PopTop();
     const int flow = static_cast<int>(event.a);
     const int hop = static_cast<int>(event.b);
     const std::vector<int>& path = paths[static_cast<size_t>(flow)];
@@ -52,20 +59,12 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
     const double start = std::max(event.time, free_at);
     free_at = start + service;
     if (hop + 1 < static_cast<int>(path.size())) {
-      const int next_link = path[static_cast<size_t>(hop) + 1];
-      engine.MustScheduleAt(next_link, start + edge.latency_s, arrive_type,
-                            flow, hop + 1);
+      arrivals.Push(Event{.time = start + edge.latency_s, .seq = seq++,
+                          .a = flow, .b = hop + 1});
     } else {
       finish = std::max(finish, start + service + edge.latency_s);
     }
-  });
-  for (size_t f = 0; f < round.flows.size(); ++f) {
-    if (paths[f].empty()) continue;  // src == dst: local hand-off, free
-    engine.MustScheduleAt(paths[f][0], 0.0, arrive_type, static_cast<int>(f),
-                          0);
   }
-  Result<EngineStats> run = engine.Run();
-  DMLSCALE_CHECK(run.ok());
   return finish;
 }
 

@@ -10,7 +10,7 @@ namespace dmlscale::sim {
 
 /// Discrete-event pricing of one collective round on a contended fabric:
 /// every flow is routed over the topology, links serve flows FIFO in
-/// arrival order (ties in ScheduleAt-call order, no randomness), and messages
+/// arrival order (ties in push order, no randomness), and messages
 /// cut through — the head moves to the next hop after the wire latency
 /// while the link stays busy for the full service time. The round completes
 /// when its last flow is delivered:

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
-#include "sim/event_engine.h"
+#include "sim/event_heap.h"
 
 namespace dmlscale::sim {
 
@@ -44,7 +45,6 @@ Result<ParamServerStats> SimulateParameterServer(
       config.overhead.serialize_s_per_bit * config.message_bits;
   const int64_t target = config.target_updates;
   const OverheadModel overhead = config.overhead;
-  const int server = n;  // node ids: workers [0, n), server n
 
   double nic_free = 0.0;
   double nic_busy_total = 0.0;
@@ -64,46 +64,57 @@ Result<ParamServerStats> SimulateParameterServer(
     return done;
   };
 
-  // The worker loop is three typed events (loop start -> compute done ->
-  // push applied) chained through payload words. Sequential mode runs them
-  // in one global (time, ScheduleAt-call) order, which fixes both the NIC
-  // reservation order and the order jitter is drawn from `rng`.
-  Engine engine(n + 1, EngineOptions{});
-  int loop_type = -1;
-  int compute_done_type = -1;
-  int push_applied_type = -1;
-  // Worker `node` holds parameters pulled at version `a`; start computing.
-  loop_type = engine.AddHandler([&](const Event& event) {
-    double compute = compute_base * overhead.SampleJitter(rng);
-    engine.MustScheduleAt(event.node, event.time + compute, compute_done_type,
-                          event.a);
-  });
-  // Worker `node`'s gradient is ready: push over the wire onto the NIC.
-  compute_done_type = engine.AddHandler([&](const Event& event) {
-    double push_done = reserve_nic(event.time + wire);
-    engine.MustScheduleAt(server, push_done, push_applied_type, event.a,
-                          event.node);
-  });
-  // Server applies worker `b`'s update (pull snapshot was version `a`):
-  // staleness is the number of updates applied since that pull.
-  push_applied_type = engine.AddHandler([&](const Event& event) {
-    double staleness = static_cast<double>(version - event.a);
-    version += 1;
-    completed += 1;
-    staleness_sum += staleness;
-    staleness_max = std::max(staleness_max, staleness);
-    last_completion = event.time;
-    if (completed >= target) return;  // stop spawning
-    // Pull the fresh parameters and go again.
-    double pull_done = reserve_nic(event.time);
-    engine.MustScheduleAt(static_cast<int>(event.b), pull_done + wire,
-                          loop_type, version);
-  });
-
+  // Worker `node`'s loop is three events (loop start -> compute done ->
+  // push applied), each carrying the version `a` it pulled. They pop in one
+  // (time, seq) order with seq stamped at each push, which fixes both the
+  // NIC reservation order and the order jitter is drawn from `rng`.
+  constexpr int32_t kLoopStart = 0;
+  constexpr int32_t kComputeDone = 1;
+  constexpr int32_t kPushApplied = 2;
+  EventHeap events;
+  uint64_t seq = 0;
   for (int w = 0; w < n; ++w) {
-    engine.MustScheduleAt(w, 0.0, loop_type, 0);
+    events.Push(Event{.time = 0.0, .seq = seq++, .type = kLoopStart,
+                      .node = w});
   }
-  DMLSCALE_RETURN_NOT_OK(engine.Run().status());
+  while (!events.empty()) {
+    const Event event = events.PopTop();
+    switch (event.type) {
+      case kLoopStart: {
+        // Start computing on the parameters pulled at version `a`.
+        double compute = compute_base * overhead.SampleJitter(rng);
+        events.Push(Event{.time = event.time + compute, .seq = seq++,
+                          .type = kComputeDone, .node = event.node,
+                          .a = event.a});
+        break;
+      }
+      case kComputeDone: {
+        // The gradient is ready: push over the wire onto the NIC.
+        double push_done = reserve_nic(event.time + wire);
+        events.Push(Event{.time = push_done, .seq = seq++,
+                          .type = kPushApplied, .node = event.node,
+                          .a = event.a});
+        break;
+      }
+      case kPushApplied: {
+        // The server applies the update: staleness is the number of
+        // updates applied since the pull.
+        double staleness = static_cast<double>(version - event.a);
+        version += 1;
+        completed += 1;
+        staleness_sum += staleness;
+        staleness_max = std::max(staleness_max, staleness);
+        last_completion = event.time;
+        if (completed >= target) break;  // stop spawning
+        // Pull the fresh parameters and go again.
+        double pull_done = reserve_nic(event.time);
+        events.Push(Event{.time = pull_done + wire, .seq = seq++,
+                          .type = kLoopStart, .node = event.node,
+                          .a = version});
+        break;
+      }
+    }
+  }
 
   ParamServerStats stats;
   stats.completed_updates = completed;

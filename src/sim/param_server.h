@@ -48,8 +48,9 @@ struct ParamServerStats {
   int64_t completed_updates = 0;
 };
 
-/// Runs the simulation with `n` workers on sim::Engine's sequential mode.
-/// Jitter is drawn from `rng` in event order.
+/// Runs the simulation with `n` workers as a plain loop over one EventHeap
+/// (equal-time events run in push order). Jitter is drawn from `rng` in
+/// event order.
 Result<ParamServerStats> SimulateParameterServer(
     const ParamServerConfig& config, int n, Pcg32* rng);
 
