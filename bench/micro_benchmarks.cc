@@ -103,8 +103,10 @@ void BM_ConvForward(benchmark::State& state) {
 BENCHMARK(BM_ConvForward)->Arg(16)->Arg(32);
 
 void BM_EngineEventLoop(benchmark::State& state) {
+  sim::EngineOptions options;
+  options.lookahead = 1.0;  // one window per distinct event time
   for (auto _ : state) {
-    sim::Engine engine(1, sim::EngineOptions{});
+    sim::Engine engine(1, options);
     const int type = engine.AddHandler([](const sim::Event&) {});
     for (int i = 0; i < state.range(0); ++i) {
       engine.MustScheduleAt(0, static_cast<double>(i % 97), type);

@@ -13,15 +13,15 @@ namespace dmlscale::sim {
 struct Event {
   /// Simulation time, seconds.
   double time = 0.0;
-  /// FIFO tie-break: events at equal time run in increasing `seq`. Assigned
-  /// by the engine — globally in sequential mode (one total order, in
-  /// ScheduleAt-call order), per node in windowed mode (so shard layout
-  /// cannot leak into the order).
+  /// FIFO tie-break: events at equal time run in increasing `seq`. The
+  /// Engine stamps it per node (so shard layout cannot leak into the
+  /// order); a plain EventHeap loop stamps it from one counter at each
+  /// push, so equal-time events run in push order.
   uint64_t seq = 0;
   /// Handler index from Engine::AddHandler.
   int32_t type = 0;
   /// Node whose calendar queue holds the event (and whose state the handler
-  /// may touch in windowed mode).
+  /// may touch).
   int32_t node = 0;
   /// Payload words: integer arguments (a worker id, a step number, ...).
   int64_t a = 0;

@@ -27,14 +27,10 @@ Engine::Engine(int num_nodes, EngineOptions options)
     : num_nodes_(num_nodes),
       options_(options),
       queues_(static_cast<size_t>(std::max(num_nodes, 0))),
-      clock_heap_(std::max(num_nodes, 0)),
-      windowed_(options.lookahead > 0.0) {
+      node_seq_(static_cast<size_t>(std::max(num_nodes, 0)), 0),
+      send_seq_(static_cast<size_t>(std::max(num_nodes, 0)), 0),
+      inbox_begin_(static_cast<size_t>(std::max(num_nodes, 0)) + 1, 0) {
   DMLSCALE_CHECK_GE(num_nodes, 1);
-  if (windowed_) {
-    node_seq_.assign(static_cast<size_t>(num_nodes), 0);
-    send_seq_.assign(static_cast<size_t>(num_nodes), 0);
-    inbox_begin_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  }
   int shards = std::max(options_.exec.num_shards, 1);
   outboxes_.resize(static_cast<size_t>(shards));
   shard_events_.assign(static_cast<size_t>(shards), 0);
@@ -44,24 +40,17 @@ Engine::Engine(int num_nodes, EngineOptions options)
 }
 
 Status Engine::ValidateOptions() const {
+  if (!std::isfinite(options_.lookahead) || options_.lookahead <= 0.0) {
+    return Status::InvalidArgument("lookahead must be finite and > 0");
+  }
   if (options_.exec.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  if (options_.exec.num_shards > 1) {
-    if (!windowed_) {
-      return Status::InvalidArgument(
-          "sharded execution requires a positive lookahead (sequential mode "
-          "has one global event order)");
-    }
-    if (options_.exec.pool == nullptr) {
-      return Status::InvalidArgument("num_shards > 1 requires a thread pool");
-    }
+  if (options_.exec.num_shards > 1 && options_.exec.pool == nullptr) {
+    return Status::InvalidArgument("num_shards > 1 requires a thread pool");
   }
-  if (!std::isfinite(options_.lookahead) || options_.lookahead < 0.0) {
-    return Status::InvalidArgument("lookahead must be finite and >= 0");
-  }
-  if (options_.max_events < 0 || options_.time_horizon < 0.0) {
-    return Status::InvalidArgument("run guards must be >= 0");
+  if (options_.max_events < 0) {
+    return Status::InvalidArgument("max_events must be >= 0");
   }
   return Status::OK();
 }
@@ -81,17 +70,9 @@ Status Engine::ScheduleAt(int node, double time, int type, int64_t a,
   }
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
   DMLSCALE_CHECK_GE(time, 0.0);
-  Event event{time, 0, static_cast<int32_t>(type), static_cast<int32_t>(node),
-              a, b, x};
-  if (windowed_) {
-    event.seq = node_seq_[static_cast<size_t>(node)]++;
-    queues_[static_cast<size_t>(node)].Push(event);
-    return Status::OK();
-  }
-  event.seq = global_seq_++;
-  queues_[static_cast<size_t>(node)].Push(event);
-  const Event& top = queues_[static_cast<size_t>(node)].Top();
-  clock_heap_.Update(node, top.time, top.seq, true);
+  queues_[static_cast<size_t>(node)].Push(
+      Event{time, node_seq_[static_cast<size_t>(node)]++,
+            static_cast<int32_t>(type), static_cast<int32_t>(node), a, b, x});
   return Status::OK();
 }
 
@@ -104,17 +85,15 @@ void Engine::MustScheduleAt(int node, double time, int type, int64_t a,
 void Engine::Send(int src, int dst, double delay, double now, int type,
                   int64_t a, int64_t b, double x) {
   DMLSCALE_CHECK(src >= 0 && src < num_nodes_);
+  DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
   DMLSCALE_CHECK_GE(delay, 0.0);
-  if (!windowed_ || !running_) {
-    // Sequential mode, or before Run: calls are serial, so schedule at once
-    // in call order.
-    DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
+  if (!running_) {
+    // Before Run, calls are serial: schedule at once in call order.
     MustScheduleAt(dst, now + delay, type, a, b, x);
     return;
   }
   // The clock-skew bound: an in-window send must land in a later window.
   DMLSCALE_CHECK_GE(delay, options_.lookahead);
-  DMLSCALE_CHECK(dst >= 0 && dst < num_nodes_);
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
   Message message;
   message.time = now + delay;
@@ -165,7 +144,7 @@ double Engine::GroupOutboxesByDestination() {
   return earliest;
 }
 
-void Engine::StepShard(int shard, double window_end) {
+void Engine::StepShard(int shard, double window_end, int64_t budget) {
   engine::ShardRange range = engine::ComputeShard(
       0, num_nodes_, options_.exec.num_shards, shard);
   // Deliver this shard's slice of the last barrier's messages before any
@@ -193,20 +172,16 @@ void Engine::StepShard(int shard, double window_end) {
   int64_t executed = 0;
   double end_time = shard_end_time_[static_cast<size_t>(shard)];
   double next_time = kInf;
-  const int64_t budget =
-      options_.max_events > 0 ? options_.max_events : INT64_MAX;
-  for (int64_t node = range.begin; node < range.end; ++node) {
+  bool overflow = false;
+  for (int64_t node = range.begin; node < range.end && !overflow; ++node) {
     EventHeap& queue = queues_[static_cast<size_t>(node)];
     while (!queue.empty() && queue.Top().time < window_end) {
       if (executed >= budget) {
         // A same-window self-rescheduling chain: stop so Run can surface
         // ResourceExhausted instead of hanging (deterministic: the budget
         // depends only on event counts, not thread interleaving).
-        shard_overflow_[static_cast<size_t>(shard)] = 1;
-        shard_events_[static_cast<size_t>(shard)] = executed;
-        shard_end_time_[static_cast<size_t>(shard)] = end_time;
-        shard_next_time_[static_cast<size_t>(shard)] = next_time;
-        return;
+        overflow = true;
+        break;
       }
       Event event = queue.PopTop();
       end_time = std::max(end_time, event.time);
@@ -218,42 +193,7 @@ void Engine::StepShard(int shard, double window_end) {
   shard_events_[static_cast<size_t>(shard)] = executed;
   shard_end_time_[static_cast<size_t>(shard)] = end_time;
   shard_next_time_[static_cast<size_t>(shard)] = next_time;
-}
-
-Result<EngineStats> Engine::RunSequential() {
-  EngineStats stats;
-  while (!clock_heap_.empty()) {
-    int node = clock_heap_.TopNode();
-    EventHeap& queue = queues_[static_cast<size_t>(node)];
-    Event event = queue.PopTop();
-    if (queue.empty()) {
-      clock_heap_.Update(node, 0.0, 0, false);
-    } else {
-      clock_heap_.Update(node, queue.Top().time, queue.Top().seq, true);
-    }
-    if (options_.time_horizon > 0.0 && event.time > options_.time_horizon) {
-      return Status::ResourceExhausted(
-          "event at t=" + std::to_string(event.time) +
-          " beyond time horizon " + std::to_string(options_.time_horizon) +
-          " (" + std::to_string(stats.events_executed) +
-          " events executed, sim time reached " +
-          std::to_string(stats.end_time) + ")");
-    }
-    if (options_.max_events > 0 &&
-        stats.events_executed >= options_.max_events) {
-      return Status::ResourceExhausted(
-          "event count exceeded max_events=" +
-          std::to_string(options_.max_events) + " (" +
-          std::to_string(stats.events_executed) +
-          " events executed, sim time reached " +
-          std::to_string(stats.end_time) + ")");
-    }
-    stats.end_time = std::max(stats.end_time, event.time);
-    ++stats.events_executed;
-    ++stats.windows;
-    handlers_[static_cast<size_t>(event.type)](event);
-  }
-  return stats;
+  shard_overflow_[static_cast<size_t>(shard)] = overflow ? 1 : 0;
 }
 
 Result<EngineStats> Engine::RunWindowed() {
@@ -271,46 +211,48 @@ Result<EngineStats> Engine::RunWindowed() {
   // The first window follows none, so it goes to the pool.
   int64_t last_window_events = kInlineWindowEvents;
   while (t_min != kInf) {
-    if (options_.time_horizon > 0.0 && t_min > options_.time_horizon) {
-      return Status::ResourceExhausted(
-          "event at t=" + std::to_string(t_min) + " beyond time horizon " +
-          std::to_string(options_.time_horizon) + " (" +
-          std::to_string(stats.events_executed) +
-          " events executed, sim time reached " +
-          std::to_string(stats.end_time) + ")");
-    }
     const double window_end = t_min + options_.lookahead;
+    // Every shard may spend what is left of the max_events budget, so the
+    // guard trips iff the window's events would take the total past
+    // max_events, whatever the shard count.
+    const int64_t budget = options_.max_events > 0
+                               ? options_.max_events - stats.events_executed
+                               : INT64_MAX;
     if (num_shards == 1 || last_window_events < kInlineWindowEvents) {
       // Shards touch disjoint nodes within a window, so stepping them in
       // turn is equivalent to stepping them concurrently.
-      for (int s = 0; s < num_shards; ++s) StepShard(s, window_end);
+      for (int s = 0; s < num_shards; ++s) StepShard(s, window_end, budget);
     } else {
       engine::ParallelFor(options_.exec.pool, 0, num_nodes_, num_shards,
-                          [this, window_end](int shard, int64_t /*begin*/,
-                                             int64_t /*end*/) {
-                            StepShard(shard, window_end);
+                          [this, window_end, budget](int shard,
+                                                     int64_t /*begin*/,
+                                                     int64_t /*end*/) {
+                            StepShard(shard, window_end, budget);
                           });
     }
-    ++stats.windows;
     bool overflow = false;
-    double next_time = kInf;
     last_window_events = 0;
     for (int s = 0; s < num_shards; ++s) {
       last_window_events += shard_events_[static_cast<size_t>(s)];
-      stats.end_time =
-          std::max(stats.end_time, shard_end_time_[static_cast<size_t>(s)]);
-      next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
       overflow = overflow || shard_overflow_[static_cast<size_t>(s)] != 0;
     }
-    stats.events_executed += last_window_events;
-    if (options_.max_events > 0 &&
-        (overflow || stats.events_executed > options_.max_events)) {
+    if (overflow || last_window_events > budget) {
+      // Report only shard-invariant progress: what ran before this window.
       return Status::ResourceExhausted(
           "event count exceeded max_events=" +
-          std::to_string(options_.max_events) + " (" +
+          std::to_string(options_.max_events) +
+          " in the window starting at t=" + std::to_string(t_min) + " (" +
           std::to_string(stats.events_executed) +
           " events executed, sim time reached " +
           std::to_string(stats.end_time) + ")");
+    }
+    ++stats.windows;
+    stats.events_executed += last_window_events;
+    double next_time = kInf;
+    for (int s = 0; s < num_shards; ++s) {
+      stats.end_time =
+          std::max(stats.end_time, shard_end_time_[static_cast<size_t>(s)]);
+      next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
     }
     // Window barrier: group the outboxes by destination for the shards'
     // next steps to deliver; the earliest arrival may start the next window.
@@ -325,8 +267,7 @@ Result<EngineStats> Engine::Run() {
   DMLSCALE_RETURN_NOT_OK(ValidateOptions());
   DMLSCALE_CHECK_MSG(!running_, "Engine::Run is not reentrant");
   running_ = true;
-  Result<EngineStats> result =
-      windowed_ ? RunWindowed() : RunSequential();
+  Result<EngineStats> result = RunWindowed();
   running_ = false;
   return result;
 }

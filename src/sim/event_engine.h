@@ -14,13 +14,13 @@ namespace dmlscale::sim {
 
 /// How a consumer wants an engine-backed simulation executed. Defaults run
 /// serially; the result is bit-identical for every shard count (the
-/// windowed engine's contract), so sharding is purely a wall-clock knob.
+/// engine's determinism contract), so sharding is purely a wall-clock knob.
 /// A window that follows one with few events steps its shards one after
 /// another on the calling thread, because the pool round trip would cost
 /// more than the window's work.
 struct EngineExec {
   /// Fixed shard count the node set is partitioned into (>= 1). More than
-  /// one requires a pool and a positive lookahead.
+  /// one requires a pool.
   int num_shards = 1;
   /// Worker pool the shards of a large window are stepped on (not owned).
   /// Required when num_shards > 1; ignored otherwise.
@@ -29,25 +29,16 @@ struct EngineExec {
 
 /// Engine construction options.
 struct EngineOptions {
-  /// Cross-node message lookahead, seconds — the clock-skew bound, finite:
-  ///
-  ///   0                 sequential mode. One global (time, seq) order,
-  ///                     with seq stamped in ScheduleAt-call order, so
-  ///                     equal-time events run first-scheduled first;
-  ///                     Send() delivers immediately; exec.num_shards must
-  ///                     be 1.
-  ///   > 0               windowed mode. Nodes step independently inside
-  ///                     [T, T + lookahead) windows; every Send() must have
-  ///                     delay >= lookahead so its arrival falls in a later
-  ///                     window. Shardable; serial and threaded runs are
-  ///                     bit-identical.
+  /// Cross-node message lookahead, seconds: the clock-skew bound, finite
+  /// and > 0 (anything else is an InvalidArgument from Run). Nodes step
+  /// independently inside [T, T + lookahead) windows; every Send() during
+  /// Run must have delay >= lookahead so its arrival falls in a later
+  /// window.
   double lookahead = 0.0;
 
-  /// Run-loop guards (the PR 7 leak family): a self-rescheduling event
-  /// chain becomes a ResourceExhausted error instead of a hang. 0 disables
-  /// a guard.
+  /// Run guard: a self-rescheduling event chain becomes a
+  /// ResourceExhausted error instead of a hang. 0 disables it.
   int64_t max_events = 0;
-  double time_horizon = 0.0;
 
   EngineExec exec;
 };
@@ -58,20 +49,17 @@ struct EngineStats {
   int64_t events_executed = 0;
   /// Time of the latest executed event (0 when none ran).
   double end_time = 0.0;
-  /// Skew-bounded windows stepped (events_executed in sequential mode —
-  /// each event is its own "window").
+  /// Skew-bounded windows stepped.
   int64_t windows = 0;
   /// Cross-node messages delivered through the ordered mailboxes.
   int64_t messages_delivered = 0;
 };
 
 /// The discrete-event core: typed POD event records in per-node calendar
-/// queues feeding an indexed node heap, with an event-manager loop that
-/// either runs one global (time, ScheduleAt-call) order (sequential mode)
-/// or steps fixed node shards through clock-skew-bounded windows on
-/// engine::ParallelFor (windowed mode).
+/// queues, with an event-manager loop that steps fixed node shards through
+/// clock-skew-bounded windows on engine::ParallelFor.
 ///
-/// Determinism contract (windowed mode): a node's state may be touched only
+/// Determinism contract: a node's state may be touched only
 /// by handlers dispatched on that node; cross-node effects go through
 /// Send(), which buffers into per-shard outboxes during a window. The
 /// window barrier groups the outboxes by destination node, and the shard
@@ -94,8 +82,8 @@ class Engine {
   int AddHandler(Handler handler);
 
   /// Schedules a node-local event at absolute `time`. From inside a
-  /// handler, only the dispatching node may be targeted (windowed mode) and
-  /// `time` must not precede the current event. An out-of-range `node` is
+  /// handler, only the dispatching node may be targeted and `time` must not
+  /// precede the current event. An out-of-range `node` is
   /// InvalidArgument — scenario code computing node ids from config data
   /// gets an actionable error instead of a CHECK abort.
   [[nodiscard]] Status ScheduleAt(int node, double time, int type,
@@ -109,19 +97,20 @@ class Engine {
                       int64_t b = 0, double x = 0.0);
 
   /// Sends a cross-node message: an event on `dst` at `now + delay`, where
-  /// `now` is the sending event's time (or 0 before Run). During a windowed
-  /// Run `delay` must be >= lookahead; otherwise any delay >= 0. Before
-  /// Run, calls are serial, so a Send schedules its event at once, in call
-  /// order, in either mode; such sends do not count in
-  /// EngineStats::messages_delivered.
+  /// `now` is the sending event's time (or 0 before Run). During Run
+  /// `delay` must be >= lookahead. Before Run, calls are serial, so a Send
+  /// with any delay >= 0 schedules its event at once, in call order; such
+  /// sends do not count in EngineStats::messages_delivered.
   void Send(int src, int dst, double delay, double now, int type,
             int64_t a = 0, int64_t b = 0, double x = 0.0);
 
-  /// Drains the queues. Returns ResourceExhausted when a guard trips
-  /// (max_events executed and events remain, or the next event lies beyond
-  /// time_horizon); otherwise the run's stats. A guard stops a windowed run
-  /// mid-window, with messages in flight, so an engine whose Run failed
-  /// must not be run again.
+  /// Drains the queues. Returns InvalidArgument for invalid options, and
+  /// ResourceExhausted when the max_events guard trips: a window would take
+  /// the events executed past max_events. The error names that window's
+  /// start time and the events executed and sim time reached before it,
+  /// all independent of the shard count. Otherwise returns the run's stats.
+  /// A guard stops a run mid-window, with messages in flight, so an engine
+  /// whose Run failed must not be run again.
   [[nodiscard]] Result<EngineStats> Run();
 
   int num_nodes() const { return num_nodes_; }
@@ -142,21 +131,21 @@ class Engine {
   };
 
   Status ValidateOptions() const;
-  Result<EngineStats> RunSequential();
   Result<EngineStats> RunWindowed();
   // Window barrier: moves every outbox into inbox_, grouped by destination.
   // Returns the earliest arrival time (infinity when there is none).
   double GroupOutboxesByDestination();
-  void StepShard(int shard, double window_end);
+  // Steps one shard's nodes through [T, window_end), stopping with
+  // shard_overflow_ set once it has executed `budget` events and more
+  // remain in the window.
+  void StepShard(int shard, double window_end, int64_t budget);
 
   int num_nodes_;
   EngineOptions options_;
   std::vector<Handler> handlers_;
   std::vector<EventHeap> queues_;        // one calendar queue per node
-  NodeClockHeap clock_heap_;             // sequential-mode global index
-  uint64_t global_seq_ = 0;              // sequential mode: total order
-  std::vector<uint64_t> node_seq_;       // windowed mode: per-node order
-  std::vector<uint64_t> send_seq_;       // windowed mode: per-src mailbox key
+  std::vector<uint64_t> node_seq_;       // per-node order
+  std::vector<uint64_t> send_seq_;       // per-src mailbox key
   std::vector<Outbox> outboxes_;         // one per source shard
   // The last barrier's messages in destination-node order: node d's group
   // is inbox_[inbox_begin_[d], inbox_begin_[d + 1]), so each shard's nodes
@@ -169,7 +158,6 @@ class Engine {
   std::vector<double> shard_next_time_;  // min next event time in shard
   std::vector<uint8_t> shard_overflow_;  // max_events tripped mid-window
   bool running_ = false;
-  bool windowed_ = false;
 };
 
 }  // namespace dmlscale::sim

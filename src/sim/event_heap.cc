@@ -20,68 +20,4 @@ Event EventHeap::PopTop() {
   return event;
 }
 
-NodeClockHeap::NodeClockHeap(int num_nodes)
-    : key_(static_cast<size_t>(num_nodes)),
-      pos_(static_cast<size_t>(num_nodes), -1) {
-  heap_.reserve(static_cast<size_t>(num_nodes));
-}
-
-void NodeClockHeap::Place(size_t i, int node) {
-  heap_[i] = node;
-  pos_[static_cast<size_t>(node)] = static_cast<int32_t>(i);
-}
-
-void NodeClockHeap::SiftUp(size_t i) {
-  int node = heap_[i];
-  while (i > 0) {
-    size_t parent = (i - 1) / 2;
-    if (!Earlier(node, heap_[parent])) break;
-    Place(i, heap_[parent]);
-    i = parent;
-  }
-  Place(i, node);
-}
-
-void NodeClockHeap::SiftDown(size_t i) {
-  int node = heap_[i];
-  size_t n = heap_.size();
-  for (;;) {
-    size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!Earlier(heap_[child], node)) break;
-    Place(i, heap_[child]);
-    i = child;
-  }
-  Place(i, node);
-}
-
-void NodeClockHeap::Update(int node, double time, uint64_t seq,
-                           bool has_events) {
-  int32_t at = pos_[static_cast<size_t>(node)];
-  if (!has_events) {
-    if (at < 0) return;  // already absent
-    pos_[static_cast<size_t>(node)] = -1;
-    size_t i = static_cast<size_t>(at);
-    int last = heap_.back();
-    heap_.pop_back();
-    if (i < heap_.size()) {
-      Place(i, last);
-      SiftDown(i);
-      SiftUp(static_cast<size_t>(pos_[static_cast<size_t>(last)]));
-    }
-    return;
-  }
-  key_[static_cast<size_t>(node)] = Key{time, seq};
-  if (at < 0) {
-    heap_.push_back(node);
-    pos_[static_cast<size_t>(node)] =
-        static_cast<int32_t>(heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
-    return;
-  }
-  SiftDown(static_cast<size_t>(at));
-  SiftUp(static_cast<size_t>(pos_[static_cast<size_t>(node)]));
-}
-
 }  // namespace dmlscale::sim

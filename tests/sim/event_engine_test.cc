@@ -29,31 +29,15 @@ TEST(EventHeapTest, PopsInTimeThenSeqOrder) {
   EXPECT_TRUE(heap.empty());
 }
 
-TEST(NodeClockHeapTest, TracksEarliestNode) {
-  NodeClockHeap heap(3);
-  EXPECT_TRUE(heap.empty());
-  heap.Update(0, 5.0, 0, true);
-  heap.Update(1, 3.0, 0, true);
-  heap.Update(2, 4.0, 0, true);
-  EXPECT_EQ(heap.TopNode(), 1);
-  heap.Update(1, 6.0, 1, true);  // node 1 advances past the others
-  EXPECT_EQ(heap.TopNode(), 2);
-  heap.Update(2, 0.0, 0, false);  // node 2 runs dry
-  EXPECT_EQ(heap.TopNode(), 0);
-  heap.Update(0, 0.0, 0, false);
-  heap.Update(1, 0.0, 0, false);
-  EXPECT_TRUE(heap.empty());
+// Engine options for the cases that need no particular window size.
+EngineOptions UnitWindows() {
+  EngineOptions options;
+  options.lookahead = 1.0;
+  return options;
 }
 
-TEST(NodeClockHeapTest, SeqBreaksTimeTies) {
-  NodeClockHeap heap(2);
-  heap.Update(0, 1.0, 7, true);
-  heap.Update(1, 1.0, 3, true);
-  EXPECT_EQ(heap.TopNode(), 1);  // lower seq fires first
-}
-
-TEST(EventEngineTest, SequentialExecutesInTimeOrder) {
-  Engine engine(1, EngineOptions{});
+TEST(EventEngineTest, ExecutesInTimeOrder) {
+  Engine engine(1, UnitWindows());
   std::vector<int64_t> order;
   const int type = engine.AddHandler(
       [&](const Event& event) { order.push_back(event.a); });
@@ -67,22 +51,10 @@ TEST(EventEngineTest, SequentialExecutesInTimeOrder) {
   EXPECT_DOUBLE_EQ(stats.value().end_time, 3.0);
 }
 
-TEST(EventEngineTest, SequentialFifoTieBreakingAcrossNodes) {
-  // Three same-time events on three nodes execute in ScheduleAt call order:
-  // sequential mode's one global (time, ScheduleAt-call) order.
-  Engine engine(3, EngineOptions{});
-  std::vector<int> order;
-  const int type = engine.AddHandler(
-      [&](const Event& event) { order.push_back(event.node); });
-  engine.MustScheduleAt(2, 1.0, type);
-  engine.MustScheduleAt(0, 1.0, type);
-  engine.MustScheduleAt(1, 1.0, type);
-  ASSERT_TRUE(engine.Run().ok());
-  EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
-}
-
 TEST(EventEngineTest, HandlersCanScheduleAndSend) {
-  Engine engine(2, EngineOptions{});
+  EngineOptions options;
+  options.lookahead = 0.5;  // the Send below has delay 0.5
+  Engine engine(2, options);
   std::vector<double> times;
   int send_type = -1;
   const int start_type = engine.AddHandler([&](const Event& event) {
@@ -103,7 +75,7 @@ TEST(EventEngineTest, HandlersCanScheduleAndSend) {
 }
 
 TEST(EventEngineTest, EmptyRunReturnsZeroStats) {
-  Engine engine(4, EngineOptions{});
+  Engine engine(4, UnitWindows());
   Result<EngineStats> stats = engine.Run();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().events_executed, 0);
@@ -185,11 +157,10 @@ TEST(EventEngineTest, WindowedDeliveryOrdersTiesBySrcThenSendSeq) {
 // Send(0 -> 1, delay 0.1) at time 0, optionally behind a local event on
 // node 0 at t = 1.0. Records (node, time) per executed event.
 Result<EngineStats> RunSendBeforeRun(
-    double lookahead, int shards, bool local_event,
-    std::vector<std::pair<int, double>>* order) {
+    int shards, bool local_event, std::vector<std::pair<int, double>>* order) {
   ThreadPool pool(static_cast<size_t>(shards));
   EngineOptions options;
-  options.lookahead = lookahead;
+  options.lookahead = 0.1;
   options.exec.num_shards = shards;
   options.exec.pool = &pool;
   Engine engine(2, options);
@@ -201,39 +172,32 @@ Result<EngineStats> RunSendBeforeRun(
   return engine.Run();
 }
 
-TEST(EventEngineTest, SendBeforeRunMatchesSequentialMode) {
+TEST(EventEngineTest, SendBeforeRunSchedulesInCallOrder) {
   for (bool local_event : {true, false}) {
-    std::vector<std::pair<int, double>> expected;
-    Result<EngineStats> sequential =
-        RunSendBeforeRun(0.0, 1, local_event, &expected);
-    ASSERT_TRUE(sequential.ok());
-    if (local_event) {
-      EXPECT_EQ(expected,
-                (std::vector<std::pair<int, double>>{{1, 0.1}, {0, 1.0}}));
-    } else {
-      EXPECT_EQ(expected, (std::vector<std::pair<int, double>>{{1, 0.1}}));
-    }
+    const std::vector<std::pair<int, double>> expected =
+        local_event
+            ? std::vector<std::pair<int, double>>{{1, 0.1}, {0, 1.0}}
+            : std::vector<std::pair<int, double>>{{1, 0.1}};
     for (int shards : {1, 2, 4}) {
       std::vector<std::pair<int, double>> order;
-      Result<EngineStats> windowed =
-          RunSendBeforeRun(0.1, shards, local_event, &order);
-      ASSERT_TRUE(windowed.ok()) << "shards=" << shards;
+      Result<EngineStats> stats = RunSendBeforeRun(shards, local_event, &order);
+      ASSERT_TRUE(stats.ok()) << "shards=" << shards;
       EXPECT_EQ(order, expected)
           << "shards=" << shards << " local_event=" << local_event;
-      EXPECT_EQ(windowed.value().events_executed,
-                sequential.value().events_executed)
+      EXPECT_EQ(stats.value().events_executed,
+                static_cast<int64_t>(expected.size()))
           << "shards=" << shards << " local_event=" << local_event;
       // A send made before Run is scheduled at once, not delivered.
-      EXPECT_EQ(windowed.value().messages_delivered, 0)
+      EXPECT_EQ(stats.value().messages_delivered, 0)
           << "shards=" << shards << " local_event=" << local_event;
-      EXPECT_EQ(windowed.value().end_time, sequential.value().end_time);
+      EXPECT_EQ(stats.value().end_time, expected.back().second);
     }
   }
 }
 
 TEST(EventEngineTest, MaxEventsGuardTurnsRunawayChainIntoError) {
   // A self-rescheduling chain that would hang forever without the guard.
-  EngineOptions options;
+  EngineOptions options = UnitWindows();
   options.max_events = 100;
   Engine engine(1, options);
   int type = -1;
@@ -278,18 +242,58 @@ TEST(EventEngineTest, MaxEventsGuardTripsOnSameWindowChain) {
   EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(EventEngineTest, NonFiniteLookaheadIsInvalidArgument) {
-  for (double lookahead : {kInf, std::numeric_limits<double>::quiet_NaN()}) {
+// Four chains, one per node, stop advancing time at t = 3, so the fourth
+// window never ends. Every shard may spend only what is left of max_events,
+// and the error counts only the windows before the trip, so the message is
+// the same at every shard count.
+TEST(EventEngineTest, MaxEventsGuardMessageIsShardInvariant) {
+  for (int shards : {1, 2, 4, 8}) {
+    ThreadPool pool(static_cast<size_t>(shards));
     EngineOptions options;
-    options.lookahead = lookahead;
-    Engine engine(2, options);
-    const int type = engine.AddHandler([](const Event&) {});
-    engine.MustScheduleAt(0, 0.0, type);
+    options.lookahead = 1.0;
+    options.max_events = 20;
+    options.exec.num_shards = shards;
+    options.exec.pool = &pool;
+    Engine engine(4, options);
+    int type = -1;
+    type = engine.AddHandler([&](const Event& event) {
+      const double step = event.time < 3.0 ? 1.0 : 0.0;
+      engine.MustScheduleAt(event.node, event.time + step, type);
+    });
+    for (int node = 0; node < 4; ++node) engine.MustScheduleAt(node, 0.0, type);
     Result<EngineStats> stats = engine.Run();
-    ASSERT_FALSE(stats.ok()) << lookahead;
-    EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(stats.status().message().find("lookahead"), std::string::npos);
+    ASSERT_FALSE(stats.ok()) << "shards=" << shards;
+    EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(stats.status().message(),
+              "event count exceeded max_events=20 in the window starting at "
+              "t=3.000000 (12 events executed, sim time reached 2.000000)")
+        << "shards=" << shards;
   }
+}
+
+TEST(EventEngineTest, LookaheadMustBeFiniteAndPositive) {
+  ThreadPool pool(2);
+  for (double lookahead :
+       {0.0, -1.0, kInf, std::numeric_limits<double>::quiet_NaN()}) {
+    for (int shards : {1, 2}) {
+      EngineOptions options;
+      options.lookahead = lookahead;
+      options.exec.num_shards = shards;
+      options.exec.pool = &pool;
+      Engine engine(2, options);
+      const int type = engine.AddHandler([](const Event&) {});
+      engine.MustScheduleAt(0, 0.0, type);
+      Result<EngineStats> stats = engine.Run();
+      ASSERT_FALSE(stats.ok()) << lookahead << " shards=" << shards;
+      EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(stats.status().message().find("lookahead"), std::string::npos);
+    }
+  }
+  // Default options leave the lookahead unset.
+  Result<EngineStats> unset = Engine(2, EngineOptions{}).Run();
+  ASSERT_FALSE(unset.ok());
+  EXPECT_EQ(unset.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unset.status().message().find("lookahead"), std::string::npos);
 }
 
 TEST(EventEngineTest, RingScaleRejectsNonFiniteLink) {
@@ -310,24 +314,9 @@ TEST(EventEngineTest, RingScaleRejectsNonFiniteLink) {
   }
 }
 
-TEST(EventEngineTest, TimeHorizonGuardStopsLateEvents) {
-  EngineOptions options;
-  options.time_horizon = 10.0;
-  Engine engine(1, options);
-  int fired = 0;
-  const int type = engine.AddHandler([&](const Event&) { ++fired; });
-  engine.MustScheduleAt(0, 5.0, type);
-  engine.MustScheduleAt(0, 50.0, type);
-  Result<EngineStats> stats = engine.Run();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(fired, 1);  // the in-horizon event still ran
-}
-
 TEST(EventEngineTest, GuardsLeaveCompletingRunsUntouched) {
-  EngineOptions options;
+  EngineOptions options = UnitWindows();
   options.max_events = 10;
-  options.time_horizon = 100.0;
   Engine engine(1, options);
   const int type = engine.AddHandler([](const Event&) {});
   for (int i = 0; i < 5; ++i) {
@@ -339,7 +328,7 @@ TEST(EventEngineTest, GuardsLeaveCompletingRunsUntouched) {
 }
 
 TEST(EventEngineTest, GuardErrorsReportProgressCounters) {
-  EngineOptions options;
+  EngineOptions options = UnitWindows();
   options.max_events = 7;
   Engine engine(1, options);
   int type = -1;
@@ -358,7 +347,7 @@ TEST(EventEngineTest, GuardErrorsReportProgressCounters) {
 }
 
 TEST(EventEngineTest, ScheduleAtOutOfRangeNodeIsInvalidArgument) {
-  Engine engine(4, EngineOptions{});
+  Engine engine(4, UnitWindows());
   const int type = engine.AddHandler([](const Event&) {});
   Status high = engine.ScheduleAt(4, 0.0, type);
   EXPECT_EQ(high.code(), StatusCode::kInvalidArgument);
@@ -368,17 +357,6 @@ TEST(EventEngineTest, ScheduleAtOutOfRangeNodeIsInvalidArgument) {
   // In-range scheduling is unaffected.
   EXPECT_TRUE(engine.ScheduleAt(3, 0.0, type).ok());
   ASSERT_TRUE(engine.Run().ok());
-}
-
-TEST(EventEngineTest, ShardedRunRejectsSequentialMode) {
-  ThreadPool pool(2);
-  EngineOptions options;  // lookahead 0: one global order, unshardable
-  options.exec.num_shards = 2;
-  options.exec.pool = &pool;
-  Engine engine(4, options);
-  Result<EngineStats> stats = engine.Run();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EventEngineTest, ShardedRunRequiresPool) {

@@ -19,6 +19,14 @@ core::FaultSpec CrashSpec() {
   return spec;
 }
 
+// Every engine here steps 0.5 s windows: a crash notification's Send must
+// not undercut the lookahead, and the notify delay below is 0.5 s.
+EngineOptions HalfSecondWindows() {
+  EngineOptions options;
+  options.lookahead = 0.5;
+  return options;
+}
+
 // The injector's streams are core::FaultModel streams, so a test can replay
 // the exact uptime draws the injector will make and place probe events at
 // known up/down instants.
@@ -37,7 +45,7 @@ TEST(FaultInjectorTest, CrashRecoverCycleTracksMaskIncarnationAndCounters) {
   const double t_recover = t_crash + spec.mttr_seconds;
   const double next_uptime = model.NextUptime(&rng);   // drawn on recovery
 
-  Engine engine(1, EngineOptions{});
+  Engine engine(1, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = spec;
   options.seed = seed;
@@ -86,7 +94,7 @@ TEST(FaultInjectorTest, AdmitOrRetryBacksOffThenDrops) {
   const uint64_t seed = 5;
   const double t_crash = FirstUptime(spec, seed, 0);
 
-  Engine engine(1, EngineOptions{});
+  Engine engine(1, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = spec;
   options.seed = seed;
@@ -126,7 +134,7 @@ TEST(FaultInjectorTest, AdmitOrRetryAdmitsAfterRecovery) {
   const uint64_t seed = 5;
   const double t_crash = FirstUptime(spec, seed, 0);
 
-  Engine engine(1, EngineOptions{});
+  Engine engine(1, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = spec;
   options.seed = seed;
@@ -160,7 +168,7 @@ TEST(FaultInjectorTest, CrashNotificationCarriesNodeAndIncarnation) {
   const uint64_t seed = 5;
   const double t_crash = FirstUptime(spec, seed, 0);
 
-  Engine engine(2, EngineOptions{});
+  Engine engine(2, HalfSecondWindows());
   // The notify handler must be registered before the injector so its type id
   // exists; the scenario pattern (fault_scenarios.cc) does the same.
   std::vector<Event> notifications;
@@ -200,7 +208,7 @@ TEST(FaultInjectorTest, LinkDegradationTogglesLinkFactor) {
   const double t_restore = t_degrade + spec.link_degrade_seconds;
   const double next_up = model.NextLinkUptime(&rng);
 
-  Engine engine(1, EngineOptions{});
+  Engine engine(1, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = spec;
   options.seed = seed;
@@ -222,7 +230,7 @@ TEST(FaultInjectorTest, LinkDegradationTogglesLinkFactor) {
 }
 
 TEST(FaultInjectorTest, ArmRejectsBadRangesAndZeroTimeout) {
-  Engine engine(4, EngineOptions{});
+  Engine engine(4, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = CrashSpec();
   options.retry.timeout_s = 1.0;
@@ -243,7 +251,7 @@ TEST(FaultInjectorTest, ArmRejectsBadRangesAndZeroTimeout) {
 
 TEST(FaultInjectorTest, RetirementSilencesTheFaultChain) {
   const core::FaultSpec spec = CrashSpec();
-  Engine engine(1, EngineOptions{});
+  Engine engine(1, HalfSecondWindows());
   FaultInjector::Options options;
   options.spec = spec;
   options.seed = 5;
