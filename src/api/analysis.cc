@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -170,6 +171,17 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
   }
   if (options.threads < 1) {
     return Status::InvalidArgument("threads must be >= 1");
+  }
+  // A target <= 0 leaves its question unasked; NaN would fail that test
+  // too and silently skip the question, so non-finite targets are errors.
+  for (const auto& [field, target] :
+       {std::pair<std::string_view, double>{"target_speedup",
+                                            options.target_speedup},
+        {"workload_growth", options.workload_growth},
+        {"fault_target_seconds", options.fault_target_seconds}}) {
+    if (!std::isfinite(target)) {
+      return Status::InvalidArgument(std::string(field) + " must be finite");
+    }
   }
   if (options.eval_cache != nullptr && scenario.name().empty()) {
     // Cache keys embed the scenario name; unnamed scenarios sharing a cache

@@ -30,7 +30,8 @@ struct AnalysisOptions {
   int reference_n = 1;
 
   /// > 0: answer "how many machines to run `target_speedup`-times faster
-  /// than on `current_nodes`?" (the paper's Q1).
+  /// than on `current_nodes`?" (the paper's Q1). This and the other two
+  /// planner targets must be finite; Run rejects NaN and +-inf.
   double target_speedup = 0.0;
   /// > 0: answer "the workload grew `workload_growth`-times — how many
   /// machines keep the `current_nodes` run time?" (the paper's Q2). Growth

@@ -1,6 +1,7 @@
 #include "api/analysis.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -139,6 +140,35 @@ TEST(AnalysisTest, InvalidOptionsFail) {
   bad_current.target_speedup = 2.0;
   bad_current.current_nodes = 0;
   EXPECT_FALSE(Analysis::Run(*scenario, bad_current).ok());
+}
+
+TEST(AnalysisTest, NonFinitePlannerTargetsAreRejected) {
+  // NaN fails the `> 0` test that selects a question, so without the check
+  // it would be silently skipped and its answer left empty.
+  auto scenario = Fig1Scenario();
+  ASSERT_TRUE(scenario.ok());
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  struct Target {
+    const char* name;
+    double AnalysisOptions::*field;
+  };
+  for (const Target& target :
+       {Target{"target_speedup", &AnalysisOptions::target_speedup},
+        Target{"workload_growth", &AnalysisOptions::workload_growth},
+        Target{"fault_target_seconds",
+               &AnalysisOptions::fault_target_seconds}}) {
+    for (double value : {kNan, kInf, -kInf}) {
+      AnalysisOptions options;
+      options.*target.field = value;
+      auto report = Analysis::Run(*scenario, options);
+      ASSERT_FALSE(report.ok()) << target.name << "=" << value;
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(report.status().message().find(target.name),
+                std::string::npos)
+          << report.status().message();
+    }
+  }
 }
 
 TEST(AnalysisTest, InvalidSimulationOverheadIsAnError) {
