@@ -286,18 +286,24 @@ DMLSCALE_REGISTER_WORKLOAD(
       DMLSCALE_RETURN_NOT_OK(params.ExpectOnly(
           {"width_scale", "examples", "batch", "epochs", "seed", "threads"}));
       double width_scale = params.GetOr("width_scale", 0.1);
-      if (width_scale <= 0.0 || width_scale > 1.0) {
+      // Spelled so NaN fails too.
+      if (!(width_scale > 0.0 && width_scale <= 1.0)) {
         return Status::InvalidArgument("width_scale must be in (0, 1]");
       }
       NnTrainerWorkloadOptions options;
       // The Fig. 2 tower with hidden widths scaled down so measuring
       // stays cheap.
       options.layer_sizes = Fig2TowerLayerSizes(width_scale);
-      options.examples = static_cast<int64_t>(params.GetOr("examples", 256.0));
-      options.batch_size = static_cast<int64_t>(params.GetOr("batch", 64.0));
-      options.epochs = static_cast<int>(params.GetOr("epochs", 1.0));
-      options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
-      options.threads = static_cast<int>(params.GetOr("threads", 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.examples,
+                                IntegerParam(params, "examples", 256.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.batch_size,
+                                IntegerParam(params, "batch", 64.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.epochs,
+                                IntegerParam(params, "epochs", 1.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.seed,
+                                IntegerParam(params, "seed", 42.0, 0.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.threads,
+                                IntegerParam(params, "threads", 1.0, 1.0));
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<NnTrainerWorkload> workload,
                                 NnTrainerWorkload::Create(scenario,
                                                           std::move(options)));
@@ -312,14 +318,20 @@ DMLSCALE_REGISTER_WORKLOAD(
           {"rows", "cols", "states", "coupling", "max_iterations", "seed",
            "threads"}));
       BpSweepWorkloadOptions options;
-      options.grid_rows = static_cast<int64_t>(params.GetOr("rows", 24.0));
-      options.grid_cols = static_cast<int64_t>(params.GetOr("cols", 24.0));
-      options.states = static_cast<int>(params.GetOr("states", 2.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.grid_rows,
+                                IntegerParam(params, "rows", 24.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.grid_cols,
+                                IntegerParam(params, "cols", 24.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.states,
+                                IntegerParam(params, "states", 2.0, 1.0));
       options.coupling = params.GetOr("coupling", 0.3);
-      options.max_iterations =
-          static_cast<int>(params.GetOr("max_iterations", 30.0));
-      options.seed = static_cast<uint64_t>(params.GetOr("seed", 42.0));
-      options.threads = static_cast<int>(params.GetOr("threads", 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(
+          options.max_iterations,
+          IntegerParam(params, "max_iterations", 30.0, 1.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.seed,
+                                IntegerParam(params, "seed", 42.0, 0.0));
+      DMLSCALE_ASSIGN_OR_RETURN(options.threads,
+                                IntegerParam(params, "threads", 1.0, 1.0));
       DMLSCALE_ASSIGN_OR_RETURN(std::unique_ptr<BpSweepWorkload> workload,
                                 BpSweepWorkload::Create(scenario,
                                                         std::move(options)));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "api/presets.h"
 #include "api/scenario.h"
@@ -76,6 +77,41 @@ TEST(WorkloadRegistryTest, TypodParameterIsRejected) {
                                                "' (accepted: " + c.accepted +
                                                ")");
   }
+}
+
+TEST(WorkloadRegistryTest, MalformedIntegerKeysAreRejected) {
+  // Each integer key is narrowed from a double: NaN, inf, out-of-range and
+  // fractional values must be an InvalidArgument naming the key, never an
+  // undefined cast.
+  auto scenario = SparkScenario();
+  ASSERT_TRUE(scenario.ok());
+  struct Case {
+    std::string workload, key;
+  };
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const Case& c :
+       {Case{"nn-trainer", "examples"}, Case{"nn-trainer", "batch"},
+        Case{"nn-trainer", "epochs"}, Case{"nn-trainer", "seed"},
+        Case{"nn-trainer", "threads"}, Case{"bp-sweep", "rows"},
+        Case{"bp-sweep", "cols"}, Case{"bp-sweep", "states"},
+        Case{"bp-sweep", "max_iterations"}, Case{"bp-sweep", "seed"},
+        Case{"bp-sweep", "threads"}}) {
+    for (double value :
+         {kNan, std::numeric_limits<double>::infinity(), 1e12, 2.5}) {
+      auto workload = Workloads().Create(c.workload, {{c.key, value}},
+                                         *scenario);
+      ASSERT_FALSE(workload.ok()) << c.workload << " " << c.key << "=" << value;
+      EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(workload.status().message().find(c.key), std::string::npos)
+          << workload.status().message();
+    }
+  }
+  auto nan_scale =
+      Workloads().Create("nn-trainer", {{"width_scale", kNan}}, *scenario);
+  ASSERT_FALSE(nan_scale.ok());
+  EXPECT_EQ(nan_scale.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_scale.status().message().find("width_scale"),
+            std::string::npos);
 }
 
 TEST(WorkloadRegistryTest, FactoryBuildsUsableWorkload) {
