@@ -1,10 +1,12 @@
-// Bit-pattern goldens for every simulation that runs on sim::Engine's
-// sequential mode, the generic superstep loop, and the contended-network
-// front door (EXPECT_EQ against std::bit_cast'ed doubles, never
-// EXPECT_NEAR). Each value equals what the retired closure-based reference
-// simulator produced on the same inputs, so any drift here means a change
-// to arithmetic, event order, RNG draw order (SampleJitter), transfer
-// pricing or topology routing.
+// Bit-pattern goldens for the sequential sims (tree reduce and broadcast,
+// parameter server, per-link DES: each a plain EventHeap loop whose
+// equal-time events run in push order), the generic superstep loop, and
+// the contended-network front door (EXPECT_EQ against std::bit_cast'ed
+// doubles, never EXPECT_NEAR). Each value equals what the retired
+// closure-based reference simulator produced on the same inputs, so any
+// drift here means a change to arithmetic, event order (the push-order
+// tie rule included), RNG draw order (SampleJitter), transfer pricing or
+// topology routing.
 
 #include <bit>
 #include <cstdint>
