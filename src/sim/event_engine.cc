@@ -24,13 +24,13 @@ constexpr int64_t kInlineWindowEvents = 2048;
 }  // namespace
 
 Engine::Engine(int num_nodes, EngineOptions options)
-    : num_nodes_(num_nodes),
-      options_(options),
-      queues_(static_cast<size_t>(std::max(num_nodes, 0))),
-      node_seq_(static_cast<size_t>(std::max(num_nodes, 0)), 0),
-      send_seq_(static_cast<size_t>(std::max(num_nodes, 0)), 0),
-      inbox_begin_(static_cast<size_t>(std::max(num_nodes, 0)) + 1, 0) {
+    : num_nodes_(num_nodes), options_(options) {
   DMLSCALE_CHECK_GE(num_nodes, 1);
+  const size_t nodes = static_cast<size_t>(num_nodes);
+  queues_.resize(nodes);
+  node_seq_.assign(nodes, 0);
+  send_seq_.assign(nodes, 0);
+  inbox_begin_.assign(nodes + 1, 0);
   int shards = std::max(options_.exec.num_shards, 1);
   outboxes_.resize(static_cast<size_t>(shards));
   shard_events_.assign(static_cast<size_t>(shards), 0);

@@ -59,12 +59,12 @@ struct EngineStats {
 /// queues, with an event-manager loop that steps fixed node shards through
 /// clock-skew-bounded windows on engine::ParallelFor.
 ///
-/// Determinism contract: a node's state may be touched only
-/// by handlers dispatched on that node; cross-node effects go through
-/// Send(), which buffers into per-shard outboxes during a window. The
-/// window barrier groups the outboxes by destination node, and the shard
-/// owning a destination delivers its group at the start of its next step,
-/// in (arrival time, src node, src send seq) order. Node-local event order,
+/// Determinism contract: a node's state may be touched only by handlers
+/// dispatched on that node; cross-node effects go through Send(), which
+/// buffers into per-shard outboxes during a window. The window barrier
+/// groups the outboxes by destination node, and the shard owning a
+/// destination delivers its group at the start of its next step, in
+/// (arrival time, src node, src send seq) order. Node-local event order,
 /// delivery order, and the ordered reductions below are therefore
 /// invariant under the shard count — serial and threaded runs are
 /// bit-identical.
@@ -83,9 +83,9 @@ class Engine {
 
   /// Schedules a node-local event at absolute `time`. From inside a
   /// handler, only the dispatching node may be targeted and `time` must not
-  /// precede the current event. An out-of-range `node` is
-  /// InvalidArgument — scenario code computing node ids from config data
-  /// gets an actionable error instead of a CHECK abort.
+  /// precede the current event. An out-of-range `node` is InvalidArgument —
+  /// scenario code computing node ids from config data gets an actionable
+  /// error instead of a CHECK abort.
   [[nodiscard]] Status ScheduleAt(int node, double time, int type,
                                   int64_t a = 0, int64_t b = 0,
                                   double x = 0.0);
