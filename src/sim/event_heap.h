@@ -31,9 +31,6 @@ class EventHeap {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
-  /// Drops all events (reused across supersteps without reallocating).
-  void Clear() { heap_.clear(); }
-
  private:
   std::vector<Event> heap_;
 };
