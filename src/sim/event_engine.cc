@@ -172,16 +172,18 @@ void Engine::StepShard(int shard, double window_end, int64_t budget) {
   int64_t executed = 0;
   double end_time = shard_end_time_[static_cast<size_t>(shard)];
   double next_time = kInf;
-  bool overflow = false;
-  for (int64_t node = range.begin; node < range.end && !overflow; ++node) {
+  for (int64_t node = range.begin; node < range.end; ++node) {
     EventHeap& queue = queues_[static_cast<size_t>(node)];
     while (!queue.empty() && queue.Top().time < window_end) {
       if (executed >= budget) {
         // A same-window self-rescheduling chain: stop so Run can surface
         // ResourceExhausted instead of hanging (deterministic: the budget
         // depends only on event counts, not thread interleaving).
-        overflow = true;
-        break;
+        shard_overflow_[static_cast<size_t>(shard)] = 1;
+        shard_events_[static_cast<size_t>(shard)] = executed;
+        shard_end_time_[static_cast<size_t>(shard)] = end_time;
+        shard_next_time_[static_cast<size_t>(shard)] = next_time;
+        return;
       }
       Event event = queue.PopTop();
       end_time = std::max(end_time, event.time);
@@ -193,7 +195,6 @@ void Engine::StepShard(int shard, double window_end, int64_t budget) {
   shard_events_[static_cast<size_t>(shard)] = executed;
   shard_end_time_[static_cast<size_t>(shard)] = end_time;
   shard_next_time_[static_cast<size_t>(shard)] = next_time;
-  shard_overflow_[static_cast<size_t>(shard)] = overflow ? 1 : 0;
 }
 
 Result<EngineStats> Engine::RunWindowed() {
@@ -231,9 +232,13 @@ Result<EngineStats> Engine::RunWindowed() {
                           });
     }
     bool overflow = false;
+    double end_time = stats.end_time;
+    double next_time = kInf;
     last_window_events = 0;
     for (int s = 0; s < num_shards; ++s) {
       last_window_events += shard_events_[static_cast<size_t>(s)];
+      end_time = std::max(end_time, shard_end_time_[static_cast<size_t>(s)]);
+      next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
       overflow = overflow || shard_overflow_[static_cast<size_t>(s)] != 0;
     }
     if (overflow || last_window_events > budget) {
@@ -248,12 +253,7 @@ Result<EngineStats> Engine::RunWindowed() {
     }
     ++stats.windows;
     stats.events_executed += last_window_events;
-    double next_time = kInf;
-    for (int s = 0; s < num_shards; ++s) {
-      stats.end_time =
-          std::max(stats.end_time, shard_end_time_[static_cast<size_t>(s)]);
-      next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
-    }
+    stats.end_time = end_time;
     // Window barrier: group the outboxes by destination for the shards'
     // next steps to deliver; the earliest arrival may start the next window.
     next_time = std::min(next_time, GroupOutboxesByDestination());
