@@ -1,6 +1,8 @@
 #include "common/random.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -54,20 +56,57 @@ double Pcg32::NextUniform(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
 
+double Pcg32::NextRadiusUniform() {
+  double u1 = 0.0;
+  do {
+    u1 = NextDouble();
+  } while (u1 <= 1e-300);
+  return u1;
+}
+
 double Pcg32::NextGaussian() {
   if (has_cached_gaussian_) {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
+  double u1 = NextRadiusUniform();
   double u2 = NextDouble();
   double mag = std::sqrt(-2.0 * std::log(u1));
   cached_gaussian_ = mag * std::sin(2.0 * M_PI * u2);
   has_cached_gaussian_ = true;
   return mag * std::cos(2.0 * M_PI * u2);
+}
+
+double Pcg32::NextMaxGaussian(int count) {
+  DMLSCALE_CHECK_GE(count, 1);
+  double best = -std::numeric_limits<double>::infinity();
+  // A pair with u1 > skip_above has radius < best, so neither half can
+  // win. u1 < 1 always, so the initial 1 skips nothing. The 1e-9 margin
+  // covers rounding in exp, log and sqrt: the computed radius of a
+  // skipped pair would still be below best.
+  double skip_above = 1.0;
+  auto offer = [&](double value) {
+    if (value <= best) return;
+    best = value;
+    if (best > 0.0) skip_above = std::exp(-0.5 * best * best) * (1.0 + 1e-9);
+  };
+  if (has_cached_gaussian_) {
+    offer(NextGaussian());
+    --count;
+  }
+  for (; count >= 2; count -= 2) {
+    const double u1 = NextRadiusUniform();
+    const double u2 = NextDouble();
+    if (u1 > skip_above) continue;
+    // Both halves are the radius times a sine or cosine, so neither
+    // exceeds the computed radius.
+    const double mag = std::sqrt(-2.0 * std::log(u1));
+    if (mag <= best) continue;
+    offer(std::max(mag * std::cos(2.0 * M_PI * u2),
+                   mag * std::sin(2.0 * M_PI * u2)));
+  }
+  if (count == 1) offer(NextGaussian());
+  return best;
 }
 
 double Pcg32::NextGaussian(double mean, double stddev) {

@@ -48,6 +48,16 @@ class Pcg32 {
   /// Standard normal via Box–Muller (cached pair).
   double NextGaussian();
 
+  /// Exactly the maximum of the next `count` NextGaussian() values
+  /// (`count` >= 1), leaving the generator (PCG state and cached half)
+  /// where those `count` calls would. A cached half at entry is the first
+  /// value. A pair whose Box–Muller radius sqrt(-2 ln u1) cannot exceed the
+  /// running maximum is drawn but not transformed, since both of its halves
+  /// are at most that radius; so a large `count` costs little more than its
+  /// uniforms. An odd trailing value goes through NextGaussian(), which
+  /// caches its second half.
+  double NextMaxGaussian(int count);
+
   /// Normal with the given mean and standard deviation.
   double NextGaussian(double mean, double stddev);
 
@@ -67,6 +77,10 @@ class Pcg32 {
   }
 
  private:
+  /// Box–Muller's u1: uniform in [0, 1), redrawn while <= 1e-300 so its
+  /// log is finite.
+  double NextRadiusUniform();
+
   uint64_t state_;
   uint64_t inc_;
   bool has_cached_gaussian_ = false;

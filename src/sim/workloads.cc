@@ -144,16 +144,21 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
 
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
+  const double start = config.overhead.SchedulingSeconds(n);
+  const double sigma = config.overhead.straggler_sigma;
   // Workers never communicate inside a superstep, so no event queue is
-  // needed: jitter is drawn in worker order and the barrier is the running
-  // max of the finish times.
+  // needed. The barrier waits for the slowest of n iid jittered workers,
+  // start + compute * exp(sigma * z). That is non-decreasing in z, so it is
+  // the finish time of the largest of the n standard-normal draws, which
+  // NextMaxGaussian takes exactly and in the same draw order as one
+  // NextGaussian per worker. With compute = 0 every worker finishes at
+  // start, even where exp(sigma * z) overflows (0 * inf would be NaN).
   double total = 0.0;
   for (int step = 0; step < config.supersteps; ++step) {
-    const double start = config.overhead.SchedulingSeconds(n);
-    double barrier = 0.0;
-    for (int worker = 0; worker < n; ++worker) {
-      barrier = std::max(barrier,
-                         start + compute * config.overhead.SampleJitter(rng));
+    double barrier = start + compute;
+    if (sigma > 0.0) {
+      const double z = rng->NextMaxGaussian(n);
+      barrier = compute == 0.0 ? start : start + compute * std::exp(sigma * z);
     }
     total += barrier + comm + serialize;
   }

@@ -94,7 +94,9 @@ struct SuperstepSimConfig {
 /// serialization. compute_seconds(n) and comm_seconds(n) must be finite and
 /// >= 0. With OverheadModel::None() the result equals compute_seconds(n) +
 /// comm_seconds(n) exactly, so model-vs-sim deltas isolate the framework
-/// overheads. Returns mean superstep seconds.
+/// overheads. Each jittered superstep consumes n Gaussians from `rng`, as
+/// one draw per worker would, but takes the slowest with
+/// Pcg32::NextMaxGaussian. Returns mean superstep seconds.
 Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
                                         int n, Pcg32* rng);
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -115,6 +117,52 @@ TEST(Pcg32Test, ShuffleActuallyPermutes) {
     if (v[static_cast<size_t>(i)] != i) any_moved = true;
   }
   EXPECT_TRUE(any_moved);
+}
+
+// What NextMaxGaussian must equal: one NextGaussian per value.
+double ExplicitMaxGaussian(Pcg32* rng, int count) {
+  double best = rng->NextGaussian();
+  for (int i = 1; i < count; ++i) best = std::max(best, rng->NextGaussian());
+  return best;
+}
+
+TEST(Pcg32Test, MaxGaussianMatchesExplicitLoop) {
+  struct Source {
+    uint64_t seed;
+    uint64_t stream;
+  };
+  const Source sources[] = {{1, 1}, {42, 7}, {0x853c49e6748fea9bULL, 54}};
+  // Each source walks every third count, so together they cover 1..4097.
+  int cached_entries = 0;
+  int cached_exits = 0;
+  for (int s = 0; s < 3; ++s) {
+    Pcg32 fast(sources[s].seed, sources[s].stream);
+    Pcg32 slow = fast;
+    int64_t drawn = 0;  // Gaussians taken so far: odd means a cached half.
+    for (int count = 1 + s; count <= 4097; count += 3) {
+      cached_entries += drawn % 2 == 1;
+      const double got = fast.NextMaxGaussian(count);
+      const double want = ExplicitMaxGaussian(&slow, count);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "source " << s << " count " << count;
+      drawn += count;
+      cached_exits += drawn % 2 == 1;
+      // Every fourth call, both generators must agree on what follows:
+      // the cached half (or a fresh pair) and the PCG state.
+      if (count % 4 == 0) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(fast.NextGaussian()),
+                  std::bit_cast<uint64_t>(slow.NextGaussian()))
+            << "source " << s << " after count " << count;
+        ++drawn;
+        ASSERT_EQ(fast.NextUint32(), slow.NextUint32())
+            << "source " << s << " after count " << count;
+      }
+    }
+    EXPECT_EQ(fast.NextGaussian(), slow.NextGaussian());
+    EXPECT_EQ(fast.NextUint32(), slow.NextUint32());
+  }
+  EXPECT_GT(cached_entries, 100);
+  EXPECT_GT(cached_exits, 100);
 }
 
 TEST(Pcg32Test, NextUint64CombinesTwoDraws) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -239,6 +242,78 @@ TEST(GenericSuperstepSimTest, StragglersStretchTheBarrier) {
   // expected max exceeds the median-1 deterministic time.
   double stretched = SimulateGenericSuperstep(jitter, 16, &rng).value();
   EXPECT_GT(stretched, base);
+}
+
+// The barrier as one jitter draw per worker folded with std::max: what
+// SimulateGenericSuperstep computed before it drew the maximum directly.
+double PerWorkerLoopMean(const SuperstepSimConfig& config, int n,
+                         Pcg32* rng) {
+  const double compute = config.compute_seconds(n);
+  const double comm = config.comm_seconds(n);
+  const double serialize =
+      config.overhead.serialize_s_per_bit * config.message_bits;
+  double total = 0.0;
+  for (int step = 0; step < config.supersteps; ++step) {
+    const double start = config.overhead.SchedulingSeconds(n);
+    double barrier = 0.0;
+    for (int worker = 0; worker < n; ++worker) {
+      barrier = std::max(barrier,
+                         start + compute * config.overhead.SampleJitter(rng));
+    }
+    total += barrier + comm + serialize;
+  }
+  return total / static_cast<double>(config.supersteps);
+}
+
+TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
+  SuperstepSimConfig config{
+      .compute_seconds = [](int n) { return 196.0 / n; },
+      .comm_seconds = [](int n) { return 0.01 * n; },
+      .message_bits = 1e6,
+      .overhead = OverheadModel::SparkLike(),
+      .supersteps = 3};
+  for (double sigma : {0.0, 0.01, 0.08, 0.25, 1.0, 3.0, 50.0}) {
+    config.overhead.straggler_sigma = sigma;
+    for (uint64_t seed : {1, 2, 3}) {
+      Pcg32 fast(seed, 5);
+      Pcg32 slow = fast;
+      // One generator runs through every n, so the cached half at entry
+      // varies from call to call.
+      for (int n = 1; n <= 300; ++n) {
+        Result<double> got = SimulateGenericSuperstep(config, n, &fast);
+        ASSERT_TRUE(got.ok()) << got.status();
+        const double want = PerWorkerLoopMean(config, n, &slow);
+        ASSERT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(want))
+            << "sigma=" << sigma << " seed=" << seed << " n=" << n;
+      }
+      EXPECT_EQ(fast.NextGaussian(), slow.NextGaussian()) << sigma;
+      EXPECT_EQ(fast.NextUint32(), slow.NextUint32()) << sigma;
+    }
+  }
+
+  // compute = 0 with exp(sigma * z) overflowing: the loop's 0 * inf = NaN
+  // was dropped by std::max, so every superstep waits for start alone.
+  config.compute_seconds = [](int) { return 0.0; };
+  config.overhead.straggler_sigma = 200.0;
+  config.supersteps = 40;
+  const int n = 300;
+  Pcg32 fast(7, 5);
+  Pcg32 slow = fast;
+  Pcg32 probe = fast;
+  int overflowed = 0;
+  for (int i = 0; i < n * config.supersteps; ++i) {
+    overflowed += std::isinf(std::exp(200.0 * probe.NextGaussian()));
+  }
+  ASSERT_GT(overflowed, 0);
+  Result<double> got = SimulateGenericSuperstep(config, n, &fast);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(std::bit_cast<uint64_t>(*got),
+            std::bit_cast<uint64_t>(PerWorkerLoopMean(config, n, &slow)));
+  EXPECT_DOUBLE_EQ(*got, config.overhead.SchedulingSeconds(n) +
+                             config.comm_seconds(n) +
+                             config.overhead.serialize_s_per_bit *
+                                 config.message_bits);
+  EXPECT_EQ(fast.NextUint32(), slow.NextUint32());
 }
 
 TEST(GenericSuperstepSimTest, RejectsInvalidConfig) {
