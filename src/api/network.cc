@@ -1,6 +1,7 @@
 #include "api/network.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,16 +42,18 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
   if (topology == "ideal-switch") {
     // Leave null: NetworkSpec's ideal default, bit-identical closed forms.
   } else if (topology == "star") {
+    // The checks are spelled positively so NaN, which fails every
+    // comparison, is rejected too.
     double backplane = params.GetOr("backplane", 1.0);
-    if (backplane <= 0.0) {
-      return Status::InvalidArgument("backplane must be > 0");
+    if (!(std::isfinite(backplane) && backplane > 0.0)) {
+      return Status::InvalidArgument("backplane must be finite and > 0");
     }
     spec.topology = std::make_shared<core::StarTopology>(backplane);
   } else if (topology == "fat-tree") {
     DMLSCALE_ASSIGN_OR_RETURN(int pod, IntegerParam(params, "pod", 4.0, 2.0));
     double oversubscription = params.GetOr("oversubscription", 1.0);
-    if (oversubscription < 1.0) {
-      return Status::InvalidArgument("oversubscription must be >= 1");
+    if (!(std::isfinite(oversubscription) && oversubscription >= 1.0)) {
+      return Status::InvalidArgument("oversubscription must be finite and >= 1");
     }
     spec.topology =
         std::make_shared<core::FatTreeTopology>(pod, oversubscription);
@@ -67,8 +70,8 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
     // Leave null: the paper's no-waiting assumption.
   } else if (queue == "mm1") {
     double load = params.GetOr("load", 0.0);
-    if (load < 0.0 || load >= 1.0) {
-      return Status::InvalidArgument("load must be in [0, 1)");
+    if (!(load >= 0.0 && load < 1.0)) {
+      return Status::InvalidArgument("load must be finite and in [0, 1)");
     }
     spec.queue = std::make_shared<core::Mm1QueueModel>(load);
   } else {

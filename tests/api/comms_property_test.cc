@@ -131,6 +131,37 @@ TEST(CommsPropertyTest, FatTreePodMustFitAnInt) {
   EXPECT_TRUE(CommModels().Create("ring-allreduce", params, TestLink()).ok());
 }
 
+TEST(CommsPropertyTest, NetworkNumericsMustBeFinite) {
+  // NaN fails every comparison, so a plain range check would hand it to the
+  // topology and queue constructors; +inf oversubscription would price
+  // every contended round at inf seconds.
+  struct NetworkKey {
+    const char* key;
+    const char* selector;
+    const char* variant;
+    double accepted;
+  };
+  for (NetworkKey net :
+       {NetworkKey{"oversubscription", "topology", "fat-tree", 2.0},
+        NetworkKey{"backplane", "topology", "star", 0.5},
+        NetworkKey{"load", "queue", "mm1", 0.5}}) {
+    for (double value : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+      ModelParams params = *CommModels().Example("ring-allreduce");
+      params.Set(net.selector, net.variant).Set(net.key, value);
+      auto model = CommModels().Create("ring-allreduce", params, TestLink());
+      ASSERT_FALSE(model.ok()) << net.key << "=" << value;
+      EXPECT_EQ(model.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(model.status().message().find(net.key), std::string::npos)
+          << model.status();
+    }
+    ModelParams params = *CommModels().Example("ring-allreduce");
+    params.Set(net.selector, net.variant).Set(net.key, net.accepted);
+    EXPECT_TRUE(CommModels().Create("ring-allreduce", params, TestLink()).ok())
+        << net.key;
+  }
+}
+
 TEST(CommsPropertyTest, ComputeEntriesConstructFromTheirExamples) {
   core::NodeSpec node = presets::GenericGigaflopNode();
   for (const std::string& name : ComputeModels().Names()) {
