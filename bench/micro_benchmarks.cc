@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks of the library's hot paths: the
 // Monte-Carlo edge estimator, graph generation and partition statistics,
-// one BP superstep, dense/conv forward-backward, the event-queue core, and
-// the closed-form model evaluations used inside planner sweeps.
+// one BP superstep, dense/conv forward-backward, the event-queue core, the
+// straggler barrier of a generic superstep, and the closed-form model
+// evaluations used inside planner sweeps.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "sim/collectives.h"
 #include "sim/event_engine.h"
 #include "sim/param_server.h"
+#include "sim/workloads.h"
 
 namespace dmlscale {
 namespace {
@@ -159,6 +161,25 @@ void BM_ParamServerSimulation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_ParamServerSimulation)->Arg(4)->Arg(16);
+
+void BM_GenericSuperstep(benchmark::State& state) {
+  // One sim-spark-overhead point: 40 Spark-like supersteps, each waiting
+  // for the slowest of n jittered workers.
+  const int n = static_cast<int>(state.range(0));
+  sim::SuperstepSimConfig config{
+      .compute_seconds = [](int workers) { return 196.0 / workers; },
+      .comm_seconds = [](int workers) { return 0.01 * workers; },
+      .message_bits = 1e6,
+      .overhead = sim::OverheadModel::SparkLike(),
+      .supersteps = 40};
+  Pcg32 rng(10);
+  for (auto _ : state) {
+    auto t = sim::SimulateGenericSuperstep(config, n, &rng);
+    benchmark::DoNotOptimize(t.value());
+  }
+  state.SetItemsProcessed(state.iterations() * config.supersteps * n);
+}
+BENCHMARK(BM_GenericSuperstep)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_SparkModelSweep(benchmark::State& state) {
   models::SparkGdModel model(models::SparkMnistWorkload(),
