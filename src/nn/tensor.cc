@@ -76,12 +76,6 @@ void Tensor::Fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-Status Tensor::AddInPlace(const Tensor& other) {
-  if (!SameShape(other)) return Status::InvalidArgument("shape mismatch");
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return Status::OK();
-}
-
 Status Tensor::AddScaledInPlace(const Tensor& other, double factor) {
   if (!SameShape(other)) return Status::InvalidArgument("shape mismatch");
   for (size_t i = 0; i < data_.size(); ++i) {

@@ -81,9 +81,6 @@ class Tensor {
   /// Fills with a constant.
   void Fill(double value);
 
-  /// Elementwise a += b; fails on shape mismatch.
-  Status AddInPlace(const Tensor& other);
-
   /// Elementwise a += factor * b; fails on shape mismatch. The scaling
   /// happens on the fly, so no temporary tensor is materialized (used by
   /// the trainer's ordered gradient reduction).

@@ -54,20 +54,6 @@ TEST(TensorTest, FillGaussianStats) {
   EXPECT_NEAR(std::sqrt(sq / 10000.0 - mean * mean), 0.5, 0.02);
 }
 
-TEST(TensorTest, AddInPlace) {
-  Tensor a({3}, {1.0, 2.0, 3.0});
-  Tensor b({3}, {10.0, 20.0, 30.0});
-  ASSERT_TRUE(a.AddInPlace(b).ok());
-  EXPECT_DOUBLE_EQ(a[0], 11.0);
-  EXPECT_DOUBLE_EQ(a[2], 33.0);
-}
-
-TEST(TensorTest, AddInPlaceShapeMismatch) {
-  Tensor a({3});
-  Tensor b({4});
-  EXPECT_FALSE(a.AddInPlace(b).ok());
-}
-
 TEST(TensorTest, ScaleAndNorm) {
   Tensor t({2}, {3.0, 4.0});
   EXPECT_DOUBLE_EQ(t.SquaredNorm(), 25.0);
