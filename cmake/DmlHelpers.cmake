@@ -61,8 +61,9 @@ endfunction()
 #
 # RUN_SMOKE additionally registers "<kind>/run_<name>" (label: run-smoke),
 # which executes the driver and asserts a zero exit code plus non-empty
-# table output (DmlRunSmoke.cmake). Used for the drivers ported onto the
-# api facade; CI runs them as `ctest -L run-smoke`.
+# table output (DmlRunSmoke.cmake). When tests/golden/<kind>/<name>.txt
+# exists, the driver's stdout must equal it byte for byte. CI runs these as
+# `ctest -L run-smoke`.
 function(dml_add_driver kind src)
   cmake_parse_arguments(ARG "RUN_SMOKE" "" "LIBS" ${ARGN})
   get_filename_component(name ${src} NAME_WE)
@@ -75,8 +76,14 @@ function(dml_add_driver kind src)
     LABELS "smoke;${kind}"
     TIMEOUT 60)
   if(ARG_RUN_SMOKE)
+    set(golden ${PROJECT_SOURCE_DIR}/tests/golden/${kind}/${name}.txt)
+    set(expect_stdout)
+    if(EXISTS ${golden})
+      set(expect_stdout -DEXPECT_STDOUT=${golden})
+    endif()
     add_test(NAME ${kind}/run_${name}
       COMMAND ${CMAKE_COMMAND} -DDRIVER=$<TARGET_FILE:${name}>
+              ${expect_stdout}
               -P ${PROJECT_SOURCE_DIR}/cmake/DmlRunSmoke.cmake)
     set_tests_properties(${kind}/run_${name} PROPERTIES
       LABELS "run-smoke;${kind}"
