@@ -166,6 +166,10 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
                                      const AnalysisOptions& options) {
   int max_nodes =
       options.max_nodes > 0 ? options.max_nodes : scenario.cluster().max_nodes;
+  if (max_nodes > kMaxNodesLimit) {
+    return Status::InvalidArgument("max_nodes must be <= " +
+                                   std::to_string(kMaxNodesLimit));
+  }
   if (options.reference_n < 1 || options.reference_n > max_nodes) {
     return Status::InvalidArgument("reference_n must be in [1, max_nodes]");
   }

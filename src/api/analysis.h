@@ -24,7 +24,7 @@ namespace dmlscale::api {
 /// questions and the discrete-event cross-check are opt-in.
 struct AnalysisOptions {
   /// Node counts to evaluate: [1, max_nodes]. 0 = the scenario cluster's
-  /// max_nodes.
+  /// max_nodes. At most kMaxNodesLimit.
   int max_nodes = 0;
   /// Reference node count for speedup (1 = strong scaling from one node).
   int reference_n = 1;

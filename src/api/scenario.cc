@@ -242,6 +242,11 @@ Result<Scenario> Scenario::Builder::Build() const {
     return Status::InvalidArgument("scenario '" + name_ +
                                    "': max_nodes must be >= 1");
   }
+  if (max_nodes_ > kMaxNodesLimit) {
+    return Status::InvalidArgument("scenario '" + name_ +
+                                   "': max_nodes must be <= " +
+                                   std::to_string(kMaxNodesLimit));
+  }
   if (supersteps_ < 1) {
     return Status::InvalidArgument("scenario '" + name_ +
                                    "': supersteps must be >= 1");

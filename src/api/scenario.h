@@ -17,6 +17,11 @@
 
 namespace dmlscale::api {
 
+/// The largest max_nodes that Scenario::Builder::Build and Analysis::Run
+/// accept. Analysis::Run sizes its curve and time table by max_nodes, so an
+/// unbounded value would end in bad_alloc or hours of evaluation.
+inline constexpr int kMaxNodesLimit = 1 << 20;
+
 /// A fully described scalability scenario: hardware + one BSP superstep
 /// (computation and communication models resolved through the registries)
 /// repeated `supersteps` times per iteration. This is the library's
@@ -161,6 +166,7 @@ class Scenario::Builder {
   /// A full cluster: node + link + max_nodes + shared_memory in one call.
   Builder& Hardware(const core::ClusterSpec& cluster);
   Builder& Link(core::LinkSpec link);
+  /// In [1, kMaxNodesLimit]; Build() rejects anything else.
   Builder& MaxNodes(int max_nodes);
   /// Marks communication as free (the paper's DL980 runs, Section V-B);
   /// when no Comm() is given, a shared-memory scenario defaults to the

@@ -311,6 +311,20 @@ TEST(AnalysisTest, EvalCacheRequiresANamedScenario) {
   EXPECT_TRUE(Analysis::Run(*scenario, options).ok());
 }
 
+TEST(AnalysisTest, RejectsMaxNodesAboveTheLimit) {
+  // The curve and the time table are sized by max_nodes, so an unbounded
+  // value would end in bad_alloc or hours of evaluation.
+  auto scenario = Fig1Scenario();
+  ASSERT_TRUE(scenario.ok());
+  AnalysisOptions options;
+  options.max_nodes = (1 << 20) + 1;
+  auto report = Analysis::Run(*scenario, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("max_nodes"), std::string::npos)
+      << report.status().message();
+}
+
 TEST(AnalysisTest, RejectsBadThreadCount) {
   auto scenario = Fig1Scenario();
   ASSERT_TRUE(scenario.ok());

@@ -1,6 +1,7 @@
 #include "api/scenario.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -146,6 +147,20 @@ TEST(ScenarioBuilderTest, InvalidCountsFail) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Fig1Builder().Supersteps(0).Build().status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ScenarioBuilderTest, MaxNodesIsBoundedAtTwoToTheTwenty) {
+  // Analysis::Run sizes its curve and time table by max_nodes; the bound
+  // keeps INT_MAX from ending in bad_alloc or hours of evaluation.
+  EXPECT_TRUE(Fig1Builder().MaxNodes(1 << 20).Build().ok());
+  for (int max_nodes : {(1 << 20) + 1, std::numeric_limits<int>::max()}) {
+    auto scenario = Fig1Builder().MaxNodes(max_nodes).Build();
+    ASSERT_FALSE(scenario.ok()) << "max_nodes=" << max_nodes;
+    EXPECT_EQ(scenario.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(scenario.status().message().find("max_nodes"),
+              std::string::npos)
+        << scenario.status().message();
+  }
 }
 
 TEST(ScenarioBuilderTest, NonPositiveSuperstepsNeverReachTheSimulator) {
