@@ -167,14 +167,13 @@ void BM_GenericSuperstep(benchmark::State& state) {
   // for the slowest of n jittered workers.
   const int n = static_cast<int>(state.range(0));
   sim::SuperstepSimConfig config{
-      .compute_seconds = [](int workers) { return 196.0 / workers; },
-      .comm_seconds = [](int workers) { return 0.01 * workers; },
       .message_bits = 1e6,
       .overhead = sim::OverheadModel::SparkLike(),
       .supersteps = 40};
   Pcg32 rng(10);
   for (auto _ : state) {
-    auto t = sim::SimulateGenericSuperstep(config, n, &rng);
+    auto t = sim::SimulateGenericSuperstep(config, n, 196.0 / n, 0.01 * n,
+                                           &rng);
     benchmark::DoNotOptimize(t.value());
   }
   state.SetItemsProcessed(state.iterations() * config.supersteps * n);

@@ -1,9 +1,6 @@
 #include "api/analysis.h"
 
 #include <cmath>
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -35,42 +32,48 @@ PlannerAnswer ToAnswer(const Result<int>& result) {
   return answer;
 }
 
-/// Per-node-count time functions, routed through the shared eval cache when
-/// one is configured. Everything downstream (curve, planner, simulator)
-/// prices the scenario exclusively through these two.
-struct ScenarioTimes {
-  std::function<double(int)> compute_s;
-  std::function<double(int)> comm_s;
+/// The scenario's two time terms at every n in [1, max_nodes], indexed by
+/// n (index 0 is unused). Everything downstream (curve, planner, fault
+/// model, simulator) prices the scenario exclusively through this table.
+struct TimeTable {
+  std::vector<double> compute_s;
+  std::vector<double> comm_s;
 
-  double Seconds(int n) const { return compute_s(n) + comm_s(n); }
+  double Compute(int n) const { return compute_s[static_cast<size_t>(n)]; }
+  double Comm(int n) const { return comm_s[static_cast<size_t>(n)]; }
+  double Seconds(int n) const { return Compute(n) + Comm(n); }
 };
 
-ScenarioTimes MakeTimes(const Scenario& scenario, MemoCache* cache) {
-  if (cache == nullptr) {
-    return ScenarioTimes{
-        .compute_s = [&scenario](int n) { return scenario.ComputeSeconds(n); },
-        .comm_s = [&scenario](int n) { return scenario.CommSeconds(n); }};
-  }
+/// Evaluates each term once per node count, through the shared eval cache
+/// when one is configured.
+TimeTable PriceNodeCounts(const Scenario& scenario, int max_nodes,
+                          MemoCache* cache) {
+  const size_t size = static_cast<size_t>(max_nodes) + 1;
+  TimeTable times{.compute_s = std::vector<double>(size, 0.0),
+                  .comm_s = std::vector<double>(size, 0.0)};
   // Scenario::CacheKey digests every model parameter — including the network
   // keys — so two cells differing only in, say, `oversubscription` can never
   // alias each other's cached times even under one display name.
-  std::string cache_key = scenario.CacheKey();
-  return ScenarioTimes{
-      .compute_s =
-          [&scenario, cache, cache_key](int n) {
-            return cache->GetOrCompute(
-                cache_key + "|cp|" + std::to_string(n),
-                [&scenario, n] { return scenario.ComputeSeconds(n); });
-          },
-      .comm_s = [&scenario, cache, cache_key](int n) {
-        return cache->GetOrCompute(
-            cache_key + "|cm|" + std::to_string(n),
-            [&scenario, n] { return scenario.CommSeconds(n); });
-      }};
+  const std::string cache_key = cache == nullptr ? "" : scenario.CacheKey();
+  for (int n = 1; n <= max_nodes; ++n) {
+    auto compute = [&scenario, n] { return scenario.ComputeSeconds(n); };
+    auto comm = [&scenario, n] { return scenario.CommSeconds(n); };
+    const size_t i = static_cast<size_t>(n);
+    if (cache == nullptr) {
+      times.compute_s[i] = compute();
+      times.comm_s[i] = comm();
+    } else {
+      times.compute_s[i] =
+          cache->GetOrCompute(cache_key + "|cp|" + std::to_string(n), compute);
+      times.comm_s[i] =
+          cache->GetOrCompute(cache_key + "|cm|" + std::to_string(n), comm);
+    }
+  }
+  return times;
 }
 
 Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
-                                         const ScenarioTimes& times,
+                                         const TimeTable& times,
                                          const AnalysisOptions& options,
                                          const std::vector<int>& nodes) {
   int supersteps = scenario.supersteps();
@@ -83,29 +86,22 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
   // On a contended network the simulated curve prices communication with
   // the per-link discrete-event simulator instead of the analytic queue
   // model — that divergence is exactly what model_vs_sim_mape then measures.
-  // Times are precomputed per node count here (deterministically, before
-  // the jittered per-point fan-out) and injected through the comm closure,
-  // so the generic superstep simulator's draw sequence stays untouched.
-  std::function<double(int)> comm_seconds =
-      [&times, supersteps](int n) { return times.comm_s(n) / supersteps; };
-  if (scenario.contended()) {
-    const core::LinkSpec link = scenario.cluster().link;
-    const core::NetworkSpec& network = scenario.comm().network();
-    double coefficient = scenario.comm_coefficient();
-    auto des_comm = std::make_shared<std::map<int, double>>();
-    for (int n : nodes) {
-      // Traffic(n) is run-length encoded, so the DES simulates each distinct
-      // round once: a ring costs one n-flow round, not 2(n-1) of them.
-      (*des_comm)[n] =
-          coefficient *
-          sim::SimulateCommSeconds(scenario.comm(), n, link, network);
-    }
-    comm_seconds = [des_comm](int n) { return des_comm->at(n); };
+  // Per-superstep comm times are filled here, deterministically, before the
+  // jittered per-point fan-out, so the generic superstep simulator's draw
+  // sequence stays untouched.
+  std::vector<double> comm_seconds(times.comm_s.size(), 0.0);
+  for (int n : nodes) {
+    // Traffic(n) is run-length encoded, so the DES simulates each distinct
+    // round once: a ring costs one n-flow round, not 2(n-1) of them.
+    comm_seconds[static_cast<size_t>(n)] =
+        scenario.contended()
+            ? scenario.comm_coefficient() *
+                  sim::SimulateCommSeconds(scenario.comm(), n,
+                                           scenario.cluster().link,
+                                           scenario.comm().network())
+            : times.Comm(n) / supersteps;
   }
   sim::SuperstepSimConfig config{
-      .compute_seconds = [&times,
-                          supersteps](int n) { return times.compute_s(n) / supersteps; },
-      .comm_seconds = std::move(comm_seconds),
       .message_bits = scenario.comm_params().GetOr("bits", 0.0),
       .overhead = options.overhead,
       .supersteps = options.sim_supersteps};
@@ -116,12 +112,13 @@ Result<core::SpeedupCurve> SimulateCurve(const Scenario& scenario,
   // would make every point depend on its predecessors' draw counts.
   std::vector<double> seconds(nodes.size(), 0.0);
   std::vector<Status> statuses(nodes.size());
-  auto simulate_point = [&config, &options, &nodes, &seconds,
-                         &statuses](size_t i) {
+  auto simulate_point = [&](size_t i) {
     int n = nodes[i];
     Pcg32 rng(DeriveSeed(options.sim_seed, static_cast<uint64_t>(n)),
               static_cast<uint64_t>(n));
-    auto t = sim::SimulateGenericSuperstep(config, n, &rng);
+    auto t = sim::SimulateGenericSuperstep(
+        config, n, times.Compute(n) / supersteps,
+        comm_seconds[static_cast<size_t>(n)], &rng);
     if (t.ok()) {
       seconds[i] = t.value();
     } else {
@@ -194,9 +191,17 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
         "eval_cache requires a named scenario (keys embed the name)");
   }
 
-  ScenarioTimes times = MakeTimes(scenario, options.eval_cache);
+  const TimeTable times =
+      PriceNodeCounts(scenario, max_nodes, options.eval_cache);
   core::FunctionModel model([&times](int n) { return times.Seconds(n); },
                             scenario.name());
+  // Growth scales the data-dependent computation term; the communication
+  // payload is the model, which does not grow with the input.
+  core::CapacityPlanner planner(
+      [&times](int n, double data_scale) {
+        return data_scale * times.Compute(n) + times.Comm(n);
+      },
+      max_nodes);
 
   AnalysisReport report;
   report.scenario_name = scenario.name();
@@ -218,12 +223,6 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
     if (options.current_nodes < 1 || options.current_nodes > max_nodes) {
       return Status::InvalidArgument("current_nodes must be in [1, max_nodes]");
     }
-    // Growth scales the data-dependent computation term; the communication
-    // payload is the model, which does not grow with the input.
-    core::ScalableTimeFn time_fn = [&times](int n, double data_scale) {
-      return data_scale * times.compute_s(n) + times.comm_s(n);
-    };
-    core::CapacityPlanner planner(time_fn, max_nodes);
     if (options.target_speedup > 0.0) {
       report.speedup_answer = ToAnswer(
           planner.NodesToSpeedUp(options.current_nodes, options.target_speedup));
@@ -236,10 +235,6 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
 
   if (scenario.fault_aware() || options.fault_target_seconds > 0.0) {
     const core::FaultSpec& faults = scenario.faults();
-    core::ScalableTimeFn time_fn = [&times](int n, double data_scale) {
-      return data_scale * times.compute_s(n) + times.comm_s(n);
-    };
-    core::CapacityPlanner planner(time_fn, max_nodes);
     if (scenario.fault_aware()) {
       report.availability = core::Availability(faults);
       const double base = times.Seconds(report.optimal_nodes);
@@ -342,12 +337,11 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
   }
 
   if (options.measured_samples != nullptr) {
-    // MAPE on predicted vs measured TIMES (the paper's comparison metric),
-    // through the same cached time functions as everything above.
-    core::FunctionModel cached_model(
-        [&times](int n) { return times.Seconds(n); }, scenario.name());
+    // MAPE on predicted vs measured TIMES (the paper's comparison metric).
+    // Samples may lie beyond max_nodes, so this prices the scenario itself;
+    // Scenario::Seconds is the same compute + comm sum as the table.
     DMLSCALE_ASSIGN_OR_RETURN(
-        double mape, MapeVsSamples(cached_model, *options.measured_samples));
+        double mape, MapeVsSamples(scenario, *options.measured_samples));
     report.measured = *options.measured_samples;
     report.model_vs_measured_mape = mape;
   }

@@ -75,11 +75,14 @@ struct AnalysisOptions {
   int threads = 1;
 
   /// Optional shared memoization cache for the scenario's ComputeSeconds /
-  /// CommSeconds evaluations (not owned; nullptr = no caching). Keys embed
-  /// Scenario::CacheKey() — a digest of the full model including hardware,
-  /// parameters, and network (topology/queue) selection — so two cells share
-  /// cached times only when they price identically; unnamed scenarios are
-  /// still rejected to keep cache contents attributable.
+  /// CommSeconds evaluations (not owned; nullptr = no caching). Run prices
+  /// each n in [1, max_nodes] once into a table at its start, so a run
+  /// makes exactly one lookup per term and node count; every repeat comes
+  /// from another run sharing the cache. Keys embed Scenario::CacheKey() —
+  /// a digest of the full model including hardware, parameters, and network
+  /// (topology/queue) selection — so two cells share cached times only
+  /// when they price identically; unnamed scenarios are still rejected to
+  /// keep cache contents attributable.
   MemoCache* eval_cache = nullptr;
 
   /// Measured timing samples to compare the scenario against (not owned;

@@ -121,10 +121,6 @@ Result<double> SimulateBpSuperstep(const BpSimConfig& config, Pcg32* rng) {
 }
 
 Status SuperstepSimConfig::Validate() const {
-  if (!compute_seconds) {
-    return Status::InvalidArgument("compute_seconds must be set");
-  }
-  if (!comm_seconds) return Status::InvalidArgument("comm_seconds must be set");
   DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("message_bits", message_bits));
   DMLSCALE_RETURN_NOT_OK(overhead.Validate());
   if (supersteps < 1) return Status::InvalidArgument("supersteps must be >= 1");
@@ -132,15 +128,15 @@ Status SuperstepSimConfig::Validate() const {
 }
 
 Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
-                                        int n, Pcg32* rng) {
+                                        int n, double compute_seconds,
+                                        double comm_seconds, Pcg32* rng) {
   DMLSCALE_RETURN_NOT_OK(config.Validate());
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-
-  const double compute = config.compute_seconds(n);
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("compute_seconds", compute, n));
-  const double comm = config.comm_seconds(n);
-  DMLSCALE_RETURN_NOT_OK(CheckFiniteNonNegative("comm_seconds", comm, n));
+  DMLSCALE_RETURN_NOT_OK(
+      CheckFiniteNonNegative("compute_seconds", compute_seconds, n));
+  DMLSCALE_RETURN_NOT_OK(
+      CheckFiniteNonNegative("comm_seconds", comm_seconds, n));
 
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
@@ -148,19 +144,21 @@ Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
   const double sigma = config.overhead.straggler_sigma;
   // Workers never communicate inside a superstep, so no event queue is
   // needed. The barrier waits for the slowest of n iid jittered workers,
-  // start + compute * exp(sigma * z). That is non-decreasing in z, so it is
-  // the finish time of the largest of the n standard-normal draws, which
-  // NextMaxGaussian takes exactly and in the same draw order as one
-  // NextGaussian per worker. With compute = 0 every worker finishes at
-  // start, even where exp(sigma * z) overflows (0 * inf would be NaN).
+  // start + compute_seconds * exp(sigma * z). That is non-decreasing in z,
+  // so it is the finish time of the largest of the n standard-normal draws,
+  // which NextMaxGaussian takes exactly and in the same draw order as one
+  // NextGaussian per worker. With compute_seconds = 0 every worker finishes
+  // at start, even where exp(sigma * z) overflows (0 * inf would be NaN).
   double total = 0.0;
   for (int step = 0; step < config.supersteps; ++step) {
-    double barrier = start + compute;
+    double barrier = start + compute_seconds;
     if (sigma > 0.0) {
       const double z = rng->NextMaxGaussian(n);
-      barrier = compute == 0.0 ? start : start + compute * std::exp(sigma * z);
+      barrier = compute_seconds == 0.0
+                    ? start
+                    : start + compute_seconds * std::exp(sigma * z);
     }
-    total += barrier + comm + serialize;
+    total += barrier + comm_seconds + serialize;
   }
   const double mean = total / static_cast<double>(config.supersteps);
   // Finite inputs can still overflow, e.g. through a huge straggler draw.

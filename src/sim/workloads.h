@@ -2,7 +2,6 @@
 #define DMLSCALE_SIM_WORKLOADS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/random.h"
@@ -71,12 +70,9 @@ Result<double> SimulateBpSuperstep(const BpSimConfig& config, Pcg32* rng);
 /// Configuration of a model-agnostic BSP superstep simulation — the
 /// discrete-event counterpart of any analytic compute + communication pair
 /// (api::Analysis uses it to produce the "measured" series for a Scenario).
+/// The two analytic times are arguments of SimulateGenericSuperstep, not
+/// fields, so one config serves every node count.
 struct SuperstepSimConfig {
-  /// Analytic parallel computation wall time at `n` nodes, seconds (each
-  /// worker receives this duration, perturbed by straggler jitter).
-  std::function<double(int)> compute_seconds;
-  /// Analytic communication time at `n` nodes, seconds.
-  std::function<double(int)> comm_seconds;
   /// Payload bits per superstep, priced by `overhead.serialize_s_per_bit`
   /// (0 = no serialization cost).
   double message_bits = 0.0;
@@ -89,16 +85,18 @@ struct SuperstepSimConfig {
 };
 
 /// Runs `supersteps` BSP supersteps on `n` workers: scheduling overhead,
-/// then each worker computes (jittered), the barrier falls at the slowest
-/// worker, and the collective completes after comm_seconds(n) plus
-/// serialization. compute_seconds(n) and comm_seconds(n) must be finite and
-/// >= 0. With OverheadModel::None() the result equals compute_seconds(n) +
-/// comm_seconds(n) exactly, so model-vs-sim deltas isolate the framework
-/// overheads. Each jittered superstep consumes n Gaussians from `rng`, as
-/// one draw per worker would, but takes the slowest with
+/// then each worker computes for `compute_seconds` (jittered), the barrier
+/// falls at the slowest worker, and the collective completes after
+/// `comm_seconds` plus serialization. Both are the analytic per-superstep
+/// times at `n`, and both must be finite and >= 0 (the error names the
+/// field and n). With OverheadModel::None() the result equals
+/// compute_seconds + comm_seconds exactly, so model-vs-sim deltas isolate
+/// the framework overheads. Each jittered superstep consumes n Gaussians
+/// from `rng`, as one draw per worker would, but takes the slowest with
 /// Pcg32::NextMaxGaussian. Returns mean superstep seconds.
 Result<double> SimulateGenericSuperstep(const SuperstepSimConfig& config,
-                                        int n, Pcg32* rng);
+                                        int n, double compute_seconds,
+                                        double comm_seconds, Pcg32* rng);
 
 }  // namespace dmlscale::sim
 

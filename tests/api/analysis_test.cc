@@ -1,9 +1,11 @@
 #include "api/analysis.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -261,6 +263,47 @@ TEST(AnalysisTest, SimSeedSelectsTheDrawSequence) {
   EXPECT_NE(a->simulated->speedup, b->simulated->speedup);
 }
 
+TEST(AnalysisTest, PricesEachNodeCountOnce) {
+  // The curve, both planner questions, the fault model and the simulator
+  // all read one table filled at the top of the run, so the scenario's
+  // compute term is evaluated exactly once per node count.
+  constexpr int kMaxNodes = 24;
+  std::vector<int> calls(kMaxNodes + 1, 0);
+  auto scenario =
+      Scenario::Builder()
+          .Name("counted")
+          .Hardware(presets::Fig1Cluster(kMaxNodes))
+          .Compute(
+              [&calls](int n) {
+                ++calls.at(static_cast<size_t>(n));
+                return 196.0e9 / n;
+              },
+              "counted-flops")
+          .Comm("linear", {{"bits", 1e9}})
+          .Faults({{"mtbf", 1e5}, {"mttr", 60.0}, {"checkpoint_cost", 20.0}})
+          .Build();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  std::fill(calls.begin(), calls.end(), 0);
+
+  AnalysisOptions options;
+  options.simulate = true;
+  options.target_speedup = 3.0;
+  options.workload_growth = 2.0;
+  options.fault_target_seconds = 100.0;
+  auto report = Analysis::Run(*scenario, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->simulated.has_value());
+  ASSERT_TRUE(report->speedup_answer.has_value());
+  ASSERT_TRUE(report->growth_answer.has_value());
+  ASSERT_TRUE(report->fault_optimal_nodes.has_value());
+  ASSERT_TRUE(report->fault_target_answer.has_value());
+
+  EXPECT_EQ(calls[0], 0);
+  for (int n = 1; n <= kMaxNodes; ++n) {
+    EXPECT_EQ(calls[static_cast<size_t>(n)], 1) << "n=" << n;
+  }
+}
+
 TEST(AnalysisTest, SharedEvalCacheDoesNotChangeResults) {
   auto scenario = Fig1Scenario();
   ASSERT_TRUE(scenario.ok());
@@ -272,24 +315,27 @@ TEST(AnalysisTest, SharedEvalCacheDoesNotChangeResults) {
   auto uncached = Analysis::Run(*scenario, options);
   ASSERT_TRUE(uncached.ok());
 
+  // One lookup per term and node count: the cold run misses every one...
   MemoCache cache;
   options.eval_cache = &cache;
+  const uint64_t lookups =
+      2u * static_cast<uint64_t>(scenario->cluster().max_nodes);
   auto cached = Analysis::Run(*scenario, options);
   ASSERT_TRUE(cached.ok());
-  // The planner and the simulator revisit node counts the curve already
-  // evaluated, so the cache must have been exercised...
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), lookups);
+  EXPECT_EQ(cache.hits(), 0u);
   // ...without perturbing a single value.
   EXPECT_EQ(uncached->curve.speedup, cached->curve.speedup);
   EXPECT_EQ(uncached->simulated->speedup, cached->simulated->speedup);
   EXPECT_EQ(uncached->speedup_answer->nodes, cached->speedup_answer->nodes);
   EXPECT_EQ(uncached->growth_answer->nodes, cached->growth_answer->nodes);
 
-  // A second run against the warm cache computes nothing new.
-  uint64_t misses_before = cache.misses();
+  // A second run against the warm cache hits every lookup and computes
+  // nothing new.
   auto warm = Analysis::Run(*scenario, options);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache.misses(), misses_before);
+  EXPECT_EQ(cache.hits(), lookups);
+  EXPECT_EQ(cache.misses(), lookups);
 }
 
 TEST(AnalysisTest, EvalCacheRequiresANamedScenario) {

@@ -183,8 +183,6 @@ TEST(EngineGoldenTest, GenericSuperstepMatchesGolden) {
       {40, UINT64_C(0x40073e25d9843392)},  // 2.9053456300229721
   };
   SuperstepSimConfig config;
-  config.compute_seconds = [](int n) { return 50.0 / n; };
-  config.comm_seconds = [](int n) { return 0.02 * n; };
   config.message_bits = 2e6;
   config.overhead.sched_fixed_s = 0.001;
   config.overhead.sched_per_worker_s = 2e-5;
@@ -193,7 +191,8 @@ TEST(EngineGoldenTest, GenericSuperstepMatchesGolden) {
   config.supersteps = 5;
   for (const Golden& golden : kGoldens) {
     Pcg32 rng(77);
-    Result<double> mean = SimulateGenericSuperstep(config, golden.n, &rng);
+    Result<double> mean = SimulateGenericSuperstep(
+        config, golden.n, 50.0 / golden.n, 0.02 * golden.n, &rng);
     ASSERT_TRUE(mean.ok());
     EXPECT_EQ(mean.value(), Pinned(golden.bits)) << "n=" << golden.n;
   }

@@ -198,14 +198,12 @@ TEST(BpSimTest, PerWorkerOverheadGrowsWithN) {
 }
 
 TEST(GenericSuperstepSimTest, NoOverheadReproducesClosedForm) {
-  SuperstepSimConfig config{
-      .compute_seconds = [](int n) { return 196.0 / n; },
-      .comm_seconds = [](int n) { return n == 1 ? 0.0 : 1.0 * n; },
-      .overhead = OverheadModel::None(),
-      .supersteps = 2};
+  SuperstepSimConfig config{.overhead = OverheadModel::None(),
+                            .supersteps = 2};
   Pcg32 rng(1);
   for (int n : {1, 4, 14, 30}) {
-    auto t = SimulateGenericSuperstep(config, n, &rng);
+    auto t = SimulateGenericSuperstep(config, n, 196.0 / n,
+                                      n == 1 ? 0.0 : 1.0 * n, &rng);
     ASSERT_TRUE(t.ok());
     EXPECT_DOUBLE_EQ(t.value(), 196.0 / n + (n == 1 ? 0.0 : 1.0 * n))
         << "n=" << n;
@@ -214,42 +212,37 @@ TEST(GenericSuperstepSimTest, NoOverheadReproducesClosedForm) {
 
 TEST(GenericSuperstepSimTest, OverheadsAddUp) {
   SuperstepSimConfig config{
-      .compute_seconds = [](int) { return 2.0; },
-      .comm_seconds = [](int) { return 1.0; },
       .message_bits = 1e9,
       .overhead = OverheadModel{.sched_fixed_s = 0.5,
                                 .sched_per_worker_s = 0.25,
                                 .serialize_s_per_bit = 1e-9},
       .supersteps = 3};
   Pcg32 rng(2);
-  auto t = SimulateGenericSuperstep(config, 4, &rng);
+  auto t = SimulateGenericSuperstep(config, 4, 2.0, 1.0, &rng);
   ASSERT_TRUE(t.ok());
   // scheduling (0.5 + 4*0.25) + compute 2 + comm 1 + serialization 1.
   EXPECT_DOUBLE_EQ(t.value(), 1.5 + 2.0 + 1.0 + 1.0);
 }
 
 TEST(GenericSuperstepSimTest, StragglersStretchTheBarrier) {
-  SuperstepSimConfig no_jitter{
-      .compute_seconds = [](int) { return 10.0; },
-      .comm_seconds = [](int) { return 0.5; },
-      .overhead = OverheadModel::None(),
-      .supersteps = 20};
+  SuperstepSimConfig no_jitter{.overhead = OverheadModel::None(),
+                               .supersteps = 20};
   SuperstepSimConfig jitter = no_jitter;
   jitter.overhead.straggler_sigma = 0.3;
   Pcg32 rng(3);
-  double base = SimulateGenericSuperstep(no_jitter, 16, &rng).value();
+  double base =
+      SimulateGenericSuperstep(no_jitter, 16, 10.0, 0.5, &rng).value();
   // The barrier waits for the slowest of 16 log-normal draws, whose
   // expected max exceeds the median-1 deterministic time.
-  double stretched = SimulateGenericSuperstep(jitter, 16, &rng).value();
+  double stretched =
+      SimulateGenericSuperstep(jitter, 16, 10.0, 0.5, &rng).value();
   EXPECT_GT(stretched, base);
 }
 
 // The barrier as one jitter draw per worker folded with std::max: what
 // SimulateGenericSuperstep computed before it drew the maximum directly.
 double PerWorkerLoopMean(const SuperstepSimConfig& config, int n,
-                         Pcg32* rng) {
-  const double compute = config.compute_seconds(n);
-  const double comm = config.comm_seconds(n);
+                         double compute, double comm, Pcg32* rng) {
   const double serialize =
       config.overhead.serialize_s_per_bit * config.message_bits;
   double total = 0.0;
@@ -267,8 +260,6 @@ double PerWorkerLoopMean(const SuperstepSimConfig& config, int n,
 
 TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
   SuperstepSimConfig config{
-      .compute_seconds = [](int n) { return 196.0 / n; },
-      .comm_seconds = [](int n) { return 0.01 * n; },
       .message_bits = 1e6,
       .overhead = OverheadModel::SparkLike(),
       .supersteps = 3};
@@ -280,9 +271,12 @@ TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
       // One generator runs through every n, so the cached half at entry
       // varies from call to call.
       for (int n = 1; n <= 300; ++n) {
-        Result<double> got = SimulateGenericSuperstep(config, n, &fast);
+        const double compute = 196.0 / n;
+        const double comm = 0.01 * n;
+        Result<double> got =
+            SimulateGenericSuperstep(config, n, compute, comm, &fast);
         ASSERT_TRUE(got.ok()) << got.status();
-        const double want = PerWorkerLoopMean(config, n, &slow);
+        const double want = PerWorkerLoopMean(config, n, compute, comm, &slow);
         ASSERT_EQ(std::bit_cast<uint64_t>(*got), std::bit_cast<uint64_t>(want))
             << "sigma=" << sigma << " seed=" << seed << " n=" << n;
       }
@@ -293,10 +287,10 @@ TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
 
   // compute = 0 with exp(sigma * z) overflowing: the loop's 0 * inf = NaN
   // was dropped by std::max, so every superstep waits for start alone.
-  config.compute_seconds = [](int) { return 0.0; };
   config.overhead.straggler_sigma = 200.0;
   config.supersteps = 40;
   const int n = 300;
+  const double comm = 0.01 * n;
   Pcg32 fast(7, 5);
   Pcg32 slow = fast;
   Pcg32 probe = fast;
@@ -305,12 +299,12 @@ TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
     overflowed += std::isinf(std::exp(200.0 * probe.NextGaussian()));
   }
   ASSERT_GT(overflowed, 0);
-  Result<double> got = SimulateGenericSuperstep(config, n, &fast);
+  Result<double> got = SimulateGenericSuperstep(config, n, 0.0, comm, &fast);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(std::bit_cast<uint64_t>(*got),
-            std::bit_cast<uint64_t>(PerWorkerLoopMean(config, n, &slow)));
-  EXPECT_DOUBLE_EQ(*got, config.overhead.SchedulingSeconds(n) +
-                             config.comm_seconds(n) +
+            std::bit_cast<uint64_t>(
+                PerWorkerLoopMean(config, n, 0.0, comm, &slow)));
+  EXPECT_DOUBLE_EQ(*got, config.overhead.SchedulingSeconds(n) + comm +
                              config.overhead.serialize_s_per_bit *
                                  config.message_bits);
   EXPECT_EQ(fast.NextUint32(), slow.NextUint32());
@@ -318,19 +312,14 @@ TEST(GenericSuperstepSimTest, BarrierMatchesPerWorkerLoop) {
 
 TEST(GenericSuperstepSimTest, RejectsInvalidConfig) {
   Pcg32 rng(4);
-  SuperstepSimConfig config{
-      .compute_seconds = [](int) { return 1.0; },
-      .comm_seconds = nullptr,
-      .overhead = OverheadModel::None(),
-      .supersteps = 1};
-  EXPECT_FALSE(SimulateGenericSuperstep(config, 2, &rng).ok());
-  config.comm_seconds = [](int) { return 1.0; };
-  EXPECT_FALSE(SimulateGenericSuperstep(config, 0, &rng).ok());
-  EXPECT_FALSE(SimulateGenericSuperstep(config, 2, nullptr).ok());
+  SuperstepSimConfig config{.overhead = OverheadModel::None(),
+                            .supersteps = 1};
+  EXPECT_FALSE(SimulateGenericSuperstep(config, 0, 1.0, 1.0, &rng).ok());
+  EXPECT_FALSE(SimulateGenericSuperstep(config, 2, 1.0, 1.0, nullptr).ok());
   config.supersteps = 0;
-  EXPECT_FALSE(SimulateGenericSuperstep(config, 2, &rng).ok());
+  EXPECT_FALSE(SimulateGenericSuperstep(config, 2, 1.0, 1.0, &rng).ok());
   config.supersteps = 1;
-  ASSERT_TRUE(SimulateGenericSuperstep(config, 2, &rng).ok());
+  ASSERT_TRUE(SimulateGenericSuperstep(config, 2, 1.0, 1.0, &rng).ok());
 
   // Every overhead field and the payload must be finite and >= 0; the
   // error names the offending field.
@@ -350,7 +339,7 @@ TEST(GenericSuperstepSimTest, RejectsInvalidConfig) {
     for (double value : {-1e6, nan, inf}) {
       SuperstepSimConfig broken = config;
       broken.overhead.*bad.field = value;
-      auto result = SimulateGenericSuperstep(broken, 2, &rng);
+      auto result = SimulateGenericSuperstep(broken, 2, 1.0, 1.0, &rng);
       ASSERT_FALSE(result.ok()) << bad.name << "=" << value;
       EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
       EXPECT_NE(result.status().message().find(bad.name), std::string::npos)
@@ -359,21 +348,17 @@ TEST(GenericSuperstepSimTest, RejectsInvalidConfig) {
   }
   SuperstepSimConfig broken = config;
   broken.message_bits = nan;
-  auto t = SimulateGenericSuperstep(broken, 2, &rng);
+  auto t = SimulateGenericSuperstep(broken, 2, 1.0, 1.0, &rng);
   ASSERT_FALSE(t.ok());
   EXPECT_NE(t.status().message().find("message_bits"), std::string::npos);
 
   // Model times are checked at the evaluated node count.
   for (double value : {-1.0, nan, inf}) {
-    broken = config;
-    broken.compute_seconds = [value](int) { return value; };
-    t = SimulateGenericSuperstep(broken, 3, &rng);
+    t = SimulateGenericSuperstep(config, 3, value, 1.0, &rng);
     ASSERT_FALSE(t.ok()) << value;
     EXPECT_NE(t.status().message().find("compute_seconds"), std::string::npos);
     EXPECT_NE(t.status().message().find("n=3"), std::string::npos);
-    broken = config;
-    broken.comm_seconds = [value](int) { return value; };
-    t = SimulateGenericSuperstep(broken, 3, &rng);
+    t = SimulateGenericSuperstep(config, 3, 1.0, value, &rng);
     ASSERT_FALSE(t.ok()) << value;
     EXPECT_NE(t.status().message().find("comm_seconds"), std::string::npos);
   }
