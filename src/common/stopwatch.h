@@ -18,9 +18,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   // The one sanctioned clock: monotonic, and never part of a result. In
   // src/ it only times the sweep runner's run diagnostic

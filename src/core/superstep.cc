@@ -20,18 +20,6 @@ double Superstep::Seconds(int n) const {
   return compute_->Seconds(n) + comm_->Seconds(n);
 }
 
-BspAlgorithmModel::BspAlgorithmModel(
-    std::vector<std::unique_ptr<AlgorithmModel>> steps, std::string label)
-    : steps_(std::move(steps)), label_(std::move(label)) {
-  DMLSCALE_CHECK(!steps_.empty());
-}
-
-double BspAlgorithmModel::Seconds(int n) const {
-  double total = 0.0;
-  for (const auto& step : steps_) total += step->Seconds(n);
-  return total;
-}
-
 FunctionModel::FunctionModel(std::function<double(int)> fn, std::string label)
     : fn_(std::move(fn)), label_(std::move(label)) {
   DMLSCALE_CHECK(fn_ != nullptr);

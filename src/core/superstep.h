@@ -1,9 +1,9 @@
 #ifndef DMLSCALE_CORE_SUPERSTEP_H_
 #define DMLSCALE_CORE_SUPERSTEP_H_
 
+#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/communication_model.h"
 #include "core/computation_model.h"
@@ -45,22 +45,6 @@ class Superstep final : public AlgorithmModel {
  private:
   std::unique_ptr<ComputationModel> compute_;
   std::unique_ptr<CommunicationModel> comm_;
-  std::string label_;
-};
-
-/// A series of supersteps; the model of a full iteration is their sum.
-class BspAlgorithmModel final : public AlgorithmModel {
- public:
-  BspAlgorithmModel(std::vector<std::unique_ptr<AlgorithmModel>> steps,
-                    std::string label = "bsp-algorithm");
-
-  double Seconds(int n) const override;
-  std::string name() const override { return label_; }
-
-  size_t num_steps() const { return steps_.size(); }
-
- private:
-  std::vector<std::unique_ptr<AlgorithmModel>> steps_;
   std::string label_;
 };
 

@@ -42,10 +42,4 @@ int NumShardsForRange(int64_t begin, int64_t end,
   return static_cast<int>(shards);
 }
 
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const ParallelForOptions& options,
-                 const std::function<void(int, int64_t, int64_t)>& body) {
-  ParallelFor(pool, begin, end, NumShardsForRange(begin, end, options), body);
-}
-
 }  // namespace dmlscale::engine

@@ -26,18 +26,11 @@ struct ParallelForOptions {
   int64_t min_grain = 1;
 };
 
-/// Number of shards ParallelFor(pool, begin, end, options, body) would use:
-/// clamp((end - begin) / min_grain, 1, max_shards). Exposed so callers with
-/// determinism contracts tied to shard boundaries can precompute them.
+/// The shard count to pass to ParallelFor for [begin, end):
+/// clamp((end - begin) / min_grain, 1, max_shards). Callers with
+/// determinism contracts tied to shard boundaries compute it once up front.
 int NumShardsForRange(int64_t begin, int64_t end,
                       const ParallelForOptions& options);
-
-/// ParallelFor with grain-size control: shards [begin, end) into
-/// NumShardsForRange(...) ranges. With max_shards == 1 (or a range shorter
-/// than 2 * min_grain) the body runs as a single shard.
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const ParallelForOptions& options,
-                 const std::function<void(int, int64_t, int64_t)>& body);
 
 /// Shard boundaries used by ParallelFor; exposed for tests and for
 /// workload accounting.

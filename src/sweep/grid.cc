@@ -67,42 +67,6 @@ std::vector<ScenarioAxisPoint> ExpandNetworkAxis(
   return expanded;
 }
 
-std::vector<ScenarioAxisPoint> ExpandFaultAxis(
-    const ScenarioAxisPoint& base, const std::vector<FaultAxisPoint>& axis) {
-  std::vector<ScenarioAxisPoint> expanded;
-  expanded.reserve(axis.size());
-  for (const FaultAxisPoint& faults : axis) {
-    ScenarioAxisPoint point = base;
-    point.label = base.label + "-" + faults.label;
-    for (const auto& [key, value] : faults.params.values()) {
-      point.fault_params.Set(key, value);
-    }
-    for (const auto& [key, value] : faults.params.strings()) {
-      point.fault_params.Set(key, value);
-    }
-    expanded.push_back(std::move(point));
-  }
-  return expanded;
-}
-
-std::vector<ScenarioAxisPoint> ExpandServingAxis(
-    const ScenarioAxisPoint& base, const std::vector<ServingAxisPoint>& axis) {
-  std::vector<ScenarioAxisPoint> expanded;
-  expanded.reserve(axis.size());
-  for (const ServingAxisPoint& serving : axis) {
-    ScenarioAxisPoint point = base;
-    point.label = base.label + "-" + serving.label;
-    for (const auto& [key, value] : serving.params.values()) {
-      point.serving_params.Set(key, value);
-    }
-    for (const auto& [key, value] : serving.params.strings()) {
-      point.serving_params.Set(key, value);
-    }
-    expanded.push_back(std::move(point));
-  }
-  return expanded;
-}
-
 SweepGrid& SweepGrid::AddScenario(ScenarioAxisPoint point) {
   scenarios_.push_back(std::move(point));
   return *this;

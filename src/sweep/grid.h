@@ -64,37 +64,6 @@ struct NetworkAxisPoint {
 std::vector<ScenarioAxisPoint> ExpandNetworkAxis(
     const ScenarioAxisPoint& base, const std::vector<NetworkAxisPoint>& axis);
 
-/// One point on a FAILURE-MODEL ablation axis: a label plus the fault keys
-/// of api/faults.h (`mtbf`, `mttr`, `straggler`, `recovery`, ...). An empty
-/// bag is the perfect cluster.
-struct FaultAxisPoint {
-  std::string label;
-  api::ModelParams params;
-};
-
-/// Expands `base` into one scenario point per failure model: each copy is
-/// labeled "<base label>-<fault label>" and has the fault keys merged into
-/// its fault params (keys already present in `base` are overridden). The
-/// MTBF/straggler grid sweeps of the failure tour are this product.
-std::vector<ScenarioAxisPoint> ExpandFaultAxis(
-    const ScenarioAxisPoint& base, const std::vector<FaultAxisPoint>& axis);
-
-/// One point on a SERVING ablation axis: a label plus the serving keys of
-/// api/serving.h (`qps`, `batch_max`, `cache`, `hit_rate`, `replicas`,
-/// ...). An empty bag is a serving-free cell.
-struct ServingAxisPoint {
-  std::string label;
-  api::ModelParams params;
-};
-
-/// Expands `base` into one scenario point per serving configuration: each
-/// copy is labeled "<base label>-<serving label>" and has the serving keys
-/// merged into its serving params (keys already present in `base` are
-/// overridden). The batching/cache/replica grid sweeps of the serving tour
-/// are this product.
-std::vector<ScenarioAxisPoint> ExpandServingAxis(
-    const ScenarioAxisPoint& base, const std::vector<ServingAxisPoint>& axis);
-
 /// One point on the hardware axis: a named cluster (node, link, max_nodes,
 /// shared_memory), typically from `api::presets`.
 struct HardwareAxisPoint {

@@ -31,16 +31,6 @@ TEST(SuperstepTest, SingleNodeHasNoComm) {
   EXPECT_DOUBLE_EQ(step->Seconds(1), 1.0);
 }
 
-TEST(BspAlgorithmModelTest, SumsSupersteps) {
-  std::vector<std::unique_ptr<AlgorithmModel>> steps;
-  steps.push_back(MakeStep(1e9, 1e9));
-  steps.push_back(MakeStep(2e9, 0.5e9));
-  BspAlgorithmModel model(std::move(steps));
-  EXPECT_EQ(model.num_steps(), 2u);
-  double expected = (0.25 + 2.0) + (0.5 + 1.0);
-  EXPECT_DOUBLE_EQ(model.Seconds(4), expected);
-}
-
 TEST(FunctionModelTest, WrapsArbitraryFunction) {
   FunctionModel model([](int n) { return 10.0 / n + 0.1 * n; }, "custom");
   EXPECT_DOUBLE_EQ(model.Seconds(1), 10.1);

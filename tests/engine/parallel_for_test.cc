@@ -110,18 +110,5 @@ TEST(ParallelForTest, NumShardsForRangeHonorsGrainAndCap) {
   EXPECT_EQ(NumShardsForRange(5, 5, {.max_shards = 8, .min_grain = 10}), 1);
 }
 
-TEST(ParallelForTest, GrainedOverloadCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(100);
-  ParallelFor(&pool, 0, 100, ParallelForOptions{.max_shards = 8,
-                                                .min_grain = 16},
-              [&](int, int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  touched[static_cast<size_t>(i)].fetch_add(1);
-                }
-              });
-  for (auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
 }  // namespace
 }  // namespace dmlscale::engine

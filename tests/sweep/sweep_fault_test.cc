@@ -1,5 +1,5 @@
-// The sweep's failure-model ablation surface: ExpandFaultAxis fans a
-// scenario over MTBF/straggler grids, fault cells land availability and
+// The sweep's failure-model ablation surface: scenario points carrying
+// MTBF/straggler fault params, fault cells land availability and
 // expected-slowdown columns in the CSV, the whole thing stays byte-identical
 // across thread counts, and a failed cell's one retry is recorded in the
 // status column.
@@ -31,49 +31,22 @@ ScenarioAxisPoint Fig1Point(const std::string& label) {
 /// cluster as the base point).
 SweepGrid FaultGrid() {
   SweepGrid grid;
-  ScenarioAxisPoint base = Fig1Point("fig1");
-  grid.AddScenario(base);
-  std::vector<FaultAxisPoint> faults;
+  grid.AddScenario(Fig1Point("fig1"));
   for (double mtbf : {10000.0, 40000.0}) {
     for (double sigma : {0.0, 0.3}) {
-      FaultAxisPoint point;
-      point.label = "mtbf" + std::to_string(static_cast<int>(mtbf)) +
-                    "-sig" + std::to_string(static_cast<int>(sigma * 10));
-      point.params.Set("mtbf", mtbf);
-      point.params.Set("mttr", 60.0);
-      point.params.Set("checkpoint_cost", 20.0);
-      if (sigma > 0.0) point.params.Set("straggler", sigma);
-      faults.push_back(std::move(point));
+      ScenarioAxisPoint point = Fig1Point(
+          "fig1-mtbf" + std::to_string(static_cast<int>(mtbf)) + "-sig" +
+          std::to_string(static_cast<int>(sigma * 10)));
+      point.fault_params.Set("mtbf", mtbf);
+      point.fault_params.Set("mttr", 60.0);
+      point.fault_params.Set("checkpoint_cost", 20.0);
+      if (sigma > 0.0) point.fault_params.Set("straggler", sigma);
+      grid.AddScenario(std::move(point));
     }
-  }
-  for (ScenarioAxisPoint& point : ExpandFaultAxis(base, faults)) {
-    grid.AddScenario(std::move(point));
   }
   grid.AddHardware({.label = "gflop-gige",
                     .cluster = api::presets::Fig1Cluster(16)});
   return grid;
-}
-
-TEST(SweepFaultTest, ExpandFaultAxisMergesKeysAndLabels) {
-  ScenarioAxisPoint base = Fig1Point("fig1");
-  base.fault_params.Set("mttr", 30.0);  // overridden by the axis point
-  std::vector<FaultAxisPoint> axis;
-  FaultAxisPoint point;
-  point.label = "flaky";
-  point.params.Set("mtbf", 5000.0).Set("mttr", 60.0);
-  point.params.Set("recovery", "checkpoint-restart");
-  axis.push_back(std::move(point));
-  std::vector<ScenarioAxisPoint> expanded = ExpandFaultAxis(base, axis);
-  ASSERT_EQ(expanded.size(), 1u);
-  EXPECT_EQ(expanded[0].label, "fig1-flaky");
-  EXPECT_EQ(expanded[0].comm_model, "linear");
-  EXPECT_EQ(expanded[0].fault_params.GetOr("mtbf", 0.0), 5000.0);
-  EXPECT_EQ(expanded[0].fault_params.GetOr("mttr", 0.0), 60.0);
-  EXPECT_EQ(expanded[0].fault_params.GetStringOr("recovery", ""),
-            "checkpoint-restart");
-  // The base point is untouched.
-  EXPECT_FALSE(base.fault_params.Has("mtbf"));
-  EXPECT_EQ(base.fault_params.GetOr("mttr", 0.0), 30.0);
 }
 
 TEST(SweepFaultTest, FaultCellsFillTheNewCsvColumns) {

@@ -1,5 +1,5 @@
-// The sweep's serving ablation surface: ExpandServingAxis fans a scenario
-// over qps/replica grids, serving cells land utilization / quantile-latency
+// The sweep's serving ablation surface: scenario points carrying qps/replica
+// serving params, serving cells land utilization / quantile-latency
 // / Q3 columns in the CSV, serving-free cells leave them empty, and the
 // whole sweep stays byte-identical across thread counts.
 
@@ -31,50 +31,23 @@ ScenarioAxisPoint Fig1Point(const std::string& label) {
 /// column fills too.
 SweepGrid ServingGrid() {
   SweepGrid grid;
-  ScenarioAxisPoint base = Fig1Point("fig1");
-  grid.AddScenario(base);
-  std::vector<ServingAxisPoint> serving;
+  grid.AddScenario(Fig1Point("fig1"));
   for (double qps : {1000.0, 2000.0}) {
     for (double replicas : {4.0, 8.0}) {
-      ServingAxisPoint point;
-      point.label = "qps" + std::to_string(static_cast<int>(qps)) + "-r" +
-                    std::to_string(static_cast<int>(replicas));
-      point.params.Set("qps", qps);
-      point.params.Set("replicas", replicas);
-      point.params.Set("service_per_item", 0.001);
-      point.params.Set("target_qps", qps);
-      point.params.Set("target_latency", 0.02);
-      serving.push_back(std::move(point));
+      ScenarioAxisPoint point =
+          Fig1Point("fig1-qps" + std::to_string(static_cast<int>(qps)) +
+                    "-r" + std::to_string(static_cast<int>(replicas)));
+      point.serving_params.Set("qps", qps);
+      point.serving_params.Set("replicas", replicas);
+      point.serving_params.Set("service_per_item", 0.001);
+      point.serving_params.Set("target_qps", qps);
+      point.serving_params.Set("target_latency", 0.02);
+      grid.AddScenario(std::move(point));
     }
-  }
-  for (ScenarioAxisPoint& point : ExpandServingAxis(base, serving)) {
-    grid.AddScenario(std::move(point));
   }
   grid.AddHardware({.label = "gflop-gige",
                     .cluster = api::presets::Fig1Cluster(16)});
   return grid;
-}
-
-TEST(SweepServingTest, ExpandServingAxisMergesKeysAndLabels) {
-  ScenarioAxisPoint base = Fig1Point("fig1");
-  base.serving_params.Set("quantile", 0.5);  // overridden by the axis point
-  std::vector<ServingAxisPoint> axis;
-  ServingAxisPoint point;
-  point.label = "peak";
-  point.params.Set("qps", 5000.0).Set("quantile", 0.99);
-  point.params.Set("service_per_item", 0.001);
-  point.params.Set("arrivals", "mmpp");
-  axis.push_back(std::move(point));
-  std::vector<ScenarioAxisPoint> expanded = ExpandServingAxis(base, axis);
-  ASSERT_EQ(expanded.size(), 1u);
-  EXPECT_EQ(expanded[0].label, "fig1-peak");
-  EXPECT_EQ(expanded[0].comm_model, "linear");
-  EXPECT_EQ(expanded[0].serving_params.GetOr("qps", 0.0), 5000.0);
-  EXPECT_EQ(expanded[0].serving_params.GetOr("quantile", 0.0), 0.99);
-  EXPECT_EQ(expanded[0].serving_params.GetStringOr("arrivals", ""), "mmpp");
-  // The base point is untouched.
-  EXPECT_FALSE(base.serving_params.Has("qps"));
-  EXPECT_EQ(base.serving_params.GetOr("quantile", 0.0), 0.5);
 }
 
 TEST(SweepServingTest, ServingCellsFillTheNewCsvColumns) {
