@@ -70,8 +70,8 @@ Result<double> SimulateBpSuperstep(const BpSimConfig& config, Pcg32* rng);
 /// Configuration of a model-agnostic BSP superstep simulation — the
 /// discrete-event counterpart of any analytic compute + communication pair
 /// (api::Analysis uses it to produce the "measured" series for a Scenario).
-/// The two analytic times are arguments of SimulateGenericSuperstep, not
-/// fields, so one config serves every node count.
+/// The two analytic per-superstep times are arguments of
+/// SimulateGenericSuperstep, so one config serves every node count.
 struct SuperstepSimConfig {
   /// Payload bits per superstep, priced by `overhead.serialize_s_per_bit`
   /// (0 = no serialization cost).

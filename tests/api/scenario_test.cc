@@ -147,11 +147,8 @@ TEST(ScenarioBuilderTest, InvalidCountsFail) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Fig1Builder().Supersteps(0).Build().status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(ScenarioBuilderTest, MaxNodesIsBoundedAtTwoToTheTwenty) {
-  // Analysis::Run sizes its curve and time table by max_nodes; the bound
-  // keeps INT_MAX from ending in bad_alloc or hours of evaluation.
+  // Analysis::Run sizes its curve and time table by max_nodes, so it is
+  // bounded: INT_MAX would end in bad_alloc or hours of evaluation.
   EXPECT_TRUE(Fig1Builder().MaxNodes(1 << 20).Build().ok());
   for (int max_nodes : {(1 << 20) + 1, std::numeric_limits<int>::max()}) {
     auto scenario = Fig1Builder().MaxNodes(max_nodes).Build();
