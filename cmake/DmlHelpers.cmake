@@ -90,3 +90,20 @@ function(dml_add_driver kind src)
       TIMEOUT 300)
   endif()
 endfunction()
+
+# dml_add_reject_smoke(<kind> <driver> <case> <flag>)
+#
+# Registers "<kind>/reject_<driver>_<case>" (labels: run-smoke, <kind>): the
+# driver, run with <flag>, must refuse it with exit code 1 and an
+# InvalidArgument on stderr — never an abort, never a table of nan/inf rows
+# (DmlRunSmoke.cmake with EXPECT_RC).
+function(dml_add_reject_smoke kind driver case flag)
+  set(test ${kind}/reject_${driver}_${case})
+  add_test(NAME ${test}
+    COMMAND ${CMAKE_COMMAND} -DDRIVER=$<TARGET_FILE:${driver}>
+            -DARGS=${flag} -DEXPECT_RC=1
+            -P ${PROJECT_SOURCE_DIR}/cmake/DmlRunSmoke.cmake)
+  set_tests_properties(${test} PROPERTIES
+    LABELS "run-smoke;${kind}"
+    TIMEOUT 60)
+endfunction()

@@ -170,9 +170,7 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
   if (options.reference_n < 1 || options.reference_n > max_nodes) {
     return Status::InvalidArgument("reference_n must be in [1, max_nodes]");
   }
-  if (options.threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("threads", options.threads));
   // A target <= 0 leaves its question unasked; NaN would fail that test
   // too and silently skip the question, so non-finite targets are errors.
   for (const auto& [field, target] :

@@ -68,7 +68,8 @@ struct AnalysisOptions {
   /// evaluation order, of max_nodes, and of `threads` below.
   uint64_t sim_seed = 42;
 
-  /// Worker threads for the per-n simulation fan-out (>= 1; 1 = inline).
+  /// Worker threads for the per-n simulation fan-out, in [1, kMaxThreads]
+  /// (1 = inline).
   /// Thanks to the per-n seeding the report is byte-identical for every
   /// thread count. Analysis::Run spawns its own short-lived pool, so sweep
   /// runners that already parallelize across cells should leave this at 1.

@@ -8,6 +8,7 @@
 #include "bp/mrf.h"
 #include "bp/parallel_bp.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/partition.h"
 #include "models/graphical_inference.h"
@@ -82,7 +83,7 @@ Status NnTrainerWorkloadOptions::Validate() const {
     return Status::InvalidArgument("batch_size must be <= examples");
   }
   if (epochs < 1) return Status::InvalidArgument("epochs must be >= 1");
-  if (threads < 1) return Status::InvalidArgument("threads must be >= 1");
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("threads", threads));
   return Status::OK();
 }
 
@@ -175,7 +176,7 @@ Status BpSweepWorkloadOptions::Validate() const {
   if (tolerance <= 0.0) {
     return Status::InvalidArgument("tolerance must be > 0");
   }
-  if (threads < 1) return Status::InvalidArgument("threads must be >= 1");
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("threads", threads));
   return Status::OK();
 }
 

@@ -102,9 +102,10 @@ struct NnTrainerWorkloadOptions {
   /// Seeds dataset, weight init, and shuffling (per-purpose streams, so
   /// every Measure() call sees identical data regardless of order).
   uint64_t seed = 42;
-  /// Worker threads executing gradient shards. Wall-clock only: the
-  /// trainer is bit-identical for every thread count and the work-clock
-  /// reads counters, never the wall. TSan jobs run with threads > 1.
+  /// Worker threads executing gradient shards, in [1, kMaxThreads].
+  /// Wall-clock only: the trainer is bit-identical for every thread count
+  /// and the work-clock reads counters, never the wall. TSan jobs run with
+  /// threads > 1.
   int threads = 1;
 
   [[nodiscard]] Status Validate() const;
@@ -176,8 +177,9 @@ struct BpSweepWorkloadOptions {
   double tolerance = 1e-6;
   /// Seeds the MRF potentials and the per-node-count random partition.
   uint64_t seed = 42;
-  /// Real threads executing the logical workers (wall-clock only; the BP
-  /// run is bit-identical to sequential for any thread count).
+  /// Real threads executing the logical workers, in [1, kMaxThreads]
+  /// (wall-clock only; the BP run is bit-identical to sequential for any
+  /// thread count).
   int threads = 1;
 
   [[nodiscard]] Status Validate() const;

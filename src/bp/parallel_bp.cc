@@ -18,9 +18,7 @@ Result<ParallelBpStats> RunParallelBp(LoopyBp* solver,
       g.num_vertices()) {
     return Status::InvalidArgument("partition size != num_vertices");
   }
-  if (num_threads < 1) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("num_threads", num_threads));
 
   // Group vertices by logical worker.
   std::vector<std::vector<graph::VertexId>> worker_vertices(

@@ -28,9 +28,10 @@ struct ParallelBpStats {
 /// sequential LoopyBp::Run because updates read only the previous
 /// superstep's messages.
 ///
-/// `num_threads` real threads execute `partition.num_parts` logical
-/// workers; when they differ, workers are processed round-robin (useful on
-/// machines with fewer cores than modeled workers).
+/// `num_threads` real threads, in [1, kMaxThreads], execute
+/// `partition.num_parts` logical workers; when they differ, workers are
+/// processed round-robin (useful on machines with fewer cores than modeled
+/// workers).
 Result<ParallelBpStats> RunParallelBp(LoopyBp* solver,
                                       const graph::Partition& partition,
                                       const BpOptions& options,

@@ -1,11 +1,23 @@
 #include "common/thread_pool.h"
 
+#include <string>
+
 #include "common/check.h"
 
 namespace dmlscale {
 
+Status ValidateThreadCount(std::string_view field, int threads) {
+  if (threads < 1 || threads > kMaxThreads) {
+    return Status::InvalidArgument(std::string(field) + " must be in [1, " +
+                                   std::to_string(kMaxThreads) + "], got " +
+                                   std::to_string(threads));
+  }
+  return Status::OK();
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   DMLSCALE_CHECK_GE(num_threads, 1u);
+  DMLSCALE_CHECK_LE(num_threads, static_cast<size_t>(kMaxThreads));
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });

@@ -6,17 +6,30 @@
 #include <functional>
 #include <mutex>
 #include <queue>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/status.h"
+
 namespace dmlscale {
+
+/// The most threads any front-door field may ask a pool for. std::thread
+/// throws, and so terminates the process, once a pool passes the process's
+/// thread limit, so every field that sizes a pool is checked against this
+/// bound before the pool exists.
+inline constexpr int kMaxThreads = 256;
+
+/// OK iff 1 <= threads <= kMaxThreads; otherwise InvalidArgument naming
+/// `field`.
+Status ValidateThreadCount(std::string_view field, int threads);
 
 /// Fixed-size worker pool. Tasks are `std::function<void()>`; completion is
 /// observed with WaitIdle(). Kept deliberately simple: the engine layer
 /// builds data-parallel primitives (parallel_for, BSP supersteps) on top.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (>= 1).
+  /// Starts `num_threads` workers, in [1, kMaxThreads].
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 

@@ -51,9 +51,7 @@ Result<TrainingHistory> TrainMiniBatches(Network* network,
   if (options.batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (options.threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("threads", options.threads));
   if (options.shards_per_batch < 0) {
     return Status::InvalidArgument("shards_per_batch must be >= 0");
   }

@@ -35,9 +35,10 @@ struct TrainerOptions {
   int64_t batch_size = 32;
   /// Shuffle example order each epoch (deterministic via the given rng).
   bool shuffle = true;
-  /// Worker threads executing gradient shards (>= 1). Affects wall-clock
-  /// only, never results. threads > 1 requires more than one shard per
-  /// batch (rejected otherwise — a single shard cannot run concurrently).
+  /// Worker threads executing gradient shards, in [1, kMaxThreads]. Affects
+  /// wall-clock only, never results. threads > 1 requires more than one
+  /// shard per batch (rejected otherwise — a single shard cannot run
+  /// concurrently).
   int threads = 1;
   /// Gradient shards per mini-batch, capped at the batch length; 0 and 1
   /// both mean one shard (the classic serial semantics). Changing the count

@@ -14,9 +14,7 @@ SweepRunner::SweepRunner(SweepRunnerOptions options)
     : options_(std::move(options)) {}
 
 Result<SweepReport> SweepRunner::Run(const SweepGrid& grid) const {
-  if (options_.threads < 1) {
-    return Status::InvalidArgument("threads must be >= 1");
-  }
+  DMLSCALE_RETURN_NOT_OK(ValidateThreadCount("threads", options_.threads));
   DMLSCALE_ASSIGN_OR_RETURN(std::vector<SweepCell> cells, grid.Cells());
 
   Stopwatch stopwatch;

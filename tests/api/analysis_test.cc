@@ -11,6 +11,7 @@
 
 #include "api/presets.h"
 #include "api/scenario.h"
+#include "common/thread_pool.h"
 
 namespace dmlscale::api {
 namespace {
@@ -369,10 +370,14 @@ TEST(AnalysisTest, EvalCacheRequiresANamedScenario) {
 TEST(AnalysisTest, RejectsBadThreadCount) {
   auto scenario = Fig1Scenario();
   ASSERT_TRUE(scenario.ok());
-  AnalysisOptions options;
-  options.threads = 0;
-  EXPECT_EQ(Analysis::Run(*scenario, options).status().code(),
-            StatusCode::kInvalidArgument);
+  for (int threads : {0, kMaxThreads + 1}) {
+    AnalysisOptions options;
+    options.threads = threads;
+    auto report = Analysis::Run(*scenario, options);
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << threads;
+    EXPECT_NE(report.status().message().find("threads"), std::string::npos);
+  }
 }
 
 TEST(AnalysisTest, PrintReportWritesNaForMissingSimulatedSamples) {

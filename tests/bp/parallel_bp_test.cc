@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "graph/generators.h"
 
 namespace dmlscale::bp {
@@ -90,6 +91,9 @@ TEST(ParallelBpTest, RejectsBadArguments) {
       RunParallelBp(nullptr, partition, {.max_iterations = 1}, 1).ok());
   EXPECT_FALSE(
       RunParallelBp(&solver, partition, {.max_iterations = 1}, 0).ok());
+  EXPECT_FALSE(RunParallelBp(&solver, partition, {.max_iterations = 1},
+                             kMaxThreads + 1)
+                   .ok());
 }
 
 }  // namespace

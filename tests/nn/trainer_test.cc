@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+
 namespace dmlscale::nn {
 namespace {
 
@@ -155,6 +157,13 @@ TEST(TrainerTest, RejectsBadArguments) {
                    .ok());
   EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
                                 {.threads = 0}, &rng)
+                   .ok());
+  // Two shards per batch pass the single-shard check below, so only the
+  // thread bound stands between this request and a 257-thread pool.
+  EXPECT_FALSE(TrainMiniBatches(&net, data, loss, &optimizer,
+                                {.threads = kMaxThreads + 1,
+                                 .shards_per_batch = 2},
+                                &rng)
                    .ok());
   // threads > 1 with single-shard batches would silently run serially;
   // it must be rejected instead — both with the default shard count and

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "api/presets.h"
+#include "common/thread_pool.h"
 #include "sweep/grid.h"
 #include "sweep/report.h"
 
@@ -168,10 +169,14 @@ TEST(SweepRunnerTest, CsvHasHeaderRowPerCellAndMapeOnlyForSimCells) {
 }
 
 TEST(SweepRunnerTest, RejectsBadThreadCount) {
-  SweepRunnerOptions options;
-  options.threads = 0;
-  auto report = SweepRunner(options).Run(SmallGrid());
-  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  for (int threads : {0, kMaxThreads + 1}) {
+    SweepRunnerOptions options;
+    options.threads = threads;
+    auto report = SweepRunner(options).Run(SmallGrid());
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << threads;
+    EXPECT_NE(report.status().message().find("threads"), std::string::npos);
+  }
 }
 
 }  // namespace
