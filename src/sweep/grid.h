@@ -26,11 +26,11 @@ struct ScenarioAxisPoint {
   api::ModelParams comm_params;
   /// Failure-model keys of api/faults.h (`mtbf`, `straggler`, `recovery`,
   /// ...); the empty bag keeps the cell fault-free.
-  api::ModelParams fault_params;
+  api::ModelParams fault_params{};
   /// Serving keys of api/serving.h (`qps`, `batch_max`, `cache`,
   /// `hit_rate`, `replicas`, ...); the empty bag keeps the cell
   /// serving-free.
-  api::ModelParams serving_params;
+  api::ModelParams serving_params{};
   int supersteps = 1;
   /// Calibration coefficients baked into the built scenario
   /// (`Scenario::Builder::WithCalibration`); both 1.0 = the a-priori model.
