@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "common/barrier.h"
 #include "common/check.h"
 #include "engine/parallel_for.h"
 
@@ -17,7 +18,7 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // A window that follows one with fewer events than this steps its shards
-// one after another on the caller: below it, the pool round trip costs more
+// one after another on the caller: below it, the barrier handoffs cost more
 // than the window's work. Results are shard-invariant either way.
 constexpr int64_t kInlineWindowEvents = 2048;
 
@@ -30,13 +31,23 @@ Engine::Engine(int num_nodes, EngineOptions options)
   queues_.resize(nodes);
   node_seq_.assign(nodes, 0);
   send_seq_.assign(nodes, 0);
-  inbox_begin_.assign(nodes + 1, 0);
-  int shards = std::max(options_.exec.num_shards, 1);
-  outboxes_.resize(static_cast<size_t>(shards));
-  shard_events_.assign(static_cast<size_t>(shards), 0);
-  shard_end_time_.assign(static_cast<size_t>(shards), 0.0);
-  shard_next_time_.assign(static_cast<size_t>(shards), kInf);
-  shard_overflow_.assign(static_cast<size_t>(shards), 0);
+  // Run rejects num_shards < 1 before any Send can reach a bucket.
+  const int num_shards = std::max(options_.exec.num_shards, 1);
+  node_shard_.resize(nodes);
+  shards_.resize(static_cast<size_t>(num_shards));
+  for (int s = 0; s < num_shards; ++s) {
+    const engine::ShardRange range =
+        engine::ComputeShard(0, num_nodes, num_shards, s);
+    Shard& shard = shards_[static_cast<size_t>(s)];
+    shard.begin = static_cast<int>(range.begin);
+    shard.end = static_cast<int>(range.end);
+    shard.inbox_begin.assign(static_cast<size_t>(range.end - range.begin) + 1,
+                             0);
+    std::fill(node_shard_.begin() + range.begin,
+              node_shard_.begin() + range.end, s);
+  }
+  buckets_.resize(static_cast<size_t>(num_shards) *
+                  static_cast<size_t>(num_shards));
 }
 
 Status Engine::ValidateOptions() const {
@@ -101,60 +112,87 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
   message.send_seq = send_seq_[static_cast<size_t>(src)]++;
   message.event = Event{message.time, 0, static_cast<int32_t>(type),
                         static_cast<int32_t>(dst), a, b, x};
-  // Route into the outbox of the shard owning `src` (engine::ComputeShard's
-  // fixed layout inverted): that shard's worker is the only writer during a
+  // Only the party stepping `src`'s shard appends to this bucket inside a
   // window, so no lock is needed.
-  const int num_shards = options_.exec.num_shards;
-  const int64_t base = num_nodes_ / num_shards;
-  const int64_t remainder = num_nodes_ % num_shards;
-  const int64_t boundary = remainder * (base + 1);
-  const int shard =
-      src < boundary
-          ? static_cast<int>(src / (base + 1))
-          : static_cast<int>(remainder + (src - boundary) / base);
-  outboxes_[static_cast<size_t>(shard)].messages.push_back(std::move(message));
+  const size_t bucket =
+      static_cast<size_t>(node_shard_[static_cast<size_t>(src)]) *
+          static_cast<size_t>(options_.exec.num_shards) +
+      static_cast<size_t>(node_shard_[static_cast<size_t>(dst)]);
+  buckets_[bucket].messages.push_back(message);
 }
 
-double Engine::GroupOutboxesByDestination() {
-  // Counting sort by destination: count each node's messages, turn the
-  // counts into group ends with a prefix sum, then scatter from the back,
-  // which moves each end down to its group's start and keeps outbox order
-  // within a group.
-  std::fill(inbox_begin_.begin(), inbox_begin_.end(), 0);
+void Engine::StepShard(int index, double window_end, int64_t budget) {
+  Shard& shard = shards_[static_cast<size_t>(index)];
+  int64_t executed = 0;
+  double end_time = shard.end_time;
+  double next_time = kInf;
+  for (int node = shard.begin; node < shard.end; ++node) {
+    EventHeap& queue = queues_[static_cast<size_t>(node)];
+    while (!queue.empty() && queue.Top().time < window_end) {
+      if (executed >= budget) {
+        // A same-window self-rescheduling chain: stop so Run can surface
+        // ResourceExhausted instead of hanging (deterministic: the budget
+        // depends only on event counts, not thread interleaving).
+        shard.overflow = true;
+        shard.events = executed;
+        shard.end_time = end_time;
+        shard.next_time = next_time;
+        return;
+      }
+      Event event = queue.PopTop();
+      end_time = std::max(end_time, event.time);
+      ++executed;
+      handlers_[static_cast<size_t>(event.type)](event);
+    }
+    if (!queue.empty()) next_time = std::min(next_time, queue.Top().time);
+  }
+  shard.events = executed;
+  shard.end_time = end_time;
+  shard.next_time = next_time;
+}
+
+void Engine::DeliverShard(int index) {
+  Shard& shard = shards_[static_cast<size_t>(index)];
+  const size_t num_shards = static_cast<size_t>(options_.exec.num_shards);
+  const size_t dst = static_cast<size_t>(index);
   size_t total = 0;
+  for (size_t src = 0; src < num_shards; ++src) {
+    total += buckets_[src * num_shards + dst].messages.size();
+  }
+  shard.delivered = static_cast<int64_t>(total);
+  if (total == 0) return;
+
+  // Counting sort by destination node: count each node's messages, turn
+  // the counts into group ends with a prefix sum, then scatter from the
+  // back, which moves each end down to its group's start.
+  std::vector<size_t>& group = shard.inbox_begin;
+  std::fill(group.begin(), group.end(), 0);
   double earliest = kInf;
-  for (const Outbox& box : outboxes_) {
-    for (const Message& message : box.messages) {
-      ++inbox_begin_[static_cast<size_t>(message.event.node)];
+  for (size_t src = 0; src < num_shards; ++src) {
+    for (const Message& message : buckets_[src * num_shards + dst].messages) {
+      ++group[static_cast<size_t>(message.event.node - shard.begin)];
       earliest = std::min(earliest, message.time);
     }
-    total += box.messages.size();
   }
-  std::partial_sum(inbox_begin_.begin(), inbox_begin_.end(),
-                   inbox_begin_.begin());
-  inbox_.resize(total);
-  for (auto box = outboxes_.rbegin(); box != outboxes_.rend(); ++box) {
-    for (auto message = box->messages.rbegin();
-         message != box->messages.rend(); ++message) {
-      inbox_[--inbox_begin_[static_cast<size_t>(message->event.node)]] =
-          *message;
+  std::partial_sum(group.begin(), group.end(), group.begin());
+  shard.inbox.resize(total);
+  for (size_t src = num_shards; src-- > 0;) {
+    std::vector<Message>& bucket = buckets_[src * num_shards + dst].messages;
+    for (auto message = bucket.rbegin(); message != bucket.rend(); ++message) {
+      shard.inbox[--group[static_cast<size_t>(message->event.node -
+                                              shard.begin)]] = *message;
     }
-    box->messages.clear();
+    bucket.clear();
   }
-  return earliest;
-}
+  shard.next_time = std::min(shard.next_time, earliest);
 
-void Engine::StepShard(int shard, double window_end, int64_t budget) {
-  engine::ShardRange range = engine::ComputeShard(
-      0, num_nodes_, options_.exec.num_shards, shard);
-  // Deliver this shard's slice of the last barrier's messages before any
-  // node steps, each destination's group in (arrival time, src, send seq)
-  // order whatever the outbox order was: its seq stamps, and thus
+  // Deliver each destination's group in (arrival time, src, send seq)
+  // order whatever the bucket order was: its seq stamps, and thus
   // everything downstream, are then shard-invariant.
-  for (int64_t node = range.begin; node < range.end; ++node) {
-    Message* first = inbox_.data() + inbox_begin_[static_cast<size_t>(node)];
-    Message* last =
-        inbox_.data() + inbox_begin_[static_cast<size_t>(node) + 1];
+  for (int node = shard.begin; node < shard.end; ++node) {
+    const size_t i = static_cast<size_t>(node - shard.begin);
+    Message* first = shard.inbox.data() + group[i];
+    Message* last = shard.inbox.data() + group[i + 1];
     if (last - first > 1) {
       std::sort(first, last, [](const Message& a, const Message& b) {
         if (a.time != b.time) return a.time < b.time;
@@ -169,38 +207,24 @@ void Engine::StepShard(int shard, double window_end, int64_t budget) {
       queue.Push(event);
     }
   }
-  int64_t executed = 0;
-  double end_time = shard_end_time_[static_cast<size_t>(shard)];
-  double next_time = kInf;
-  for (int64_t node = range.begin; node < range.end; ++node) {
-    EventHeap& queue = queues_[static_cast<size_t>(node)];
-    while (!queue.empty() && queue.Top().time < window_end) {
-      if (executed >= budget) {
-        // A same-window self-rescheduling chain: stop so Run can surface
-        // ResourceExhausted instead of hanging (deterministic: the budget
-        // depends only on event counts, not thread interleaving).
-        shard_overflow_[static_cast<size_t>(shard)] = 1;
-        shard_events_[static_cast<size_t>(shard)] = executed;
-        shard_end_time_[static_cast<size_t>(shard)] = end_time;
-        shard_next_time_[static_cast<size_t>(shard)] = next_time;
-        return;
-      }
-      Event event = queue.PopTop();
-      end_time = std::max(end_time, event.time);
-      ++executed;
-      handlers_[static_cast<size_t>(event.type)](event);
-    }
-    if (!queue.empty()) next_time = std::min(next_time, queue.Top().time);
-  }
-  shard_events_[static_cast<size_t>(shard)] = executed;
-  shard_end_time_[static_cast<size_t>(shard)] = end_time;
-  shard_next_time_[static_cast<size_t>(shard)] = next_time;
 }
 
-Result<EngineStats> Engine::RunWindowed() {
-  EngineStats stats;
+void Engine::StepParty(int party, int parties, const Window& window,
+                       CyclicBarrier* barrier) noexcept {
   const int num_shards = options_.exec.num_shards;
-  std::fill(shard_end_time_.begin(), shard_end_time_.end(), 0.0);
+  for (int s = party; s < num_shards; s += parties) {
+    StepShard(s, window.end, window.budget);
+  }
+  // Every send of the window is in its bucket before any shard drains one.
+  if (barrier != nullptr) barrier->Arrive();
+  for (int s = party; s < num_shards; s += parties) DeliverShard(s);
+  if (barrier != nullptr) barrier->Arrive();
+}
+
+Result<EngineStats> Engine::StepWindows(int parties, CyclicBarrier* barrier,
+                                        Window* window) {
+  EngineStats stats;
+  for (Shard& shard : shards_) shard.end_time = 0.0;
 
   // Earliest pending event across all nodes (initial schedules are made
   // serially, so this scan is deterministic).
@@ -209,39 +233,37 @@ Result<EngineStats> Engine::RunWindowed() {
     if (!queue.empty()) t_min = std::min(t_min, queue.Top().time);
   }
 
-  // The first window follows none, so it goes to the pool.
+  // The first window follows none, so it goes to the parties.
   int64_t last_window_events = kInlineWindowEvents;
   while (t_min != kInf) {
-    const double window_end = t_min + options_.lookahead;
+    window->end = t_min + options_.lookahead;
     // Every shard may spend what is left of the max_events budget, so the
     // guard trips iff the window's events would take the total past
     // max_events, whatever the shard count.
-    const int64_t budget = options_.max_events > 0
-                               ? options_.max_events - stats.events_executed
-                               : INT64_MAX;
-    if (num_shards == 1 || last_window_events < kInlineWindowEvents) {
-      // Shards touch disjoint nodes within a window, so stepping them in
+    window->budget = options_.max_events > 0
+                         ? options_.max_events - stats.events_executed
+                         : INT64_MAX;
+    if (parties == 1 || last_window_events < kInlineWindowEvents) {
+      // Shards touch disjoint nodes within a phase, so stepping them in
       // turn is equivalent to stepping them concurrently.
-      for (int s = 0; s < num_shards; ++s) StepShard(s, window_end, budget);
+      StepParty(0, 1, *window, nullptr);
     } else {
-      engine::ParallelFor(options_.exec.pool, 0, num_nodes_, num_shards,
-                          [this, window_end, budget](int shard,
-                                                     int64_t /*begin*/,
-                                                     int64_t /*end*/) {
-                            StepShard(shard, window_end, budget);
-                          });
+      barrier->Arrive();  // opens the window for the pool parties
+      StepParty(0, parties, *window, barrier);
     }
     bool overflow = false;
     double end_time = stats.end_time;
     double next_time = kInf;
+    int64_t delivered = 0;
     last_window_events = 0;
-    for (int s = 0; s < num_shards; ++s) {
-      last_window_events += shard_events_[static_cast<size_t>(s)];
-      end_time = std::max(end_time, shard_end_time_[static_cast<size_t>(s)]);
-      next_time = std::min(next_time, shard_next_time_[static_cast<size_t>(s)]);
-      overflow = overflow || shard_overflow_[static_cast<size_t>(s)] != 0;
+    for (const Shard& shard : shards_) {
+      last_window_events += shard.events;
+      delivered += shard.delivered;
+      end_time = std::max(end_time, shard.end_time);
+      next_time = std::min(next_time, shard.next_time);
+      overflow = overflow || shard.overflow;
     }
-    if (overflow || last_window_events > budget) {
+    if (overflow || last_window_events > window->budget) {
       // Report only shard-invariant progress: what ran before this window.
       return Status::ResourceExhausted(
           "event count exceeded max_events=" +
@@ -254,13 +276,45 @@ Result<EngineStats> Engine::RunWindowed() {
     ++stats.windows;
     stats.events_executed += last_window_events;
     stats.end_time = end_time;
-    // Window barrier: group the outboxes by destination for the shards'
-    // next steps to deliver; the earliest arrival may start the next window.
-    next_time = std::min(next_time, GroupOutboxesByDestination());
-    stats.messages_delivered += static_cast<int64_t>(inbox_.size());
+    stats.messages_delivered += delivered;
+    // The earliest delivery may start the next window.
     t_min = next_time;
   }
   return stats;
+}
+
+Result<EngineStats> Engine::RunWindowed() {
+  const int num_shards = options_.exec.num_shards;
+  ThreadPool* pool = options_.exec.pool;
+  // The caller is party 0. Each further party is a pool task that lives for
+  // the whole Run, so there are no more of them than pool threads.
+  const int parties =
+      num_shards == 1
+          ? 1
+          : static_cast<int>(std::min(static_cast<size_t>(num_shards),
+                                      pool->num_threads() + 1));
+  CyclicBarrier barrier(static_cast<size_t>(parties));
+  Window window;
+  for (int party = 1; party < parties; ++party) {
+    pool->Submit([this, &barrier, &window, party, parties] {
+      for (;;) {
+        // The caller opens each pooled window, or the end of Run, here.
+        barrier.Arrive();
+        if (window.stop) return;
+        StepParty(party, parties, window, &barrier);
+      }
+    });
+  }
+  Result<EngineStats> result = StepWindows(parties, &barrier, &window);
+  if (parties > 1) {
+    // Every window ends with the parties back at the opening barrier, so
+    // every exit, errors included, can release them there and wait for them
+    // to leave.
+    window.stop = true;
+    barrier.Arrive();
+    pool->WaitIdle();
+  }
+  return result;
 }
 
 Result<EngineStats> Engine::Run() {

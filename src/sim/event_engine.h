@@ -10,20 +10,31 @@
 #include "sim/event.h"
 #include "sim/event_heap.h"
 
+namespace dmlscale {
+class CyclicBarrier;
+}  // namespace dmlscale
+
 namespace dmlscale::sim {
 
 /// How a consumer wants an engine-backed simulation executed. Defaults run
 /// serially; the result is bit-identical for every shard count (the
 /// engine's determinism contract), so sharding is purely a wall-clock knob.
-/// A window that follows one with few events steps its shards one after
-/// another on the calling thread, because the pool round trip would cost
-/// more than the window's work.
+///
+/// A sharded Run steps its shards on parties that live for the whole Run:
+/// the calling thread plus min(num_shards, pool threads + 1) - 1 pool tasks,
+/// so it holds up to num_shards - 1 pool threads until it returns, on every
+/// path. Any pool size >= 1 works; a party steps several shards when the
+/// pool has fewer threads than shards. Calling Run from a task of the same
+/// pool is unsupported: the parties could wait for the very thread that
+/// waits for them. A window that follows one with few events steps its
+/// shards one after another on the calling thread, because the barrier
+/// handoffs would cost more than the window's work.
 struct EngineExec {
   /// Fixed shard count the node set is partitioned into (>= 1). More than
   /// one requires a pool.
   int num_shards = 1;
-  /// Worker pool the shards of a large window are stepped on (not owned).
-  /// Required when num_shards > 1; ignored otherwise.
+  /// Pool the parties beside the caller run on (not owned). Required when
+  /// num_shards > 1; ignored otherwise.
   ThreadPool* pool = nullptr;
 };
 
@@ -57,22 +68,26 @@ struct EngineStats {
 
 /// The discrete-event core: typed POD event records in per-node calendar
 /// queues, with an event-manager loop that steps fixed node shards through
-/// clock-skew-bounded windows on engine::ParallelFor.
+/// clock-skew-bounded windows. A sharded Run's parties (EngineExec) meet at
+/// a spin-then-block CyclicBarrier: each window is step -> barrier ->
+/// deliver -> barrier.
 ///
 /// Determinism contract: a node's state may be touched only by handlers
 /// dispatched on that node; cross-node effects go through Send(), which
-/// buffers into per-shard outboxes during a window. The window barrier
-/// groups the outboxes by destination node, and the shard owning a
-/// destination delivers its group at the start of its next step, in
-/// (arrival time, src node, src send seq) order. Node-local event order,
-/// delivery order, and the ordered reductions below are therefore
-/// invariant under the shard count — serial and threaded runs are
+/// buffers into a bucket per (source shard, destination shard) during a
+/// window. After the step barrier, the shard owning a destination groups
+/// its incoming buckets by node and delivers each group in (arrival time,
+/// src node, src send seq) order. Node-local event order, delivery order,
+/// and the ordered reductions below are therefore invariant under the
+/// shard count and the pool size: serial and threaded runs are
 /// bit-identical.
 class Engine {
  public:
   /// A handler dispatches one typed event. It runs on the shard owning
   /// `event.node` and must confine itself to that node's state plus
-  /// ScheduleAt on the same node / Send to any node.
+  /// ScheduleAt on the same node / Send to any node. It must not throw: the
+  /// parties of a sharded Run cannot be released mid-window, so an
+  /// exception escaping a handler ends the process.
   using Handler = std::function<void(const Event& event)>;
 
   Engine(int num_nodes, EngineOptions options);
@@ -124,21 +139,57 @@ class Engine {
     uint64_t send_seq = 0; // per-src send counter: final tie-break
     Event event;           // event.seq stamped at delivery
   };
-  // A source shard's sends in one window. Each sits on its own cache line:
-  // shards append concurrently, and adjacent vector headers would share one.
-  struct alignas(64) Outbox {
+  // One (source shard, destination shard) pair's sends in one window: only
+  // the party stepping the source appends, and only the party owning the
+  // destination drains it, after the step barrier. Each sits on its own
+  // cache line: shards append concurrently, and adjacent vector headers
+  // would share one.
+  struct alignas(64) Bucket {
     std::vector<Message> messages;
+  };
+  // One shard's nodes, delivery scratch and window results. Inside a window
+  // only the party owning the shard touches it; the caller merges the
+  // results in shard order once the window's last barrier has passed.
+  struct alignas(64) Shard {
+    int begin = 0;  // owned nodes [begin, end)
+    int end = 0;
+    // The window's deliveries grouped by node: node begin + i's group is
+    // inbox[inbox_begin[i], inbox_begin[i + 1]). Both reused across
+    // windows.
+    std::vector<Message> inbox;
+    std::vector<size_t> inbox_begin;  // end - begin + 1 entries
+    int64_t events = 0;               // executed this window
+    int64_t delivered = 0;            // messages delivered this window
+    double end_time = 0.0;            // latest executed event so far
+    double next_time = 0.0;           // earliest pending event after delivery
+    bool overflow = false;            // max_events tripped mid-window
+  };
+  // A pooled window's bounds, published by the caller before the barrier
+  // that opens the window; `stop` releases the parties at the end of Run.
+  struct Window {
+    double end = 0.0;
+    int64_t budget = 0;  // events each shard may execute
+    bool stop = false;
   };
 
   Status ValidateOptions() const;
   Result<EngineStats> RunWindowed();
-  // Window barrier: moves every outbox into inbox_, grouped by destination.
-  // Returns the earliest arrival time (infinity when there is none).
-  double GroupOutboxesByDestination();
-  // Steps one shard's nodes through [T, window_end), stopping with
-  // shard_overflow_ set once it has executed `budget` events and more
-  // remain in the window.
+  // The caller's loop over windows: steps each one inline or together with
+  // the pool parties, and merges the shards' results.
+  Result<EngineStats> StepWindows(int parties, CyclicBarrier* barrier,
+                                  Window* window);
+  // Party `party` of `parties` steps its shards (party, party + parties,
+  // ...) through `window`, then delivers their incoming messages, meeting
+  // the other parties at `barrier` after each phase (none when inline).
+  void StepParty(int party, int parties, const Window& window,
+                 CyclicBarrier* barrier) noexcept;
+  // Steps one shard's nodes through [T, window_end), stopping with its
+  // overflow flag set once it has executed `budget` events and more remain
+  // in the window.
   void StepShard(int shard, double window_end, int64_t budget);
+  // Moves the window's messages for the shard's nodes from its incoming
+  // buckets into their calendar queues.
+  void DeliverShard(int shard);
 
   int num_nodes_;
   EngineOptions options_;
@@ -146,17 +197,10 @@ class Engine {
   std::vector<EventHeap> queues_;        // one calendar queue per node
   std::vector<uint64_t> node_seq_;       // per-node order
   std::vector<uint64_t> send_seq_;       // per-src mailbox key
-  std::vector<Outbox> outboxes_;         // one per source shard
-  // The last barrier's messages in destination-node order: node d's group
-  // is inbox_[inbox_begin_[d], inbox_begin_[d + 1]), so each shard's nodes
-  // own one contiguous slice. Reused across windows.
-  std::vector<Message> inbox_;
-  std::vector<size_t> inbox_begin_;      // num_nodes + 1 entries
-  // Per-shard window results, merged in shard order at each barrier.
-  std::vector<int64_t> shard_events_;
-  std::vector<double> shard_end_time_;
-  std::vector<double> shard_next_time_;  // min next event time in shard
-  std::vector<uint8_t> shard_overflow_;  // max_events tripped mid-window
+  std::vector<int> node_shard_;          // the shard owning each node
+  // Indexed [source shard * num_shards + destination shard].
+  std::vector<Bucket> buckets_;
+  std::vector<Shard> shards_;
   bool running_ = false;
 };
 

@@ -172,7 +172,9 @@ TEST(EngineDeterminismTest, ReplicaRecoveryPsIsShardCountInvariant) {
 // window after the first on the calling thread. These keep the pool path
 // under test (and under TSan): 4099 nodes, twice the engine's 2048-event
 // inline threshold, with jitter too small to split a ring step or a PS
-// phase across windows, so every window holds all 4099 nodes' events.
+// phase across windows, so every window holds all 4099 nodes' events. Each
+// shard count also runs on every pool size from one thread up: with fewer
+// threads than shards, every party steps several shards.
 constexpr int kPoolNodes = 4099;
 
 TEST(EngineDeterminismTest, PoolSteppedRingIsShardCountInvariant) {
@@ -188,19 +190,24 @@ TEST(EngineDeterminismTest, PoolSteppedRingIsShardCountInvariant) {
   ASSERT_EQ(serial.value().engine.events_executed,
             int64_t{kPoolNodes} * (base.max_steps + 1));
   for (int shards : kShardCounts) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    RingScaleConfig config = base;
-    config.exec.num_shards = shards;
-    config.exec.pool = &pool;
-    Result<ScaleStats> sharded = SimulateRingAllReduceAtScale(config);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.value().engine.events_executed,
-              serial.value().engine.events_executed);
-    EXPECT_EQ(sharded.value().engine.windows, serial.value().engine.windows);
-    EXPECT_EQ(sharded.value().engine.messages_delivered,
-              serial.value().engine.messages_delivered);
+    for (int threads = 1; threads <= shards; ++threads) {
+      ThreadPool pool(static_cast<size_t>(threads));
+      RingScaleConfig config = base;
+      config.exec.num_shards = shards;
+      config.exec.pool = &pool;
+      Result<ScaleStats> sharded = SimulateRingAllReduceAtScale(config);
+      ASSERT_TRUE(sharded.ok());
+      EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(sharded.value().engine.events_executed,
+                serial.value().engine.events_executed);
+      EXPECT_EQ(sharded.value().engine.windows,
+                serial.value().engine.windows);
+      EXPECT_EQ(sharded.value().engine.messages_delivered,
+                serial.value().engine.messages_delivered);
+      EXPECT_EQ(sharded.value().engine.end_time,
+                serial.value().engine.end_time);
+    }
   }
 }
 
@@ -219,19 +226,24 @@ TEST(EngineDeterminismTest, PoolSteppedParameterServerIsShardCountInvariant) {
   ASSERT_EQ(serial.value().engine.events_executed,
             int64_t{kPoolNodes} * phases);
   for (int shards : kShardCounts) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    PsScaleConfig config = base;
-    config.exec.num_shards = shards;
-    config.exec.pool = &pool;
-    Result<ScaleStats> sharded = SimulateParameterServerAtScale(config);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.value().engine.events_executed,
-              serial.value().engine.events_executed);
-    EXPECT_EQ(sharded.value().engine.windows, serial.value().engine.windows);
-    EXPECT_EQ(sharded.value().engine.messages_delivered,
-              serial.value().engine.messages_delivered);
+    for (int threads = 1; threads <= shards; ++threads) {
+      ThreadPool pool(static_cast<size_t>(threads));
+      PsScaleConfig config = base;
+      config.exec.num_shards = shards;
+      config.exec.pool = &pool;
+      Result<ScaleStats> sharded = SimulateParameterServerAtScale(config);
+      ASSERT_TRUE(sharded.ok());
+      EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
+          << "shards=" << shards << " threads=" << threads;
+      EXPECT_EQ(sharded.value().engine.events_executed,
+                serial.value().engine.events_executed);
+      EXPECT_EQ(sharded.value().engine.windows,
+                serial.value().engine.windows);
+      EXPECT_EQ(sharded.value().engine.messages_delivered,
+                serial.value().engine.messages_delivered);
+      EXPECT_EQ(sharded.value().engine.end_time,
+                serial.value().engine.end_time);
+    }
   }
 }
 

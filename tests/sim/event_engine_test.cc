@@ -245,7 +245,9 @@ TEST(EventEngineTest, MaxEventsGuardTripsOnSameWindowChain) {
 // Four chains, one per node, stop advancing time at t = 3, so the fourth
 // window never ends. Every shard may spend only what is left of max_events,
 // and the error counts only the windows before the trip, so the message is
-// the same at every shard count.
+// the same at every shard count. A completing run on the same pool follows
+// each trip: it hangs or fails if a party of the tripped run still holds a
+// pool thread.
 TEST(EventEngineTest, MaxEventsGuardMessageIsShardInvariant) {
   for (int shards : {1, 2, 4, 8}) {
     ThreadPool pool(static_cast<size_t>(shards));
@@ -268,6 +270,22 @@ TEST(EventEngineTest, MaxEventsGuardMessageIsShardInvariant) {
               "event count exceeded max_events=20 in the window starting at "
               "t=3.000000 (12 events executed, sim time reached 2.000000)")
         << "shards=" << shards;
+
+    // Each node passes a token on until t = 3: 16 events, 12 messages.
+    Engine next(4, options);
+    int hop = -1;
+    hop = next.AddHandler([&](const Event& event) {
+      if (event.time < 3.0) {
+        next.Send(event.node, (event.node + 1) % 4, 1.0, event.time, hop);
+      }
+    });
+    for (int node = 0; node < 4; ++node) next.MustScheduleAt(node, 0.0, hop);
+    Result<EngineStats> done = next.Run();
+    ASSERT_TRUE(done.ok()) << "shards=" << shards;
+    EXPECT_EQ(done.value().events_executed, 16);
+    EXPECT_EQ(done.value().windows, 4);
+    EXPECT_EQ(done.value().messages_delivered, 12);
+    EXPECT_EQ(done.value().end_time, 3.0);
   }
 }
 
