@@ -11,8 +11,8 @@ namespace dmlscale::sweep {
 
 struct SweepRunnerOptions {
   /// Worker threads fanning the grid's cells out over a ThreadPool, in
-  /// [1, kMaxThreads] (1 = run every cell inline). Cells are the unit of parallelism, so each
-  /// cell's Analysis::Run stays single-threaded.
+  /// [1, kMaxThreads] (1 = run every cell inline). Cells are the unit of
+  /// parallelism, so each cell's Analysis::Run stays single-threaded.
   int threads = 1;
 
   /// Base seed. Cell `i` simulates with sim_seed = DeriveSeed(base_seed, i)
