@@ -4,9 +4,12 @@
 
 #include <limits>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "sim/event_heap.h"
 #include "sim/scale_scenarios.h"
@@ -27,6 +30,35 @@ TEST(EventHeapTest, PopsInTimeThenSeqOrder) {
   EXPECT_EQ(heap.PopTop().seq, 2u);
   EXPECT_DOUBLE_EQ(heap.PopTop().time, 2.0);
   EXPECT_TRUE(heap.empty());
+
+  // A fixed-seed interleaving of pushes and pops over a handful of times,
+  // so most comparisons are ties that seq decides. Each pop must return
+  // the (time, seq) minimum of a sorted reference, with the payload (`a`,
+  // the op index) it was pushed with.
+  std::set<std::tuple<double, uint64_t, int64_t>> expected;
+  Pcg32 rng(2024);
+  uint64_t seq = 0;
+  for (int64_t op = 0; op < 10000; ++op) {
+    if (expected.empty() || rng.NextBounded(3) != 0) {
+      const double time = static_cast<double>(rng.NextBounded(5));
+      heap.Push(Event{.time = time, .seq = seq, .a = op});
+      expected.emplace(time, seq++, op);
+      continue;
+    }
+    const Event event = heap.PopTop();
+    ASSERT_EQ(std::make_tuple(event.time, event.seq, event.a),
+              *expected.begin())
+        << "op " << op;
+    expected.erase(expected.begin());
+    ASSERT_EQ(heap.size(), expected.size());
+  }
+  while (!heap.empty()) {
+    const Event event = heap.PopTop();
+    ASSERT_EQ(std::make_tuple(event.time, event.seq, event.a),
+              *expected.begin());
+    expected.erase(expected.begin());
+  }
+  EXPECT_TRUE(expected.empty());
 }
 
 // Engine options for the cases that need no particular window size.
