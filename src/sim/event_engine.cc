@@ -106,19 +106,23 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
   // The clock-skew bound: an in-window send must land in a later window.
   DMLSCALE_CHECK_GE(delay, options_.lookahead);
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
-  Message message;
-  message.time = now + delay;
-  message.src = static_cast<int32_t>(src);
-  message.send_seq = send_seq_[static_cast<size_t>(src)]++;
-  message.event = Event{message.time, 0, static_cast<int32_t>(type),
-                        static_cast<int32_t>(dst), a, b, x};
   // Only the party stepping `src`'s shard appends to this bucket inside a
   // window, so no lock is needed.
   const size_t bucket =
       static_cast<size_t>(node_shard_[static_cast<size_t>(src)]) *
           static_cast<size_t>(options_.exec.num_shards) +
       static_cast<size_t>(node_shard_[static_cast<size_t>(dst)]);
-  buckets_[bucket].messages.push_back(message);
+  // Filled in its slot: a record built elsewhere and copied in would be
+  // read back with loads wider than the stores that just wrote it.
+  Message& message = buckets_[bucket].messages.emplace_back();
+  message.event.time = now + delay;
+  message.event.seq = send_seq_[static_cast<size_t>(src)]++;
+  message.event.type = static_cast<int32_t>(type);
+  message.event.node = static_cast<int32_t>(dst);
+  message.event.a = a;
+  message.event.b = b;
+  message.event.x = x;
+  message.src = static_cast<int32_t>(src);
 }
 
 void Engine::StepShard(int index, double window_end, int64_t budget) {
@@ -162,27 +166,27 @@ void Engine::DeliverShard(int index) {
   shard.delivered = static_cast<int64_t>(total);
   if (total == 0) return;
 
-  // Counting sort by destination node: count each node's messages, turn
-  // the counts into group ends with a prefix sum, then scatter from the
-  // back, which moves each end down to its group's start.
+  // Counting sort of pointers by destination node: count each node's
+  // messages, turn the counts into group ends with a prefix sum, then
+  // scatter from the back, which moves each end down to its group's start.
   std::vector<size_t>& group = shard.inbox_begin;
   std::fill(group.begin(), group.end(), 0);
   double earliest = kInf;
   for (size_t src = 0; src < num_shards; ++src) {
     for (const Message& message : buckets_[src * num_shards + dst].messages) {
       ++group[static_cast<size_t>(message.event.node - shard.begin)];
-      earliest = std::min(earliest, message.time);
+      earliest = std::min(earliest, message.event.time);
     }
   }
   std::partial_sum(group.begin(), group.end(), group.begin());
   shard.inbox.resize(total);
   for (size_t src = num_shards; src-- > 0;) {
-    std::vector<Message>& bucket = buckets_[src * num_shards + dst].messages;
+    const std::vector<Message>& bucket =
+        buckets_[src * num_shards + dst].messages;
     for (auto message = bucket.rbegin(); message != bucket.rend(); ++message) {
       shard.inbox[--group[static_cast<size_t>(message->event.node -
-                                              shard.begin)]] = *message;
+                                              shard.begin)]] = &*message;
     }
-    bucket.clear();
   }
   shard.next_time = std::min(shard.next_time, earliest);
 
@@ -191,21 +195,27 @@ void Engine::DeliverShard(int index) {
   // everything downstream, are then shard-invariant.
   for (int node = shard.begin; node < shard.end; ++node) {
     const size_t i = static_cast<size_t>(node - shard.begin);
-    Message* first = shard.inbox.data() + group[i];
-    Message* last = shard.inbox.data() + group[i + 1];
+    const Message** first = shard.inbox.data() + group[i];
+    const Message** last = shard.inbox.data() + group[i + 1];
     if (last - first > 1) {
-      std::sort(first, last, [](const Message& a, const Message& b) {
-        if (a.time != b.time) return a.time < b.time;
-        if (a.src != b.src) return a.src < b.src;
-        return a.send_seq < b.send_seq;
+      std::sort(first, last, [](const Message* a, const Message* b) {
+        if (a->event.time != b->event.time) {
+          return a->event.time < b->event.time;
+        }
+        if (a->src != b->src) return a->src < b->src;
+        return a->event.seq < b->event.seq;  // the send counters
       });
     }
     EventHeap& queue = queues_[static_cast<size_t>(node)];
     for (; first != last; ++first) {
-      Event event = first->event;
+      Event event = (*first)->event;
       event.seq = node_seq_[static_cast<size_t>(node)]++;
       queue.Push(event);
     }
+  }
+  // The inbox points into the buckets, so they empty only now.
+  for (size_t src = 0; src < num_shards; ++src) {
+    buckets_[src * num_shards + dst].messages.clear();
   }
 }
 

@@ -132,13 +132,17 @@ class Engine {
 
  private:
   // Cross-node message, buffered from Send until its destination's shard
-  // delivers it.
+  // delivers it. Send fills it field by field in its bucket slot, and
+  // delivery reads it through a pointer: no copy is made on the way.
   struct Message {
-    double time = 0.0;     // arrival time at dst
-    int32_t src = 0;       // sending node: first-order tie-break
-    uint64_t send_seq = 0; // per-src send counter: final tie-break
-    Event event;           // event.seq stamped at delivery
+    // The event at dst: event.time is the arrival time, and event.seq holds
+    // src's send counter (the final tie-break) until delivery stamps dst's
+    // own seq on the heap's copy.
+    Event event;
+    int32_t src = 0;  // sending node: the tie-break after arrival time
   };
+  static_assert(sizeof(Event) == 48);
+  static_assert(sizeof(Message) == 56);
   // One (source shard, destination shard) pair's sends in one window: only
   // the party stepping the source appends, and only the party owning the
   // destination drains it, after the step barrier. Each sits on its own
@@ -153,10 +157,10 @@ class Engine {
   struct alignas(64) Shard {
     int begin = 0;  // owned nodes [begin, end)
     int end = 0;
-    // The window's deliveries grouped by node: node begin + i's group is
-    // inbox[inbox_begin[i], inbox_begin[i + 1]). Both reused across
-    // windows.
-    std::vector<Message> inbox;
+    // The window's incoming messages grouped by node, as pointers into the
+    // buckets: node begin + i's group is inbox[inbox_begin[i],
+    // inbox_begin[i + 1]). Both reused across windows.
+    std::vector<const Message*> inbox;
     std::vector<size_t> inbox_begin;  // end - begin + 1 entries
     int64_t events = 0;               // executed this window
     int64_t delivered = 0;            // messages delivered this window
@@ -188,7 +192,7 @@ class Engine {
   // in the window.
   void StepShard(int shard, double window_end, int64_t budget);
   // Moves the window's messages for the shard's nodes from its incoming
-  // buckets into their calendar queues.
+  // buckets into their calendar queues, then empties those buckets.
   void DeliverShard(int shard);
 
   int num_nodes_;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/check.h"
 #include "sim/event.h"
 
 namespace dmlscale::sim {
@@ -14,19 +15,54 @@ namespace dmlscale::sim {
 /// shards step disjoint node sets without synchronization. The sequential
 /// sims (tree reduce and broadcast, parameter server, per-link DES) run a
 /// plain loop over one heap, stamping seq from a local counter at each
-/// push, so equal-time events pop in push order. Events are moved, never
-/// copied through an intermediate: a POD record plus pop-into-return keeps
-/// the hot loop copy-free by construction.
+/// push, so equal-time events pop in push order.
+///
+/// Both operations are hole-based sifts: each moves the events it passes
+/// over into a hole and stores the event being placed once, in its final
+/// slot. Neither reads back an event it has just written, so a load never
+/// waits on a store that only partly covers it (std::push_heap re-reads
+/// the element push_back has just stored). Seqs are unique within a heap,
+/// so the pop order is the (time, seq) order std::push_heap / pop_heap
+/// give.
 class EventHeap {
  public:
   /// Inserts `event`. O(log size).
-  void Push(const Event& event);
+  void Push(Event event) {
+    size_t hole = heap_.size();
+    heap_.emplace_back();
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!EventAfter{}(heap_[parent], event)) break;
+      heap_[hole] = heap_[parent];
+      hole = parent;
+    }
+    heap_[hole] = event;
+  }
 
   /// The earliest event; undefined when empty. O(1).
   const Event& Top() const { return heap_.front(); }
 
   /// Removes and returns the earliest event. O(log size).
-  Event PopTop();
+  Event PopTop() {
+    DMLSCALE_CHECK(!heap_.empty());
+    const Event top = heap_.front();
+    // The last event fills the hole at the root: move the earlier child up
+    // into the hole until the last event fits there.
+    const size_t size = heap_.size() - 1;
+    const Event& last = heap_[size];
+    size_t hole = 0;
+    for (size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && EventAfter{}(heap_[child], heap_[child + 1])) {
+        ++child;
+      }
+      if (!EventAfter{}(last, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = last;
+    heap_.pop_back();
+    return top;
+  }
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
