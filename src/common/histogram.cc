@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/string_util.h"
 
 namespace dmlscale {
 
@@ -62,14 +61,6 @@ double Histogram::Mean() const {
   return sum_ / static_cast<double>(count_);
 }
 
-double Histogram::Max() const {
-  if (count_ == 0) return 0.0;
-  for (size_t i = bins_.size(); i > 0; --i) {
-    if (bins_[i - 1] > 0) return BinRepresentative(i - 1);
-  }
-  return 0.0;
-}
-
 double Histogram::Percentile(double p) const {
   DMLSCALE_CHECK_GE(p, 0.0);
   DMLSCALE_CHECK_LE(p, 1.0);
@@ -85,13 +76,6 @@ double Histogram::Percentile(double p) const {
     if (cumulative >= rank) return BinRepresentative(i);
   }
   return BinRepresentative(bins_.size() - 1);
-}
-
-std::string Histogram::Summary() const {
-  if (count_ == 0) return "empty";
-  return "p50=" + FormatDouble(Percentile(0.50), 4) +
-         " p95=" + FormatDouble(Percentile(0.95), 4) +
-         " p99=" + FormatDouble(Percentile(0.99), 4);
 }
 
 double ExactPercentile(std::vector<double> values, double p) {

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dmlscale {
@@ -54,16 +53,10 @@ class Histogram {
   /// bin approximation). 0 when empty.
   double Mean() const;
 
-  /// Largest recorded sample's bin representative; 0 when empty.
-  double Max() const;
-
   /// Nearest-rank p-quantile, `p` in [0, 1]: the geometric midpoint of the
   /// bin containing sample number ceil(p * count) (1-based, ascending).
   /// Underflow reports min_value, overflow max_value. 0 when empty.
   double Percentile(double p) const;
-
-  /// "p50=… p95=… p99=…" for report lines; "empty" when no samples.
-  std::string Summary() const;
 
   const Options& options() const { return options_; }
   const std::vector<uint64_t>& bins() const { return bins_; }

@@ -33,11 +33,6 @@ uint32_t Pcg32::NextUint32() {
   return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
 }
 
-uint64_t Pcg32::NextUint64() {
-  uint64_t hi = NextUint32();
-  return (hi << 32) | NextUint32();
-}
-
 uint32_t Pcg32::NextBounded(uint32_t bound) {
   DMLSCALE_CHECK_GT(bound, 0u);
   // Lemire-style rejection to avoid modulo bias.

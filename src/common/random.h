@@ -33,9 +33,6 @@ class Pcg32 {
   /// Uniform 32-bit value.
   uint32_t NextUint32();
 
-  /// Uniform 64-bit value.
-  uint64_t NextUint64();
-
   /// Uniform in [0, bound). `bound` must be > 0. Unbiased (rejection).
   uint32_t NextBounded(uint32_t bound);
 

@@ -13,9 +13,7 @@ TEST(HistogramTest, EmptyHistogramReportsZeros) {
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Max(), 0.0);
   EXPECT_EQ(h.Percentile(0.5), 0.0);
-  EXPECT_EQ(h.Summary(), "empty");
 }
 
 TEST(HistogramTest, MeanIsExactNotBinned) {
@@ -38,7 +36,6 @@ TEST(HistogramTest, PercentileWithinBinResolution) {
   for (int i = 1; i <= 1000; ++i) h.Add(static_cast<double>(i) * 1e-3);
   EXPECT_NEAR(h.Percentile(0.50), 0.500, 0.500 * 0.05);
   EXPECT_NEAR(h.Percentile(0.99), 0.990, 0.990 * 0.05);
-  EXPECT_NEAR(h.Max(), 1.000, 1.000 * 0.05);
 }
 
 TEST(HistogramTest, UnderflowAndOverflowClampToBounds) {
@@ -85,7 +82,6 @@ TEST(HistogramTest, MergeIsBitIdenticalToSerialFill) {
   EXPECT_EQ(merged.Percentile(0.50), serial.Percentile(0.50));
   EXPECT_EQ(merged.Percentile(0.95), serial.Percentile(0.95));
   EXPECT_EQ(merged.Percentile(0.99), serial.Percentile(0.99));
-  EXPECT_EQ(merged.Summary(), serial.Summary());
 }
 
 TEST(ExactPercentileTest, NearestRankOnSmallSamples) {

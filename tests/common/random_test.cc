@@ -165,13 +165,6 @@ TEST(Pcg32Test, MaxGaussianMatchesExplicitLoop) {
   EXPECT_GT(cached_exits, 100);
 }
 
-TEST(Pcg32Test, NextUint64CombinesTwoDraws) {
-  Pcg32 a(23), b(23);
-  uint64_t hi = b.NextUint32();
-  uint64_t lo = b.NextUint32();
-  EXPECT_EQ(a.NextUint64(), (hi << 32) | lo);
-}
-
 TEST(SplitMix64Test, IsDeterministic) {
   EXPECT_EQ(SplitMix64(0), SplitMix64(0));
   EXPECT_EQ(SplitMix64(42), SplitMix64(42));
