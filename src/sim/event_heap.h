@@ -26,7 +26,8 @@ namespace dmlscale::sim {
 /// give.
 class EventHeap {
  public:
-  /// Inserts `event`. O(log size).
+  /// Inserts `event`. O(log size). Taken by value, so it may be a copy of
+  /// an element of this heap, whose storage the append can move.
   void Push(Event event) {
     size_t hole = heap_.size();
     heap_.emplace_back();
