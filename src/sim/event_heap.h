@@ -26,8 +26,8 @@ namespace dmlscale::sim {
 /// give.
 class EventHeap {
  public:
-  /// Inserts `event`. O(log size). Taken by value, so it may be a copy of
-  /// an element of this heap, whose storage the append can move.
+  /// Inserts `event`. O(log size). Taken by value, so passing an element of
+  /// this heap is safe even though the append can move the heap's storage.
   void Push(Event event) {
     size_t hole = heap_.size();
     heap_.emplace_back();
