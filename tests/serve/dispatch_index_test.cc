@@ -1,10 +1,13 @@
 // The least-outstanding dispatch index against the rotated strict-min scan
 // it replaced: fixed-seed sequences of dispatches, completion acks and picks
-// at fleet sizes from 1 to 1024 (powers of two and padded trees alike), plus
-// the tie-break's named edge cases.
+// at fleet sizes from 1 to 8257 (either side of the 64-replica word edge, the
+// planner's default max_replicas of 4096 and the 4096-replica edge past it),
+// a deep climb and drain of every count, plus the tie-break's named edge
+// cases.
 
 #include "serve/dispatch_index.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +37,7 @@ int ReferencePick(const std::vector<int64_t>& outstanding, int next_replica) {
 }
 
 TEST(LeastOutstandingIndexTest, MatchesTheRotatedScanOnRandomSequences) {
-  for (int replicas : {1, 2, 3, 7, 64, 989, 1024}) {
+  for (int replicas : {1, 2, 3, 7, 63, 64, 65, 989, 1024, 4096, 4097, 8257}) {
     LeastOutstandingIndex index(replicas);
     std::vector<int64_t> counts(static_cast<size_t>(replicas), 0);
     Pcg32 rng(static_cast<uint64_t>(replicas), 7);
@@ -63,6 +66,54 @@ TEST(LeastOutstandingIndexTest, MatchesTheRotatedScanOnRandomSequences) {
                    : static_cast<int>(rng.NextBounded(bound));
     }
   }
+}
+
+// Every count climbs into the hundreds and drains back to zero. Dispatch
+// raises the pick, and occasional jumps leave empty counts between replicas,
+// so the lowest occupied count has to move up past gaps on the climb and
+// down on the drain.
+TEST(LeastOutstandingIndexTest, MatchesTheRotatedScanThroughDeepCounts) {
+  constexpr int kReplicas = 70;
+  LeastOutstandingIndex index(kReplicas);
+  std::vector<int64_t> counts(kReplicas, 0);
+  Pcg32 rng(11, 3);
+  int cursor = 0;
+  auto check_pick = [&](const char* phase, int step) {
+    const int pick = index.Pick(cursor);
+    EXPECT_EQ(pick, ReferencePick(counts, cursor))
+        << phase << " step=" << step << " cursor=" << cursor;
+    return pick;
+  };
+  for (int step = 0; step < 300 * kReplicas; ++step) {
+    const int pick = check_pick("climb", step);
+    int r = pick;
+    int64_t delta = 1;
+    if (rng.NextBernoulli(0.05)) {
+      r = static_cast<int>(rng.NextBounded(kReplicas));
+      delta = 1 + static_cast<int64_t>(rng.NextBounded(40));
+    }
+    index.Add(r, delta);
+    counts[static_cast<size_t>(r)] += delta;
+    cursor = (pick + 1) % kReplicas;
+  }
+  EXPECT_GT(*std::min_element(counts.begin(), counts.end()), 200);
+  for (int step = 0;; ++step) {
+    std::vector<int> busy;
+    for (int r = 0; r < kReplicas; ++r) {
+      if (counts[static_cast<size_t>(r)] > 0) busy.push_back(r);
+    }
+    if (busy.empty()) break;
+    const int r = busy[rng.NextBounded(static_cast<uint32_t>(busy.size()))];
+    int64_t& count = counts[static_cast<size_t>(r)];
+    const int64_t drained =
+        1 + static_cast<int64_t>(rng.NextBounded(
+                static_cast<uint32_t>(std::min<int64_t>(count, 12))));
+    index.Add(r, -drained);
+    count -= drained;
+    cursor = static_cast<int>(rng.NextBounded(kReplicas));
+    check_pick("drain", step);
+  }
+  for (int c = 0; c < kReplicas; ++c) EXPECT_EQ(index.Pick(c), c);
 }
 
 TEST(LeastOutstandingIndexTest, AllEqualFleetReturnsTheCursor) {

@@ -247,6 +247,26 @@ TEST(ServingSimGoldenTest, SingleReplicaMatchesGolden) {
                 22000, 0});
 }
 
+TEST(ServingSimGoldenTest, OverloadedBatchedReplicaMatchesGolden) {
+  // One batched replica offered about twice its capacity (a full batch of 8
+  // takes 2.6 ms, so it serves ~3100 qps against 6000 offered): its queue
+  // grows into the thousands, and every batch start takes 8 from its head.
+  ServingSimConfig config;
+  config.spec.replicas = 1;
+  config.spec.arrivals.rate_qps = 6000.0;
+  config.spec.batcher.max_batch = 8;
+  config.spec.batcher.max_delay_s = 0.002;
+  config.spec.replica.service.fixed_s = 0.0002;
+  config.spec.replica.service.per_item_s = 0.0003;
+  config.num_requests = 20000;
+  config.warmup_requests = 2000;
+  config.seed = 59;
+  ExpectGolden(config, {UINT64_C(0x400025c4b8dc42c3),  // 2.0184416238992937
+                        UINT64_C(0x400db90a9f36bceb),  // 3.7153522909717274
+                        UINT64_C(0x401d7daad359b347),  // 7.3727219604014129
+                        2750, 0});
+}
+
 TEST(ServingSimTest, BatchlessPoissonGridMatchesErlangCWithin15Percent) {
   // The cross-check the whole subsystem hangs on: with no batching and no
   // cache, exponential service draws make the sim an M/M/k realization,
