@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +54,10 @@ Status ServingSimConfig::Validate() const {
   }
   if (warmup_requests < 0) {
     return Status::InvalidArgument("warmup_requests must be >= 0");
+  }
+  if (warmup_requests > std::numeric_limits<int64_t>::max() - num_requests) {
+    return Status::InvalidArgument(
+        "num_requests + warmup_requests must fit in an int64");
   }
   if (wire_s <= 0.0) {
     return Status::InvalidArgument(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -151,6 +152,32 @@ TEST(AnalysisTest, InvalidOptionsFail) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(report.status().message().find("max_nodes"), std::string::npos)
+      << report.status().message();
+}
+
+TEST(AnalysisTest, ServingSimRequestTotalMustFitInt64) {
+  // serving_sim_requests + serving_sim_warmup is the serving DES's request
+  // total; one past INT64_MAX must come back as a Status, not overflow.
+  auto scenario = Scenario::Builder()
+                      .Name("fig1-serving")
+                      .Hardware(presets::Fig1Cluster(30))
+                      .Compute("perfectly-parallel", {{"total_flops", 196.0e9}})
+                      .Comm("linear", {{"bits", 1e9}})
+                      .Serving({{"qps", 2000.0},
+                                {"service_per_item", 0.001},
+                                {"replicas", 4.0}})
+                      .Build();
+  ASSERT_TRUE(scenario.ok()) << scenario.status();
+  AnalysisOptions options;
+  options.simulate = true;
+  options.sim_supersteps = 1;
+  options.serving_sim_requests = std::numeric_limits<int64_t>::max();
+  options.serving_sim_warmup = 1;
+  auto report = Analysis::Run(*scenario, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("warmup_requests"),
+            std::string::npos)
       << report.status().message();
 }
 

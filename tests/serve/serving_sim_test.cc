@@ -9,6 +9,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +71,18 @@ TEST(ServingSimTest, ValidatesItsConfig) {
   config.spec.replicas = 0;
   EXPECT_EQ(SimulateServing(config).status().code(),
             StatusCode::kInvalidArgument);
+  // The request total must fit an int64: one past it names both fields.
+  config = FullConfig();
+  config.num_requests = std::numeric_limits<int64_t>::max();
+  config.warmup_requests = 1;
+  Result<ServingSimStats> overflow = SimulateServing(config);
+  EXPECT_EQ(overflow.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(overflow.status().message().find("num_requests"),
+            std::string::npos)
+      << overflow.status().message();
+  EXPECT_NE(overflow.status().message().find("warmup_requests"),
+            std::string::npos)
+      << overflow.status().message();
 }
 
 TEST(ServingSimTest, ResultIsShardCountInvariant) {
