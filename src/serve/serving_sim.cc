@@ -28,7 +28,12 @@ struct PendingRequest {
 
 // Per-replica state; every field touched only by that replica's handlers.
 struct ReplicaState {
+  // The requests in pending[head, end) wait, in arrival order. A batch
+  // start advances head; the consumed prefix is erased once it passes half
+  // the vector, and the vector is cleared when it drains, so head <
+  // pending.size() unless pending is empty.
   std::vector<PendingRequest> pending;
+  size_t head = 0;
   std::vector<PendingRequest> executing;
   bool busy = false;
   bool timer_armed = false;
@@ -120,14 +125,21 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
 
   auto start_batch = [&](int r, double now) {
     ReplicaState& state = replica_state[static_cast<size_t>(r)];
-    size_t take = std::min(state.pending.size(),
-                           static_cast<size_t>(max_batch));
-    state.executing.assign(state.pending.begin(),
-                           state.pending.begin() +
-                               static_cast<std::ptrdiff_t>(take));
-    state.pending.erase(state.pending.begin(),
-                        state.pending.begin() +
-                            static_cast<std::ptrdiff_t>(take));
+    const size_t take = std::min(state.pending.size() - state.head,
+                                 static_cast<size_t>(max_batch));
+    const auto first =
+        state.pending.begin() + static_cast<std::ptrdiff_t>(state.head);
+    state.executing.assign(first, first + static_cast<std::ptrdiff_t>(take));
+    state.head += take;
+    if (state.head == state.pending.size()) {
+      state.pending.clear();
+      state.head = 0;
+    } else if (2 * state.head > state.pending.size()) {
+      state.pending.erase(
+          state.pending.begin(),
+          state.pending.begin() + static_cast<std::ptrdiff_t>(state.head));
+      state.head = 0;
+    }
     state.busy = true;
     state.timer_armed = false;
     ++state.epoch;
@@ -147,8 +159,8 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
   auto try_close = [&](int r, double now) {
     ReplicaState& state = replica_state[static_cast<size_t>(r)];
     if (state.busy || state.pending.empty()) return;
-    double deadline = state.pending.front().enqueue_s + max_delay;
-    if (static_cast<int>(state.pending.size()) >= max_batch ||
+    double deadline = state.pending[state.head].enqueue_s + max_delay;
+    if (static_cast<int>(state.pending.size() - state.head) >= max_batch ||
         max_delay == 0.0 || deadline <= now) {
       start_batch(r, now);
       return;
