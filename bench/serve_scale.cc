@@ -1,6 +1,7 @@
 // Serving-DES scale harness: requests/sec through the inference-serving
 // simulator at fleet sizes up to 1000 replicas, serial and sharded over a
-// thread pool. The JSON output (--benchmark_format=json) is the serving
+// thread pool, and the frontend's least-outstanding dispatch alone at up to
+// 4096 replicas. The JSON output (--benchmark_format=json) is the serving
 // perf trajectory; BENCH_serve.json at the repo root is the checked-in
 // baseline and CI uploads a fresh run as an artifact on every push (next
 // to the nn kernel and event-engine JSONs).
@@ -15,13 +16,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "benchmark_main.h"
 #include "common/check.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "serve/cluster.h"
+#include "serve/dispatch_index.h"
 #include "serve/serving_sim.h"
 
 namespace dmlscale {
@@ -83,6 +88,44 @@ BENCHMARK(BM_ServeFleet)
     ->Args({1000, 1})
     ->Args({1000, 4})
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The serving frontend's dispatch path alone, one iteration per request:
+// Pick from the cursor, count the request against the pick, and advance the
+// cursor past it. Every 8th request a replica drawn from a fixed-seed
+// stream acks up to 8 of its outstanding requests (one batch at FleetSpec's
+// max_batch), so the counts settle near 8 and ties stay common, as in a busy
+// fleet. Arg(0) = replicas: 989 is the serve-fleet answer, 4096 the
+// planner's default max_replicas. Time per iteration is time per dispatch.
+void BM_LeastOutstandingDispatch(benchmark::State& state) {
+  const int replicas = static_cast<int>(state.range(0));
+  serve::LeastOutstandingIndex index(replicas);
+  std::vector<int64_t> outstanding(static_cast<size_t>(replicas), 0);
+  Pcg32 rng(23, 7);
+  int cursor = 0;
+  int64_t dispatched = 0;
+  for (auto _ : state) {
+    const int pick = index.Pick(cursor);
+    benchmark::DoNotOptimize(pick);
+    index.Add(pick, 1);
+    ++outstanding[static_cast<size_t>(pick)];
+    cursor = pick + 1 == replicas ? 0 : pick + 1;
+    if (++dispatched % 8 == 0) {
+      const auto r = rng.NextBounded(static_cast<uint32_t>(replicas));
+      const int64_t acked = std::min<int64_t>(outstanding[r], 8);
+      if (acked > 0) {
+        index.Add(static_cast<int>(r), -acked);
+        outstanding[r] -= acked;
+      }
+    }
+  }
+  state.SetItemsProcessed(dispatched);  // items/sec == dispatches/sec
+}
+BENCHMARK(BM_LeastOutstandingDispatch)
+    ->Arg(100)
+    ->Arg(989)
+    ->Arg(4096)
+    ->Unit(benchmark::kNanosecond)
     ->UseRealTime();
 
 }  // namespace
