@@ -165,6 +165,127 @@ TEST(Pcg32Test, MaxGaussianMatchesExplicitLoop) {
   EXPECT_GT(cached_exits, 100);
 }
 
+// The seed whose generator makes draw number `position` (0-based) from
+// state 0, which outputs 0. For a small stream the next state, inc, outputs
+// 0 as well, so a draw of u1 there is redrawn twice.
+uint64_t SeedWithZeroDrawAt(int position, uint64_t stream) {
+  constexpr uint64_t kMultiplier = 6364136223846793005ULL;
+  // Newton's iteration for the inverse mod 2^64 doubles the correct low
+  // bits each step; an odd multiplier is its own inverse mod 8.
+  uint64_t inverse = kMultiplier;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kMultiplier * inverse;
+  const uint64_t inc = (stream << 1u) | 1u;
+  auto step_back = [&](uint64_t state) { return (state - inc) * inverse; };
+  uint64_t state = 0;
+  for (int i = 0; i < position; ++i) state = step_back(state);
+  // The constructor steps from 0 to inc, adds the seed, then steps again.
+  return step_back(state) - inc;
+}
+
+TEST(Pcg32Test, MaxGaussianRedrawsZeroDraws) {
+  constexpr uint64_t kStream = 5;
+  // Position 0 is a u1 draw, 1 a u2 draw; 2, 5 and 6 fall mid-walk.
+  for (int position : {0, 1, 2, 5, 6}) {
+    const uint64_t seed = SeedWithZeroDrawAt(position, kStream);
+    Pcg32 probe(seed, kStream);
+    for (int i = 0; i < position; ++i) probe.NextUint32();
+    ASSERT_EQ(probe.NextUint32(), 0u) << "position " << position;
+    ASSERT_EQ(probe.NextUint32(), 0u) << "position " << position;
+    for (int count : {1, 2, 3, 7, 8}) {
+      Pcg32 fast(seed, kStream);
+      Pcg32 slow = fast;
+      const double got = fast.NextMaxGaussian(count);
+      const double want = ExplicitMaxGaussian(&slow, count);
+      ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+          << "position " << position << " count " << count;
+      EXPECT_EQ(std::bit_cast<uint64_t>(fast.NextGaussian()),
+                std::bit_cast<uint64_t>(slow.NextGaussian()))
+          << "position " << position << " count " << count;
+      EXPECT_EQ(fast.NextUint32(), slow.NextUint32())
+          << "position " << position << " count " << count;
+    }
+  }
+}
+
+// The first and last k1 of every radius bucket, each once: below 128 every
+// k1 has a bucket of its own; from bit length 8 up a bucket spans
+// 2^(bits - 7) values.
+std::vector<uint32_t> RadiusBucketCorners() {
+  std::vector<uint32_t> corners;
+  for (uint32_t k1 = 1; k1 < 128; ++k1) corners.push_back(k1);
+  for (int bits = 8; bits <= 32; ++bits) {
+    for (uint32_t sub = 0; sub < 64; ++sub) {
+      const uint32_t first = (64 + sub) << (bits - 7);
+      corners.push_back(first);
+      corners.push_back(first + ((uint32_t{1} << (bits - 7)) - 1));
+    }
+  }
+  return corners;
+}
+
+// The first and last k2 of every angle bucket (k2's top 10 bits).
+std::vector<uint32_t> AngleBucketCorners() {
+  std::vector<uint32_t> corners;
+  for (uint32_t bucket = 0; bucket < 1024; ++bucket) {
+    corners.push_back(bucket << 22);
+    corners.push_back((bucket << 22) | ((uint32_t{1} << 22) - 1));
+  }
+  return corners;
+}
+
+bool SameBounds(internal::PairBounds a, internal::PairBounds b) {
+  return std::bit_cast<uint32_t>(a.lo) == std::bit_cast<uint32_t>(b.lo) &&
+         std::bit_cast<uint32_t>(a.hi) == std::bit_cast<uint32_t>(b.hi);
+}
+
+// Within a bucket the radius is monotone in k1 and max(cos, sin) is
+// monotone in k2, so bounds that hold at every pair of bucket corners hold
+// for every pair, provided the bounds depend on the buckets alone.
+TEST(Pcg32Test, PairBoundsHoldAtEveryBucketCorner) {
+  const std::vector<uint32_t> radius = RadiusBucketCorners();
+  const std::vector<uint32_t> angle = AngleBucketCorners();
+  ASSERT_EQ(radius.size() * angle.size(), 6813696u);
+  int64_t violations = 0;
+  for (uint32_t k1 : radius) {
+    for (uint32_t k2 : angle) {
+      const internal::PairBounds bounds = internal::BoundPair(k1, k2);
+      const double value = internal::PairMax(k1, k2);
+      if (bounds.lo < value && value < bounds.hi) continue;
+      if (++violations <= 5) {
+        ADD_FAILURE() << "k1 " << k1 << " k2 " << k2 << ": " << bounds.lo
+                      << " < " << value << " < " << bounds.hi;
+      }
+    }
+  }
+  EXPECT_EQ(violations, 0);
+}
+
+TEST(Pcg32Test, PairBoundsDependOnTheBucketsAlone) {
+  Pcg32 rng(23);
+  const std::vector<uint32_t> radius = RadiusBucketCorners();
+  const std::vector<uint32_t> angle = AngleBucketCorners();
+  // Both lists hold (first, last) pairs, after the 127 single-k1 radius
+  // buckets.
+  for (size_t i = 127; i < radius.size(); i += 2) {
+    const uint32_t first = radius[i];
+    const uint32_t span = radius[i + 1] - first + 1;
+    const uint32_t k2 = rng.NextUint32();
+    const internal::PairBounds want = internal::BoundPair(first, k2);
+    for (uint32_t k1 : {radius[i + 1], first + rng.NextBounded(span)}) {
+      ASSERT_TRUE(SameBounds(internal::BoundPair(k1, k2), want))
+          << "k1 " << k1 << " vs " << first;
+    }
+  }
+  for (size_t i = 0; i < angle.size(); i += 2) {
+    const uint32_t k1 = rng.NextUint32() | 1u;
+    const internal::PairBounds want = internal::BoundPair(k1, angle[i]);
+    for (uint32_t k2 : {angle[i + 1], angle[i] + rng.NextBounded(1u << 22)}) {
+      ASSERT_TRUE(SameBounds(internal::BoundPair(k1, k2), want))
+          << "k2 " << k2 << " vs " << angle[i];
+    }
+  }
+}
+
 TEST(SplitMix64Test, IsDeterministic) {
   EXPECT_EQ(SplitMix64(0), SplitMix64(0));
   EXPECT_EQ(SplitMix64(42), SplitMix64(42));
