@@ -1,6 +1,7 @@
 #include "core/network.h"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -46,22 +47,30 @@ double RoundSeconds(const TrafficRound& round, int n, const LinkSpec& edge,
   const Topology& topology = network.EffectiveTopology();
   const QueueModel& queue = network.EffectiveQueue();
 
-  // Route every flow once; accumulate per-link offered load.
+  // Route every flow once; accumulate per-link offered load. Flow f's
+  // route is hops[first[f], first[f + 1]).
   std::vector<double> load(static_cast<size_t>(topology.NumLinks(n)), 0.0);
-  std::vector<std::vector<int>> paths(round.flows.size());
+  std::vector<int> hops;
+  std::vector<size_t> first(round.flows.size() + 1, 0);
+  auto route = [&](size_t f) {
+    return std::span<const int>(hops).subspan(first[f],
+                                              first[f + 1] - first[f]);
+  };
   for (size_t f = 0; f < round.flows.size(); ++f) {
     const Flow& flow = round.flows[f];
     DMLSCALE_CHECK_GE(flow.bits, 0.0);
-    topology.AppendRoute(flow.src, flow.dst, n, &paths[f]);
-    for (int link : paths[f]) load[static_cast<size_t>(link)] += flow.bits;
+    topology.AppendRoute(flow.src, flow.dst, n, &hops);
+    first[f + 1] = hops.size();
+    for (int link : route(f)) load[static_cast<size_t>(link)] += flow.bits;
   }
 
   double slowest = 0.0;
   for (size_t f = 0; f < round.flows.size(); ++f) {
     const Flow& flow = round.flows[f];
-    if (paths[f].empty()) continue;  // local hand-off
+    const std::span<const int> path = route(f);
+    if (path.empty()) continue;  // local hand-off
     double bottleneck = 0.0;
-    for (int link : paths[f]) {
+    for (int link : path) {
       double bandwidth =
           edge.bandwidth_bps * topology.BandwidthScale(link, n);
       double service = flow.bits / bandwidth;
@@ -73,8 +82,8 @@ double RoundSeconds(const TrafficRound& round, int n, const LinkSpec& edge,
       double wait = queue.WaitSeconds(other_share, service);
       bottleneck = std::max(bottleneck, service + wait);
     }
-    double hops = static_cast<double>(paths[f].size());
-    slowest = std::max(slowest, bottleneck + hops * edge.latency_s);
+    const double path_hops = static_cast<double>(path.size());
+    slowest = std::max(slowest, bottleneck + path_hops * edge.latency_s);
   }
   return round.repeat * slowest;
 }

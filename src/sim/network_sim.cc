@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -19,15 +20,20 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
   const core::Topology& topology = network.EffectiveTopology();
   const double inflation = network.EffectiveQueue().ServiceInflation();
 
-  std::vector<std::vector<int>> paths(round.flows.size());
-  bool any = false;
+  // Flow f's route is hops[first[f], first[f + 1]).
+  std::vector<int> hops;
+  std::vector<size_t> first(round.flows.size() + 1, 0);
   for (size_t f = 0; f < round.flows.size(); ++f) {
     const core::Flow& flow = round.flows[f];
     DMLSCALE_CHECK_GE(flow.bits, 0.0);
-    topology.AppendRoute(flow.src, flow.dst, n, &paths[f]);
-    if (!paths[f].empty()) any = true;
+    topology.AppendRoute(flow.src, flow.dst, n, &hops);
+    first[f + 1] = hops.size();
   }
-  if (!any) return 0.0;  // every flow is a local hand-off
+  if (hops.empty()) return 0.0;  // every flow is a local hand-off
+  auto route = [&](size_t f) {
+    return std::span<const int>(hops).subspan(first[f],
+                                              first[f + 1] - first[f]);
+  };
 
   const int num_links = std::max(topology.NumLinks(n), 1);
   std::vector<double> link_free(static_cast<size_t>(num_links), 0.0);
@@ -40,7 +46,7 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
   EventHeap arrivals;
   uint64_t seq = 0;
   for (size_t f = 0; f < round.flows.size(); ++f) {
-    if (paths[f].empty()) continue;  // src == dst: local hand-off, free
+    if (route(f).empty()) continue;  // src == dst: local hand-off, free
     arrivals.Push(
         Event{.time = 0.0, .seq = seq++, .a = static_cast<int64_t>(f)});
   }
@@ -48,7 +54,7 @@ double SimulateRoundSeconds(const core::TrafficRound& round, int n,
     const Event event = arrivals.PopTop();
     const int flow = static_cast<int>(event.a);
     const int hop = static_cast<int>(event.b);
-    const std::vector<int>& path = paths[static_cast<size_t>(flow)];
+    const std::span<const int> path = route(static_cast<size_t>(flow));
     const int link = path[static_cast<size_t>(hop)];
     const double bandwidth =
         edge.bandwidth_bps * topology.BandwidthScale(link, n);
