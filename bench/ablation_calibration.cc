@@ -8,8 +8,8 @@
 #include <cmath>
 #include <iostream>
 
+#include "api/api.h"
 #include "bench_util.h"
-#include "core/calibration.h"
 #include "models/gradient_descent.h"
 #include "sim/workloads.h"
 
@@ -20,7 +20,20 @@ int Run() {
   models::GdWorkload workload = models::SparkMnistWorkload();
   core::NodeSpec assumed_node = core::presets::XeonE3_1240Double();
   core::LinkSpec assumed_link{.bandwidth_bps = 1e9};
-  models::SparkGdModel apriori(workload, assumed_node, assumed_link);
+  auto apriori =
+      api::Scenario::Builder()
+          .Name("ablation-calibration")
+          .Hardware(assumed_node)
+          .Link(assumed_link)
+          .Compute("perfectly-parallel",
+                   {{"total_flops",
+                     workload.ops_per_example * workload.batch_size}})
+          .Comm("spark-gd", {{"bits", workload.MessageBits()}})
+          .Build();
+  if (!apriori.ok()) {
+    std::cerr << apriori.status() << "\n";
+    return 1;
+  }
 
   // The "real" cluster is 25% slower per node and has 20% less usable
   // bandwidth than the spec sheet — the calibrator must discover this.
@@ -47,20 +60,24 @@ int Run() {
     samples.push_back({n, t.value()});
   }
 
-  auto compute_term = [&apriori](int n) { return apriori.ComputeSeconds(n); };
-  auto comm_term = [&apriori](int n) { return apriori.CommSeconds(n); };
-  auto calibrated =
-      core::CalibrateComputeComm(compute_term, comm_term, samples);
-  if (!calibrated.ok()) {
-    std::cerr << calibrated.status() << "\n";
+  // The steps api::Calibrate takes, on samples drawn from this driver's
+  // own simulated cluster.
+  auto fit = core::FitLinearModel(
+      {[&apriori](int n) { return apriori->ComputeSeconds(n); },
+       [&apriori](int n) { return apriori->CommSeconds(n); }},
+      samples);
+  if (!fit.ok()) {
+    std::cerr << fit.status() << "\n";
     return 1;
   }
+  api::Scenario calibrated =
+      apriori->Calibrated(fit->coefficients[0], fit->coefficients[1]);
 
   std::cout << "== Calibration feedback loop (Fig. 2 workload) ==\n"
             << "Fitted coefficients: compute x"
-            << FormatDouble((*calibrated)->coefficients()[0], 4)
+            << FormatDouble(calibrated.compute_coefficient(), 4)
             << " (hidden truth: 1.333), comm x"
-            << FormatDouble((*calibrated)->coefficients()[1], 4)
+            << FormatDouble(calibrated.comm_coefficient(), 4)
             << " (absorbs both the 20% bandwidth loss and the two-wave\n"
             << "protocol's pipelining, which the closed form overstates)\n\n";
 
@@ -74,8 +91,8 @@ int Run() {
       return 1;
     }
     double actual = t.value();
-    double apriori_t = apriori.Seconds(n);
-    double calibrated_t = (*calibrated)->Seconds(n);
+    double apriori_t = apriori->Seconds(n);
+    double calibrated_t = calibrated.Seconds(n);
     apriori_err.push_back(std::fabs(apriori_t - actual) / actual);
     calibrated_err.push_back(std::fabs(calibrated_t - actual) / actual);
     table.AddRow({std::to_string(n), FormatDouble(actual, 4),

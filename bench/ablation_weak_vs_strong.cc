@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "core/scaling.h"
+#include "core/speedup.h"
 #include "models/gradient_descent.h"
 
 namespace dmlscale {
@@ -27,11 +28,10 @@ int Run() {
     return models::GenericGdModel(scaled, node, link).Seconds(n);
   };
 
-  core::StrongScalingStudy strong(time_fn);
-  core::WeakScalingStudy weak(time_fn);
-
-  auto strong_curve = core::StrongScalingStudy(time_fn).Speedup(256);
-  auto weak_curve = weak.ScaledSpeedup(256);
+  // Strong scaling keeps the input at the baseline: s(n) = t(1, 1) / t(n, 1).
+  core::FunctionModel strong([&](int n) { return time_fn(n, 1.0); });
+  auto strong_curve = core::SpeedupAnalyzer::Compute(strong, 256);
+  auto weak_curve = core::WeakScalingStudy(time_fn).ScaledSpeedup(256);
   if (!strong_curve.ok() || !weak_curve.ok()) {
     std::cerr << "scaling study failed\n";
     return 1;

@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "api/scenario.h"
 #include "benchmark_main.h"
 #include "bp/bp.h"
 #include "graph/generators.h"
@@ -181,9 +182,17 @@ void BM_GenericSuperstep(benchmark::State& state) {
 BENCHMARK(BM_GenericSuperstep)->Arg(16)->Arg(128)->Arg(1024);
 
 void BM_SparkModelSweep(benchmark::State& state) {
-  models::SparkGdModel model(models::SparkMnistWorkload(),
-                             core::presets::XeonE3_1240Double(),
-                             core::LinkSpec{.bandwidth_bps = 1e9});
+  models::GdWorkload workload = models::SparkMnistWorkload();
+  api::Scenario model =
+      api::Scenario::Builder()
+          .Hardware(core::presets::XeonE3_1240Double())
+          .Link(core::LinkSpec{.bandwidth_bps = 1e9})
+          .Compute("perfectly-parallel",
+                   {{"total_flops",
+                     workload.ops_per_example * workload.batch_size}})
+          .Comm("spark-gd", {{"bits", workload.MessageBits()}})
+          .Build()
+          .value();
   for (auto _ : state) {
     double acc = 0.0;
     for (int n = 1; n <= 128; ++n) acc += model.Seconds(n);

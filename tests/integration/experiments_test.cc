@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "api/scenario.h"
 #include "bp/bp.h"
 #include "bp/parallel_bp.h"
 #include "core/planner.h"
@@ -17,13 +18,29 @@
 namespace dmlscale {
 namespace {
 
+// Fig. 2's Spark model (Section V-A) through the facade: perfectly parallel
+// C * S plus the "spark-gd" collective.
+api::Scenario SparkScenario(const models::GdWorkload& workload,
+                            const core::NodeSpec& node,
+                            const core::LinkSpec& link) {
+  return api::Scenario::Builder()
+      .Hardware(node)
+      .Link(link)
+      .Compute("perfectly-parallel",
+               {{"total_flops",
+                 workload.ops_per_example * workload.batch_size}})
+      .Comm("spark-gd", {{"bits", workload.MessageBits()}})
+      .Build()
+      .value();
+}
+
 // ---- Fig. 2 pipeline: analytical Spark model vs simulated cluster ----
 
 TEST(Fig2Integration, ModelTracksSimulatedSparkCluster) {
   models::GdWorkload workload = models::SparkMnistWorkload();
   core::NodeSpec node = core::presets::XeonE3_1240Double();
   core::LinkSpec link{.bandwidth_bps = 1e9};
-  models::SparkGdModel model(workload, node, link);
+  api::Scenario model = SparkScenario(workload, node, link);
 
   sim::GdSimConfig config{
       .total_ops = workload.ops_per_example * workload.batch_size,
@@ -167,10 +184,14 @@ TEST(Fig4Integration, SharedMemoryBpSpeedupShapeMatchesPaper) {
   core::NodeSpec node = core::presets::Dl980Core();
   double ops = models::BpOperationsPerEdge(2);
 
-  models::GraphInferenceWorkload workload{
-      .num_vertices = 100000.0, .num_edges = 600000.0, .states = 2};
-  models::GraphInferenceModel theory(workload, max_edges, node,
-                                     core::LinkSpec{}, true);
+  api::Scenario theory =
+      api::Scenario::Builder()
+          .Hardware(node)
+          .SharedMemory()
+          .Compute([max_edges, ops](int n) { return max_edges(n) * ops; },
+                   "bp-bottleneck")
+          .Build()
+          .value();
   auto theory_curve = core::SpeedupAnalyzer::ComputeAt(
       theory, {1, 2, 4, 8, 16, 32, 64}, 1);
   ASSERT_TRUE(theory_curve.ok());
@@ -214,10 +235,11 @@ TEST(PlannerIntegration, AnswersIntroQuestionsOnSparkModel) {
   models::GdWorkload workload = models::SparkMnistWorkload();
   core::NodeSpec node = core::presets::XeonE3_1240Double();
   core::LinkSpec link{.bandwidth_bps = 1e9};
-  auto time_fn = [workload, node, link](int n, double data_scale) {
-    models::GdWorkload scaled = workload;
-    scaled.batch_size *= data_scale;
-    return models::SparkGdModel(scaled, node, link).Seconds(n);
+  api::Scenario spark = SparkScenario(workload, node, link);
+  // Growing the data scales the computation term; the payload is the
+  // model, which does not grow.
+  auto time_fn = [&spark](int n, double data_scale) {
+    return data_scale * spark.ComputeSeconds(n) + spark.CommSeconds(n);
   };
   core::CapacityPlanner planner(time_fn, 16);
 

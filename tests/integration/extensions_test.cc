@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "api/scenario.h"
 #include "core/calibration.h"
 #include "core/validation.h"
 #include "models/async_gd.h"
@@ -83,7 +84,16 @@ TEST(CalibrationIntegration, FeedbackLoopImprovesHeldOutPrediction) {
   models::GdWorkload workload = models::SparkMnistWorkload();
   core::NodeSpec assumed = core::presets::XeonE3_1240Double();
   core::LinkSpec link = Gigabit();
-  models::SparkGdModel apriori(workload, assumed, link);
+  api::Scenario apriori =
+      api::Scenario::Builder()
+          .Hardware(assumed)
+          .Link(link)
+          .Compute("perfectly-parallel",
+                   {{"total_flops",
+                     workload.ops_per_example * workload.batch_size}})
+          .Comm("spark-gd", {{"bits", workload.MessageBits()}})
+          .Build()
+          .value();
 
   // The "real" cluster is 30% slower per node.
   core::NodeSpec real = assumed;
@@ -102,19 +112,23 @@ TEST(CalibrationIntegration, FeedbackLoopImprovesHeldOutPrediction) {
     probes.push_back(
         {n, sim::SimulateSparkGdIteration(cluster, n, &rng).value()});
   }
-  auto calibrated = core::CalibrateComputeComm(
-      [&](int n) { return apriori.ComputeSeconds(n); },
-      [&](int n) { return apriori.CommSeconds(n); }, probes);
-  ASSERT_TRUE(calibrated.ok());
+  auto fit = core::FitLinearModel(
+      {[&](int n) { return apriori.ComputeSeconds(n); },
+       [&](int n) { return apriori.CommSeconds(n); }},
+      probes);
+  ASSERT_TRUE(fit.ok());
   // The compute coefficient discovers the 1/0.7 slowdown.
-  EXPECT_NEAR((*calibrated)->coefficients()[0], 1.0 / 0.7, 0.05);
+  EXPECT_NEAR(fit->coefficients[0], 1.0 / 0.7, 0.05);
+  ASSERT_GT(fit->coefficients[1], 0.0);
+  api::Scenario calibrated =
+      apriori.Calibrated(fit->coefficients[0], fit->coefficients[1]);
 
   // Held-out error shrinks substantially.
   double apriori_err = 0.0, calibrated_err = 0.0;
   for (int n : {6, 8, 12}) {
     double actual = sim::SimulateSparkGdIteration(cluster, n, &rng).value();
     apriori_err += std::fabs(apriori.Seconds(n) - actual) / actual;
-    calibrated_err += std::fabs((*calibrated)->Seconds(n) - actual) / actual;
+    calibrated_err += std::fabs(calibrated.Seconds(n) - actual) / actual;
   }
   EXPECT_LT(calibrated_err, apriori_err * 0.5);
 }

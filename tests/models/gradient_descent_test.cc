@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "api/scenario.h"
+#include "common/math_util.h"
 #include "core/speedup.h"
 
 namespace dmlscale::models {
@@ -14,6 +16,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 core::NodeSpec SparkNode() { return core::presets::XeonE3_1240Double(); }
 core::LinkSpec Gigabit() { return core::LinkSpec{.bandwidth_bps = 1e9}; }
+
+// Fig. 2's Spark model (Section V-A) through the facade: tcp = C S / (F n)
+// as perfectly parallel work, tcm from the "spark-gd" collective (torrent
+// broadcast + two-wave aggregation).
+api::Scenario SparkScenario() {
+  GdWorkload workload = SparkMnistWorkload();
+  return api::Scenario::Builder()
+      .Hardware(SparkNode())
+      .Link(Gigabit())
+      .Compute("perfectly-parallel",
+               {{"total_flops",
+                 workload.ops_per_example * workload.batch_size}})
+      .Comm("spark-gd", {{"bits", workload.MessageBits()}})
+      .Build()
+      .value();
+}
 
 TEST(GdWorkloadTest, Validation) {
   GdWorkload workload = SparkMnistWorkload();
@@ -55,15 +73,15 @@ TEST(GenericGdModelTest, FormulaSectionIVA) {
 
 // ---- Fig. 2: the Spark fully connected ANN model ----
 
-TEST(SparkGdModelTest, SingleNodeTimeMatchesPaper) {
-  SparkGdModel model(SparkMnistWorkload(), SparkNode(), Gigabit());
+TEST(SparkGdScenarioTest, SingleNodeTimeMatchesPaper) {
+  api::Scenario model = SparkScenario();
   // t(1) = 6 * 12e6 * 60000 / (0.8 * 105.6e9) = ~51.1 s, pure compute.
   EXPECT_NEAR(model.Seconds(1), 4.32e12 / 84.48e9, 1e-6);
   EXPECT_DOUBLE_EQ(model.CommSeconds(1), 0.0);
 }
 
-TEST(SparkGdModelTest, CommunicationTermsMatchPaper) {
-  SparkGdModel model(SparkMnistWorkload(), SparkNode(), Gigabit());
+TEST(SparkGdScenarioTest, CommunicationTermsMatchPaper) {
+  api::Scenario model = SparkScenario();
   // tcm(n) = (64W/B) log2(n) + 2 (64W/B) ceil(sqrt(n)); 64W/B = 0.768 s.
   double unit = 64.0 * 12e6 / 1e9;
   EXPECT_NEAR(model.CommSeconds(4), unit * 2.0 + 2.0 * unit * 2.0, 1e-9);
@@ -71,11 +89,32 @@ TEST(SparkGdModelTest, CommunicationTermsMatchPaper) {
               1e-9);
 }
 
-TEST(SparkGdModelTest, LocalPeakAtNineWorkers) {
+TEST(SparkGdScenarioTest, EvaluatesTheClosedFormExactly) {
+  // The link has no latency, so every latency term adds an exact zero and
+  // the facade reproduces the Section V-A closed form bit for bit.
+  api::Scenario model = SparkScenario();
+  GdWorkload workload = SparkMnistWorkload();
+  double flops = SparkNode().EffectiveFlops();
+  double unit = workload.MessageBits() / Gigabit().bandwidth_bps;
+  for (int n = 1; n <= 4096; ++n) {
+    double compute = workload.ops_per_example * workload.batch_size /
+                     (flops * static_cast<double>(n));
+    double comm = 0.0;
+    if (n > 1) {
+      comm = unit * std::log2(static_cast<double>(n)) +
+             2.0 * unit *
+                 static_cast<double>(CeilSqrt(static_cast<uint64_t>(n)));
+    }
+    ASSERT_EQ(model.ComputeSeconds(n), compute) << "n=" << n;
+    ASSERT_EQ(model.CommSeconds(n), comm) << "n=" << n;
+    ASSERT_EQ(model.Seconds(n), compute + comm) << "n=" << n;
+  }
+}
+
+TEST(SparkGdScenarioTest, LocalPeakAtNineWorkers) {
   // The paper: "The model suggests that the optimal number of workers is
   // nine" — a local speedup peak caused by the ceil(sqrt(n)) staircase.
-  SparkGdModel model(SparkMnistWorkload(), SparkNode(), Gigabit());
-  auto curve = core::SpeedupAnalyzer::Compute(model, 10);
+  auto curve = core::SpeedupAnalyzer::Compute(SparkScenario(), 10);
   ASSERT_TRUE(curve.ok());
   double s8 = curve->At(8).value();
   double s9 = curve->At(9).value();
@@ -86,9 +125,8 @@ TEST(SparkGdModelTest, LocalPeakAtNineWorkers) {
   EXPECT_LT(s9, 5.0);
 }
 
-TEST(SparkGdModelTest, ScalableButSublinear) {
-  SparkGdModel model(SparkMnistWorkload(), SparkNode(), Gigabit());
-  auto curve = core::SpeedupAnalyzer::Compute(model, 16);
+TEST(SparkGdScenarioTest, ScalableButSublinear) {
+  auto curve = core::SpeedupAnalyzer::Compute(SparkScenario(), 16);
   ASSERT_TRUE(curve.ok());
   EXPECT_TRUE(curve->IsScalable());
   for (size_t i = 0; i < curve->nodes.size(); ++i) {
@@ -147,7 +185,7 @@ TEST(WeakScalingSgdModelTest, SpeedupVersusFiftyMatchesHandComputation) {
 class SparkGdMonotoneCommTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparkGdMonotoneCommTest, CommNeverDecreases) {
-  SparkGdModel model(SparkMnistWorkload(), SparkNode(), Gigabit());
+  api::Scenario model = SparkScenario();
   int n = GetParam();
   EXPECT_LE(model.CommSeconds(n), model.CommSeconds(n + 1));
 }

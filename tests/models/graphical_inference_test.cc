@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "api/scenario.h"
 #include "core/speedup.h"
 
 namespace dmlscale::models {
@@ -142,48 +143,53 @@ TEST(GraphInferenceWorkloadTest, Validation) {
   EXPECT_FALSE(workload.Validate().ok());
 }
 
-TEST(GraphInferenceModelTest, SharedMemoryIgnoresComm) {
-  GraphInferenceWorkload workload{.num_vertices = 1000.0,
-                                  .num_edges = 5000.0,
-                                  .states = 2,
-                                  .replication_factor = 1.0};
+// Section IV-B's model through the facade: tcp = max_i(E_i) * c(S) / F is
+// the bottleneck computation, and tcm is free in shared memory (Section
+// V-B) or (bits/B) * r * V * S over a link.
+api::Scenario::Builder BpScenario(core::NodeSpec node,
+                                  std::function<double(int)> max_edges) {
+  double ops = BpOperationsPerEdge(2);
+  api::Scenario::Builder builder;
+  builder.Hardware(node).Compute(
+      [max_edges, ops](int n) { return max_edges(n) * ops; }, "bp");
+  return builder;
+}
+
+TEST(GraphInferenceScenarioTest, SharedMemoryIgnoresComm) {
   core::NodeSpec node{.name = "n", .peak_flops = 1e9, .efficiency = 1.0};
-  GraphInferenceModel model(
-      workload, [](int n) { return 10000.0 / n; }, node, core::LinkSpec{},
-      /*shared_memory=*/true);
+  api::Scenario model =
+      BpScenario(node, [](int n) { return 10000.0 / n; })
+          .SharedMemory()
+          .Build()
+          .value();
   EXPECT_DOUBLE_EQ(model.CommSeconds(8), 0.0);
   // tcp = maxE * c(2) / F = (10000/8) * 14 / 1e9.
   EXPECT_DOUBLE_EQ(model.ComputeSeconds(8), 1250.0 * 14.0 / 1e9);
 }
 
-TEST(GraphInferenceModelTest, LinearCommFormula) {
-  GraphInferenceWorkload workload{.num_vertices = 1e6,
-                                  .num_edges = 5e6,
-                                  .states = 2,
-                                  .replication_factor = 0.8};
+TEST(GraphInferenceScenarioTest, LinearCommFormula) {
   core::NodeSpec node{.name = "n", .peak_flops = 1e9, .efficiency = 1.0};
-  core::LinkSpec link{.bandwidth_bps = 1e9};
-  GraphInferenceModel model(
-      workload, [](int n) { return 1e7 / n; }, node, link,
-      /*shared_memory=*/false);
+  // r = 0.8 of V = 1e6 vertices, S = 2 states of 32 bits each.
+  api::Scenario model =
+      BpScenario(node, [](int n) { return 1e7 / n; })
+          .Link(core::LinkSpec{.bandwidth_bps = 1e9})
+          .Comm("fixed-volume", {{"bits", 32.0 * 0.8 * 1e6 * 2.0}})
+          .Build()
+          .value();
   // tcm = 32/B * r * V * S = 32/1e9 * 0.8 * 1e6 * 2 = 0.0512 s.
   EXPECT_NEAR(model.CommSeconds(4), 0.0512, 1e-12);
   EXPECT_DOUBLE_EQ(model.CommSeconds(1), 0.0);
 }
 
-TEST(GraphInferenceModelTest, SharedMemorySpeedupIndependentOfF) {
+TEST(GraphInferenceScenarioTest, SharedMemorySpeedupIndependentOfF) {
   // F cancels out of shared-memory speedups (Section V-B).
-  GraphInferenceWorkload workload{.num_vertices = 1000.0,
-                                  .num_edges = 5000.0,
-                                  .states = 2,
-                                  .replication_factor = 0.0};
   auto max_edges = [](int n) { return 10000.0 / n + 50.0; };
   core::NodeSpec fast{.name = "f", .peak_flops = 1e12, .efficiency = 1.0};
   core::NodeSpec slow{.name = "s", .peak_flops = 1e9, .efficiency = 0.5};
-  GraphInferenceModel fast_model(workload, max_edges, fast, core::LinkSpec{},
-                                 true);
-  GraphInferenceModel slow_model(workload, max_edges, slow, core::LinkSpec{},
-                                 true);
+  api::Scenario fast_model =
+      BpScenario(fast, max_edges).SharedMemory().Build().value();
+  api::Scenario slow_model =
+      BpScenario(slow, max_edges).SharedMemory().Build().value();
   auto fast_curve = core::SpeedupAnalyzer::Compute(fast_model, 16);
   auto slow_curve = core::SpeedupAnalyzer::Compute(slow_model, 16);
   ASSERT_TRUE(fast_curve.ok());

@@ -9,7 +9,7 @@
 #include <limits>
 #include <string>
 
-#include "models/gradient_descent.h"
+#include "api/scenario.h"
 
 namespace dmlscale::sim {
 namespace {
@@ -72,11 +72,14 @@ TEST(SparkGdSimTest, WithoutOverheadTracksClosedFormModel) {
   // ~25% of the paper's closed-form Spark model across n (the simulator's
   // two-wave is cheaper because uneven groups pipeline).
   GdSimConfig config = BasicConfig();
-  models::GdWorkload workload{.ops_per_example = 1e6,
-                              .batch_size = 1e4,
-                              .model_params = 1e8 / 32.0,
-                              .bits_per_param = 32.0};
-  models::SparkGdModel model(workload, UnitNode(), Gigabit());
+  api::Scenario model =
+      api::Scenario::Builder()
+          .Hardware(config.node)
+          .Link(config.link)
+          .Compute("perfectly-parallel", {{"total_flops", config.total_ops}})
+          .Comm("spark-gd", {{"bits", config.message_bits}})
+          .Build()
+          .value();
   Pcg32 rng(2);
   for (int n : {2, 4, 8, 12, 16}) {
     auto sim_t = SimulateSparkGdIteration(config, n, &rng);
