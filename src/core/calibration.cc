@@ -3,8 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "common/check.h"
-
 namespace dmlscale::core {
 
 namespace {
@@ -118,40 +116,6 @@ Result<CalibrationResult> FitLinearModel(
   result.rmse = std::sqrt(ss_res / static_cast<double>(samples.size()));
   result.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
   return result;
-}
-
-CalibratedModel::CalibratedModel(
-    std::vector<std::function<double(int)>> basis,
-    std::vector<double> coefficients, std::string label)
-    : basis_(std::move(basis)),
-      coefficients_(std::move(coefficients)),
-      label_(std::move(label)) {
-  DMLSCALE_CHECK_EQ(basis_.size(), coefficients_.size());
-  DMLSCALE_CHECK(!basis_.empty());
-}
-
-double CalibratedModel::Seconds(int n) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  double total = 0.0;
-  for (size_t j = 0; j < basis_.size(); ++j) {
-    total += coefficients_[j] * basis_[j](n);
-  }
-  return total;
-}
-
-Result<std::unique_ptr<CalibratedModel>> CalibrateComputeComm(
-    std::function<double(int)> compute_term,
-    std::function<double(int)> comm_term,
-    const std::vector<TimingSample>& samples) {
-  if (compute_term == nullptr || comm_term == nullptr) {
-    return Status::InvalidArgument("null basis term");
-  }
-  std::vector<std::function<double(int)>> basis{compute_term, comm_term};
-  DMLSCALE_ASSIGN_OR_RETURN(CalibrationResult fit,
-                            FitLinearModel(basis, samples));
-  return std::make_unique<CalibratedModel>(std::move(basis),
-                                           fit.coefficients,
-                                           "calibrated-compute-comm");
 }
 
 }  // namespace dmlscale::core

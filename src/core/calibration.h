@@ -2,11 +2,9 @@
 #define DMLSCALE_CORE_CALIBRATION_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "core/superstep.h"
 
 namespace dmlscale::core {
 
@@ -19,7 +17,9 @@ namespace dmlscale::core {
 /// e.g. basis_0(n) = c(D)/(F n) (the uncalibrated computation term) and
 /// basis_1(n) = fcm(M, n). Coefficients near 1 mean the a-priori model was
 /// already accurate; a computation coefficient of 1.25 means the machine
-/// reaches only 80% of the assumed effective FLOPS.
+/// reaches only 80% of the assumed effective FLOPS. `api::Calibrate` fits a
+/// scenario's compute and comm terms this way and applies the coefficients
+/// with `Scenario::Calibrated`.
 
 /// One measured sample.
 struct TimingSample {
@@ -46,31 +46,6 @@ struct CalibrationResult {
 /// this model", not as an error.
 [[nodiscard]] Result<CalibrationResult> FitLinearModel(
     const std::vector<std::function<double(int)>>& basis,
-    const std::vector<TimingSample>& samples);
-
-/// An AlgorithmModel scaled by fitted coefficients.
-class CalibratedModel final : public AlgorithmModel {
- public:
-  CalibratedModel(std::vector<std::function<double(int)>> basis,
-                  std::vector<double> coefficients,
-                  std::string label = "calibrated");
-
-  double Seconds(int n) const override;
-  std::string name() const override { return label_; }
-
-  const std::vector<double>& coefficients() const { return coefficients_; }
-
- private:
-  std::vector<std::function<double(int)>> basis_;
-  std::vector<double> coefficients_;
-  std::string label_;
-};
-
-/// Convenience: fit the two-term (compute, comm) decomposition of a
-/// Superstep-like model and return the calibrated model.
-[[nodiscard]] Result<std::unique_ptr<CalibratedModel>> CalibrateComputeComm(
-    std::function<double(int)> compute_term,
-    std::function<double(int)> comm_term,
     const std::vector<TimingSample>& samples);
 
 }  // namespace dmlscale::core

@@ -1,34 +1,12 @@
 #include "core/scaling.h"
 
 #include "common/check.h"
-#include "core/superstep.h"
 
 namespace dmlscale::core {
-
-StrongScalingStudy::StrongScalingStudy(ScalableTimeFn time_fn)
-    : time_fn_(std::move(time_fn)) {
-  DMLSCALE_CHECK(time_fn_ != nullptr);
-}
-
-Result<SpeedupCurve> StrongScalingStudy::Speedup(int max_nodes) const {
-  FunctionModel model([this](int n) { return time_fn_(n, 1.0); },
-                      "strong-scaling");
-  return SpeedupAnalyzer::Compute(model, max_nodes, /*reference_n=*/1);
-}
 
 WeakScalingStudy::WeakScalingStudy(ScalableTimeFn time_fn)
     : time_fn_(std::move(time_fn)) {
   DMLSCALE_CHECK(time_fn_ != nullptr);
-}
-
-Result<SpeedupCurve> WeakScalingStudy::PerInstanceSpeedup(
-    const std::vector<int>& nodes, int reference_n) const {
-  FunctionModel per_instance(
-      [this](int n) {
-        return time_fn_(n, static_cast<double>(n)) / static_cast<double>(n);
-      },
-      "weak-scaling-per-instance");
-  return SpeedupAnalyzer::ComputeAt(per_instance, nodes, reference_n);
 }
 
 Result<SpeedupCurve> WeakScalingStudy::ScaledSpeedup(int max_nodes) const {

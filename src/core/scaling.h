@@ -2,8 +2,6 @@
 #define DMLSCALE_CORE_SCALING_H_
 
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "common/status.h"
 #include "core/speedup.h"
@@ -12,32 +10,16 @@ namespace dmlscale::core {
 
 /// A family of algorithm time models parameterized by the input scale
 /// (Section III): `Time(n, data_scale)` is the time on `n` nodes when the
-/// input size is `data_scale` times the baseline `D`.
+/// input size is `data_scale` times the baseline `D`. Strong scaling keeps
+/// `data_scale` at 1: its speedup is `SpeedupAnalyzer::Compute` over
+/// `t(n, 1)`.
 using ScalableTimeFn = std::function<double(int n, double data_scale)>;
 
-/// Strong scaling: fixed input size `D`, varying node count (Section III).
-class StrongScalingStudy {
- public:
-  explicit StrongScalingStudy(ScalableTimeFn time_fn);
-
-  /// Speedup curve `s(n) = t(1, 1) / t(n, 1)` for n in [1, max_nodes].
-  [[nodiscard]] Result<SpeedupCurve> Speedup(int max_nodes) const;
-
- private:
-  ScalableTimeFn time_fn_;
-};
-
 /// Weak scaling: the input grows proportionally with the node count
-/// (Section III). Following Section V-A, effectiveness is measured as the
-/// speedup of processing one instance: with `n` nodes the input is `n * D`,
-/// and per-instance time is `t(n, n) / n`.
+/// (Section III), so with `n` nodes the input is `n * D`.
 class WeakScalingStudy {
  public:
   explicit WeakScalingStudy(ScalableTimeFn time_fn);
-
-  /// Per-instance speedup relative to `reference_n` nodes, as in Fig. 3.
-  [[nodiscard]] Result<SpeedupCurve> PerInstanceSpeedup(const std::vector<int>& nodes,
-                                          int reference_n) const;
 
   /// Gustafson-style scaled speedup: `n * t(1,1) / t(n,n)` — how much more
   /// work completes per unit time with n nodes on an n-times larger input.

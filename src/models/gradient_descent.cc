@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/math_util.h"
 #include "common/units.h"
 
 namespace dmlscale::models {
@@ -53,32 +52,6 @@ double GenericGdModel::CommSeconds(int n) const {
 }
 
 double GenericGdModel::Seconds(int n) const {
-  return ComputeSeconds(n) + CommSeconds(n);
-}
-
-SparkGdModel::SparkGdModel(GdWorkload workload, core::NodeSpec node,
-                           core::LinkSpec link)
-    : workload_(workload), node_(node), link_(link) {
-  CheckInputs(workload, node, link);
-}
-
-double SparkGdModel::ComputeSeconds(int n) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  return workload_.ops_per_example * workload_.batch_size /
-         (node_.EffectiveFlops() * static_cast<double>(n));
-}
-
-double SparkGdModel::CommSeconds(int n) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  if (n == 1) return 0.0;
-  double unit = workload_.MessageBits() / link_.bandwidth_bps;
-  double torrent = unit * std::log2(static_cast<double>(n));
-  double two_wave =
-      2.0 * unit * static_cast<double>(CeilSqrt(static_cast<uint64_t>(n)));
-  return torrent + two_wave;
-}
-
-double SparkGdModel::Seconds(int n) const {
   return ComputeSeconds(n) + CommSeconds(n);
 }
 

@@ -59,28 +59,6 @@ class GenericGdModel final : public core::AlgorithmModel {
   core::LinkSpec link_;
 };
 
-/// The Spark batch-gradient-descent model validated in Fig. 2
-/// (Section V-A):
-///   tcp = (C * S) / (F * n)
-///   tcm = (bits * W / B) * log2(n) + 2 * (bits * W / B) * ceil(sqrt(n))
-/// Parameter distribution uses a torrent-like broadcast; aggregation is done
-/// in two waves, the first over ceil(sqrt(n)) nodes.
-class SparkGdModel final : public core::AlgorithmModel {
- public:
-  SparkGdModel(GdWorkload workload, core::NodeSpec node, core::LinkSpec link);
-
-  double Seconds(int n) const override;
-  std::string name() const override { return "gradient-descent-spark"; }
-
-  double ComputeSeconds(int n) const;
-  double CommSeconds(int n) const;
-
- private:
-  GdWorkload workload_;
-  core::NodeSpec node_;
-  core::LinkSpec link_;
-};
-
 /// The weak-scaling synchronous mini-batch SGD model of Fig. 3
 /// (Section V-A). Each worker holds a fixed mini-batch `S`; adding workers
 /// grows the effective batch. The modeled quantity is the processing time
@@ -108,7 +86,10 @@ class WeakScalingSgdModel final : public core::AlgorithmModel {
 };
 
 /// Builds the Fig. 2 workload: the MNIST fully connected network trained
-/// with Spark batch GD — W = 12e6 64-bit params, S = 60000, C = 6W.
+/// with Spark batch GD — W = 12e6 64-bit params, S = 60000, C = 6W. Its
+/// Section V-A model is the api::Scenario of "perfectly-parallel" work
+/// C * S and the "spark-gd" collective of MessageBits() (see
+/// bench/fig2_fc_ann_spark.cc).
 GdWorkload SparkMnistWorkload();
 
 /// Builds the Fig. 3 workload: Inception v3 trained with synchronous

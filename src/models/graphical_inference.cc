@@ -14,14 +14,6 @@ double BpOperationsPerEdge(int states) {
   return s + 2.0 * (s + s * s);
 }
 
-double GibbsOperationsPerEdge(int states) {
-  DMLSCALE_CHECK_GE(states, 1);
-  double s = static_cast<double>(states);
-  // 2S ops to fold one neighbor's pairwise column into the conditional,
-  // plus ~S amortized normalization/sampling work.
-  return 3.0 * s;
-}
-
 double AnalyticDuplicateEdges(double num_vertices, double num_edges, int n) {
   DMLSCALE_CHECK_GT(num_vertices, 1.0);
   DMLSCALE_CHECK_GE(num_edges, 0.0);
@@ -66,73 +58,6 @@ Result<EdgeBalance> MonteCarloEdgeBalance(const std::vector<int64_t>& degrees,
   balance.max_edges = max_acc / static_cast<double>(trials);
   balance.mean_edges = degree_sum / static_cast<double>(n) - dup;
   return balance;
-}
-
-double BalancedEdgeShare(double num_vertices, double num_edges, int n) {
-  DMLSCALE_CHECK_GE(n, 1);
-  double share = 2.0 * num_edges / static_cast<double>(n);
-  return share - AnalyticDuplicateEdges(num_vertices, num_edges, n);
-}
-
-double GraphInferenceWorkload::EffectiveOpsPerEdge() const {
-  return ops_per_edge > 0.0 ? ops_per_edge : BpOperationsPerEdge(states);
-}
-
-Status GraphInferenceWorkload::Validate() const {
-  if (ops_per_edge < 0.0) {
-    return Status::InvalidArgument("ops_per_edge must be >= 0");
-  }
-  if (num_vertices <= 1.0) {
-    return Status::InvalidArgument("num_vertices must be > 1");
-  }
-  if (num_edges <= 0.0) {
-    return Status::InvalidArgument("num_edges must be > 0");
-  }
-  if (states < 1) return Status::InvalidArgument("states must be >= 1");
-  if (replication_factor < 0.0) {
-    return Status::InvalidArgument("replication_factor must be >= 0");
-  }
-  if (bits_per_state <= 0.0) {
-    return Status::InvalidArgument("bits_per_state must be > 0");
-  }
-  return Status::OK();
-}
-
-GraphInferenceModel::GraphInferenceModel(
-    GraphInferenceWorkload workload, std::function<double(int)> max_edges_fn,
-    core::NodeSpec node, core::LinkSpec link, bool shared_memory)
-    : workload_(workload),
-      max_edges_fn_(std::move(max_edges_fn)),
-      node_(node),
-      link_(link),
-      shared_memory_(shared_memory) {
-  DMLSCALE_CHECK_MSG(workload.Validate().ok(), "invalid workload");
-  DMLSCALE_CHECK(max_edges_fn_ != nullptr);
-  DMLSCALE_CHECK_MSG(node.Validate().ok(), "invalid NodeSpec");
-  if (!shared_memory) {
-    DMLSCALE_CHECK_MSG(link.Validate().ok(), "invalid LinkSpec");
-  }
-}
-
-double GraphInferenceModel::ComputeSeconds(int n) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  double max_edges = max_edges_fn_(n);
-  DMLSCALE_CHECK_GE(max_edges, 0.0);
-  return max_edges * workload_.EffectiveOpsPerEdge() /
-         node_.EffectiveFlops();
-}
-
-double GraphInferenceModel::CommSeconds(int n) const {
-  DMLSCALE_CHECK_GE(n, 1);
-  if (shared_memory_ || n == 1) return 0.0;
-  // tcm = bits/B * r * V * S (Section IV-B, linear communication).
-  return workload_.bits_per_state / link_.bandwidth_bps *
-         workload_.replication_factor * workload_.num_vertices *
-         static_cast<double>(workload_.states);
-}
-
-double GraphInferenceModel::Seconds(int n) const {
-  return ComputeSeconds(n) + CommSeconds(n);
 }
 
 std::function<double(int)> MemoizedMonteCarloMaxEdges(

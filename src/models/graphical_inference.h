@@ -7,25 +7,19 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "core/hardware.h"
-#include "core/superstep.h"
 
 namespace dmlscale::models {
 
-/// Scalability model for graphical-model inference (Sections IV-B, V-B):
-/// vertices of a pairwise MRF are processed in parallel by `n` workers; the
-/// slowest worker (most edges) bounds the superstep.
+/// Inputs of the graphical-inference model (Sections IV-B, V-B): vertices
+/// of a pairwise MRF are processed in parallel by `n` workers; the slowest
+/// worker (most edges) bounds the superstep. The model itself is an
+/// api::Scenario: tcp = max_i(E_i) * c(S) / F through
+/// Scenario::Builder::Compute(fn), and tcm free in shared memory or
+/// (bits/B) * r * V * S through the "fixed-volume" collective.
 
 /// Operation count of one belief-propagation edge update with `S` variable
 /// states: `c(S) = S + 2 * (S + S^2)` (Section V-B).
 double BpOperationsPerEdge(int states);
-
-/// Operation count per edge of one Gibbs-sampling sweep (the other
-/// inference algorithm Section IV-B names): resampling a vertex multiplies
-/// one pairwise column per neighbor into the S-vector of conditionals
-/// (S multiply-adds per edge, 2S ops) plus a normalize-and-sample term
-/// amortized over the vertex's edges.
-double GibbsOperationsPerEdge(int states);
 
 /// The expected number of edges counted twice on one worker under random
 /// vertex assignment (Section IV-B):
@@ -48,64 +42,10 @@ struct EdgeBalance {
 Result<EdgeBalance> MonteCarloEdgeBalance(const std::vector<int64_t>& degrees,
                                           int n, int trials, Pcg32* rng);
 
-/// A cheaper closed-form approximation of `max_i(E_i)` used when no degree
-/// sequence is available: perfect balance `E_sum / n` minus duplicates,
-/// where `E_sum = 2E/n` is the expected degree mass per worker. This is a
-/// lower bound on the Monte-Carlo estimate (no skew).
-double BalancedEdgeShare(double num_vertices, double num_edges, int n);
-
-/// Configuration of the graphical-inference model.
-struct GraphInferenceWorkload {
-  double num_vertices = 0.0;   // V
-  double num_edges = 0.0;      // E (undirected count)
-  int states = 2;              // S
-  /// Replication factor `r`: the average fraction of vertex values that
-  /// must be fetched from remote workers (Section IV-B).
-  double replication_factor = 0.0;
-  /// Bits per transmitted state value (the paper uses 32).
-  double bits_per_state = 32.0;
-  /// Operations per edge update, `c(S)`. 0 selects the belief-propagation
-  /// count `BpOperationsPerEdge(states)`; pass `GibbsOperationsPerEdge`
-  /// (or any custom count) to model other iterative inference algorithms.
-  double ops_per_edge = 0.0;
-
-  /// Effective `c(S)`: ops_per_edge, or the BP default when 0.
-  double EffectiveOpsPerEdge() const;
-
-  Status Validate() const;
-};
-
-/// The full model (Section IV-B):
-///   tcp = max_i(E_i) * c(S) / F
-///   tcm = (bits / B) * r * V * S        (linear communication)
-/// or tcm = 0 in shared memory (Section V-B), in which case F cancels out
-/// of the speedup.
-class GraphInferenceModel final : public core::AlgorithmModel {
- public:
-  /// `max_edges_fn(n)` supplies `max_i(E_i)` — typically a memoized
-  /// Monte-Carlo estimate or a measured partition statistic.
-  GraphInferenceModel(GraphInferenceWorkload workload,
-                      std::function<double(int)> max_edges_fn,
-                      core::NodeSpec node, core::LinkSpec link,
-                      bool shared_memory);
-
-  double Seconds(int n) const override;
-  std::string name() const override { return "graph-inference"; }
-
-  double ComputeSeconds(int n) const;
-  double CommSeconds(int n) const;
-
- private:
-  GraphInferenceWorkload workload_;
-  std::function<double(int)> max_edges_fn_;
-  core::NodeSpec node_;
-  core::LinkSpec link_;
-  bool shared_memory_;
-};
-
 /// Memoizing wrapper that evaluates the Monte-Carlo estimator once per node
-/// count. Returns a callable suitable for GraphInferenceModel. The degree
-/// sequence is copied; the RNG seed makes results reproducible.
+/// count. Returns `max_i(E_i)` as a function of n, which scaled by c(S) is
+/// the per-worker work a Scenario::Builder::Compute(fn) scenario takes. The
+/// degree sequence is copied; the RNG seed makes results reproducible.
 std::function<double(int)> MemoizedMonteCarloMaxEdges(
     std::vector<int64_t> degrees, int trials, uint64_t seed);
 

@@ -118,29 +118,5 @@ TEST(FitLinearModelTest, DetectsCollinearBasis) {
   EXPECT_EQ(fit.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(CalibratedModelTest, EvaluatesScaledSum) {
-  CalibratedModel model({ComputeTerm(), CommTerm()}, {2.0, 0.5});
-  EXPECT_DOUBLE_EQ(model.Seconds(1), 20.0);
-  EXPECT_DOUBLE_EQ(model.Seconds(4), 2.0 * 2.5 + 0.5 * 1.0);
-}
-
-TEST(CalibrateComputeCommTest, EndToEnd) {
-  // A "cluster" whose effective FLOPS is 20% lower than spec and whose
-  // network behaves exactly as modeled.
-  auto samples = SamplesFrom(1.25, 1.0, {1, 2, 4, 8, 16, 32});
-  auto model = CalibrateComputeComm(ComputeTerm(), CommTerm(), samples);
-  ASSERT_TRUE(model.ok());
-  EXPECT_NEAR((*model)->coefficients()[0], 1.25, 1e-9);
-  EXPECT_NEAR((*model)->coefficients()[1], 1.0, 1e-9);
-  // Predicts unseen node counts correctly.
-  EXPECT_NEAR((*model)->Seconds(64),
-              1.25 * ComputeTerm()(64) + CommTerm()(64), 1e-9);
-}
-
-TEST(CalibrateComputeCommTest, RejectsNullTerms) {
-  auto samples = SamplesFrom(1.0, 1.0, {1, 2, 4});
-  EXPECT_FALSE(CalibrateComputeComm(nullptr, CommTerm(), samples).ok());
-}
-
 }  // namespace
 }  // namespace dmlscale::core

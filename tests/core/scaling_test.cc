@@ -2,65 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace dmlscale::core {
 namespace {
-
-// t(n, d) = d / n + 0.01 * log2(n) communication: a weak-scalable model.
-double LogCommTime(int n, double d) {
-  return d / n + (n > 1 ? 0.01 * std::log2(static_cast<double>(n)) : 0.0);
-}
-
-// Linear communication: t(n, d) = d / n + 0.01 * n.
-double LinearCommTime(int n, double d) {
-  return d / n + (n > 1 ? 0.01 * n : 0.0);
-}
-
-TEST(StrongScalingStudyTest, MatchesDirectSpeedup) {
-  StrongScalingStudy study(LogCommTime);
-  auto curve = study.Speedup(16);
-  ASSERT_TRUE(curve.ok());
-  EXPECT_DOUBLE_EQ(curve->speedup[0], 1.0);
-  EXPECT_NEAR(curve->At(4).value(), LogCommTime(1, 1.0) / LogCommTime(4, 1.0),
-              1e-12);
-}
-
-TEST(WeakScalingStudyTest, PerInstanceSpeedupLogComm) {
-  // Section V-A: with logarithmic communication, per-instance speedup keeps
-  // growing (infinite weak scaling).
-  WeakScalingStudy study(LogCommTime);
-  auto curve = study.PerInstanceSpeedup({1, 2, 4, 8, 16, 32, 64, 128}, 1);
-  ASSERT_TRUE(curve.ok());
-  for (size_t i = 1; i < curve->speedup.size(); ++i) {
-    EXPECT_GT(curve->speedup[i], curve->speedup[i - 1])
-        << "n=" << curve->nodes[i];
-  }
-}
-
-TEST(WeakScalingStudyTest, PerInstanceSpeedupLinearCommSaturates) {
-  // Section V-A: linear communication gives only finite weak scaling — the
-  // per-instance time approaches a constant, so speedup plateaus.
-  WeakScalingStudy study(LinearCommTime);
-  auto curve =
-      study.PerInstanceSpeedup({1, 64, 256, 1024, 4096, 16384}, 1);
-  ASSERT_TRUE(curve.ok());
-  double s1 = curve->At(1024).value();
-  double s2 = curve->At(4096).value();
-  double s3 = curve->At(16384).value();
-  // Growth rate collapses: increments shrink by far more than 2x.
-  EXPECT_LT(s3 - s2, (s2 - s1) / 2.0);
-  // And the absolute value approaches t(1)/0.01 = 100.
-  EXPECT_LT(s3, 101.0);
-}
-
-TEST(WeakScalingStudyTest, ReferenceAtFifty) {
-  WeakScalingStudy study(LogCommTime);
-  auto curve = study.PerInstanceSpeedup({50, 100}, 50);
-  ASSERT_TRUE(curve.ok());
-  EXPECT_DOUBLE_EQ(curve->At(50).value(), 1.0);
-  EXPECT_GT(curve->At(100).value(), 1.0);
-}
 
 TEST(WeakScalingStudyTest, ScaledSpeedupPerfectForFreeComm) {
   WeakScalingStudy study([](int n, double d) { return d / n; });
@@ -76,7 +19,6 @@ TEST(WeakScalingStudyTest, ScaledSpeedupPerfectForFreeComm) {
 TEST(WeakScalingStudyTest, RejectsNonPositiveTimes) {
   WeakScalingStudy study([](int, double) { return 0.0; });
   EXPECT_FALSE(study.ScaledSpeedup(4).ok());
-  EXPECT_FALSE(study.PerInstanceSpeedup({1, 2}, 1).ok());
 }
 
 }  // namespace

@@ -17,52 +17,6 @@ TEST(BpOperationsPerEdgeTest, FormulaSectionVB) {
   EXPECT_DOUBLE_EQ(BpOperationsPerEdge(1), 1.0 + 2.0 * 2.0);
 }
 
-TEST(GibbsOperationsPerEdgeTest, LinearInStates) {
-  EXPECT_DOUBLE_EQ(GibbsOperationsPerEdge(2), 6.0);
-  EXPECT_DOUBLE_EQ(GibbsOperationsPerEdge(5), 15.0);
-  // One Gibbs sweep is cheaper per edge than one BP superstep (no S^2
-  // marginalization), increasingly so at larger state counts.
-  for (int s = 2; s <= 16; s *= 2) {
-    EXPECT_LT(GibbsOperationsPerEdge(s), BpOperationsPerEdge(s)) << s;
-  }
-}
-
-TEST(GraphInferenceWorkloadTest, OpsPerEdgeSelectsAlgorithm) {
-  GraphInferenceWorkload bp_workload{.num_vertices = 100.0,
-                                     .num_edges = 200.0,
-                                     .states = 2};
-  EXPECT_DOUBLE_EQ(bp_workload.EffectiveOpsPerEdge(), 14.0);
-  GraphInferenceWorkload gibbs_workload = bp_workload;
-  gibbs_workload.ops_per_edge = GibbsOperationsPerEdge(2);
-  EXPECT_DOUBLE_EQ(gibbs_workload.EffectiveOpsPerEdge(), 6.0);
-  gibbs_workload.ops_per_edge = -1.0;
-  EXPECT_FALSE(gibbs_workload.Validate().ok());
-}
-
-TEST(GraphInferenceModelTest, GibbsAndBpShareSpeedupShape) {
-  // Same graph, different per-edge costs: in shared memory the algorithm
-  // constant cancels out of the speedup, like F does (Section V-B).
-  core::NodeSpec node{.name = "n", .peak_flops = 1e9, .efficiency = 1.0};
-  auto max_edges = [](int n) { return 1e6 / n + 100.0; };
-  GraphInferenceWorkload bp_workload{.num_vertices = 1000.0,
-                                     .num_edges = 5000.0,
-                                     .states = 2};
-  GraphInferenceWorkload gibbs_workload = bp_workload;
-  gibbs_workload.ops_per_edge = GibbsOperationsPerEdge(2);
-  GraphInferenceModel bp_model(bp_workload, max_edges, node,
-                               core::LinkSpec{}, true);
-  GraphInferenceModel gibbs_model(gibbs_workload, max_edges, node,
-                                  core::LinkSpec{}, true);
-  auto bp_curve = core::SpeedupAnalyzer::Compute(bp_model, 16).value();
-  auto gibbs_curve = core::SpeedupAnalyzer::Compute(gibbs_model, 16).value();
-  for (size_t i = 0; i < bp_curve.speedup.size(); ++i) {
-    EXPECT_NEAR(bp_curve.speedup[i], gibbs_curve.speedup[i], 1e-9);
-  }
-  // But absolute times differ by the cost ratio.
-  EXPECT_NEAR(bp_model.Seconds(4) / gibbs_model.Seconds(4), 14.0 / 6.0,
-              1e-9);
-}
-
 TEST(AnalyticDuplicateEdgesTest, FormulaSectionIVB) {
   double v = 1000.0, e = 5000.0;
   int n = 10;
@@ -120,27 +74,6 @@ TEST(MonteCarloEdgeBalanceTest, RejectsBadInput) {
   EXPECT_FALSE(MonteCarloEdgeBalance(degrees, 2, 1, nullptr).ok());
   std::vector<int64_t> negative{1, -2, 3};
   EXPECT_FALSE(MonteCarloEdgeBalance(negative, 2, 1, &rng).ok());
-}
-
-TEST(BalancedEdgeShareTest, LowerBoundOnMonteCarlo) {
-  std::vector<int64_t> degrees(5000, 8);
-  double v = 5000.0, e = 20000.0;
-  Pcg32 rng(11);
-  for (int n : {2, 4, 8, 16}) {
-    auto mc = MonteCarloEdgeBalance(degrees, n, 10, &rng);
-    ASSERT_TRUE(mc.ok());
-    EXPECT_LE(BalancedEdgeShare(v, e, n), mc->max_edges * 1.0001) << n;
-  }
-}
-
-TEST(GraphInferenceWorkloadTest, Validation) {
-  GraphInferenceWorkload workload{.num_vertices = 100.0,
-                                  .num_edges = 200.0,
-                                  .states = 2,
-                                  .replication_factor = 0.5};
-  EXPECT_TRUE(workload.Validate().ok());
-  workload.states = 0;
-  EXPECT_FALSE(workload.Validate().ok());
 }
 
 // Section IV-B's model through the facade: tcp = max_i(E_i) * c(S) / F is
