@@ -182,11 +182,15 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
       return Status::InvalidArgument(std::string(field) + " must be finite");
     }
   }
-  if (options.eval_cache != nullptr && scenario.name().empty()) {
-    // Cache keys embed the scenario name; unnamed scenarios sharing a cache
-    // would silently reuse each other's times.
+  if (options.eval_cache != nullptr &&
+      (scenario.name().empty() || scenario.callable_compute())) {
+    // Cache keys embed the scenario name and digest parameters, not a
+    // callable's function; unnamed or Compute(fn) scenarios sharing a
+    // cache would silently reuse each other's times.
     return Status::InvalidArgument(
-        "eval_cache requires a named scenario (keys embed the name)");
+        "eval_cache requires a named scenario (keys embed the name) with a "
+        "registered compute model (keys cannot digest a Compute(fn) "
+        "callable)");
   }
 
   const TimeTable times =

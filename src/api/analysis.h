@@ -83,7 +83,8 @@ struct AnalysisOptions {
   /// a digest of the full model including hardware, parameters, and network
   /// (topology/queue) selection — so two cells share cached times only
   /// when they price identically; unnamed scenarios are still rejected to
-  /// keep cache contents attributable.
+  /// keep cache contents attributable, and so are Compute(fn) scenarios,
+  /// whose function the key cannot digest.
   MemoCache* eval_cache = nullptr;
 
   /// Measured timing samples to compare the scenario against (not owned;

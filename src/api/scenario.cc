@@ -321,6 +321,7 @@ Result<Scenario> Scenario::Builder::Build() const {
   scenario.compute_name_ = std::move(compute_name);
   scenario.comm_name_ = std::move(comm_name);
   scenario.compute_params_ = compute_params_;
+  scenario.callable_compute_ = compute_fn_ != nullptr;
   scenario.comm_params_ = std::move(comm_params);
   scenario.faults_ = faults;
   scenario.fault_params_ = fault_params_;

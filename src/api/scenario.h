@@ -121,11 +121,16 @@ class Scenario final : public core::AlgorithmModel {
   /// planning) next to the training-side curve.
   bool serving_aware() const { return serving_aware_; }
 
+  /// True when the computation model came from Builder::Compute(fn).
+  bool callable_compute() const { return callable_compute_; }
+
   /// A digest uniquely identifying the scenario's MODEL — name, hardware,
   /// model names, every parameter (numeric and string, so topology/queue
   /// selections count), supersteps, coefficients. Memoization keys MUST use
   /// this instead of name(): two sweep cells differing only in
-  /// `oversubscription` share a name but not a communication time.
+  /// `oversubscription` share a name but not a communication time. A
+  /// callable compute model enters only by its label, so such scenarios
+  /// must not share a cache (Analysis::Run refuses them one).
   std::string CacheKey() const;
 
   /// Convenience: the strong-scaling speedup curve up to `max_nodes`
@@ -144,6 +149,7 @@ class Scenario final : public core::AlgorithmModel {
   std::string compute_name_;
   std::string comm_name_;
   ModelParams compute_params_;
+  bool callable_compute_ = false;
   ModelParams comm_params_;
   core::FaultSpec faults_;
   ModelParams fault_params_;

@@ -394,6 +394,41 @@ TEST(AnalysisTest, EvalCacheRequiresANamedScenario) {
   EXPECT_TRUE(Analysis::Run(*scenario, options).ok());
 }
 
+TEST(AnalysisTest, EvalCacheRejectsCallableCompute) {
+  // CacheKey() digests a callable compute model's label, not its function:
+  // two scenarios with one name and label but different work would share
+  // cached times.
+  auto build = [](double flops) {
+    return Scenario::Builder()
+        .Name("callable")
+        .Hardware(presets::Fig1Cluster(16))
+        .Compute([flops](int n) { return flops / n; })
+        .Comm("linear", {{"bits", 1e9}})
+        .Build();
+  };
+  auto small = build(1e9);
+  auto large = build(4e9);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  MemoCache cache;
+  AnalysisOptions options;
+  options.eval_cache = &cache;
+  EXPECT_EQ(Analysis::Run(*small, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Analysis::Run(*large, options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+
+  // Without the cache each prices its own work: t(1) = flops / 1e9.
+  options.eval_cache = nullptr;
+  auto small_report = Analysis::Run(*small, options);
+  auto large_report = Analysis::Run(*large, options);
+  ASSERT_TRUE(small_report.ok());
+  ASSERT_TRUE(large_report.ok());
+  EXPECT_DOUBLE_EQ(small_report->reference_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(large_report->reference_seconds, 4.0);
+}
+
 TEST(AnalysisTest, RejectsBadThreadCount) {
   auto scenario = Fig1Scenario();
   ASSERT_TRUE(scenario.ok());
