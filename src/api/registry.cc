@@ -105,30 +105,27 @@ DMLSCALE_REGISTER_COMM_MODEL(
           std::make_unique<core::SharedMemoryComm>());
     });
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "linear", "bits (per node, through a single master)",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::LinearComm>(bits, link, std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+// The factory of a collective priced from its payload alone: `bits` plus
+// the network keys, then CommT(bits, link, network).
+template <typename CommT>
+CommResult BitsOnlyComm(const ModelParams& params,
+                        const core::LinkSpec& link) {
+  DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
+  DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
+  DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
+                            ResolveNetworkSpec(params));
+  return std::unique_ptr<core::CommunicationModel>(
+      std::make_unique<CommT>(bits, link, std::move(network)));
+}
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "fixed-volume", "bits (independent of n)",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::FixedVolumeComm>(bits, link,
-                                                  std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("linear",
+                             "bits (per node, through a single master)",
+                             BitsOnlyComm<core::LinearComm>,
+                             ModelParams{{"bits", 64e6}});
+
+DMLSCALE_REGISTER_COMM_MODEL("fixed-volume", "bits (independent of n)",
+                             BitsOnlyComm<core::FixedVolumeComm>,
+                             ModelParams{{"bits", 64e6}});
 
 DMLSCALE_REGISTER_COMM_MODEL(
     "tree", "bits, rounds (default 1; generic GD uses 2)",
@@ -146,69 +143,25 @@ DMLSCALE_REGISTER_COMM_MODEL(
     },
     ModelParams{{"bits", 64e6}, {"rounds", 2}});
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "torrent-broadcast", "bits",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::TorrentBroadcastComm>(bits, link,
-                                                       std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("torrent-broadcast", "bits",
+                             BitsOnlyComm<core::TorrentBroadcastComm>,
+                             ModelParams{{"bits", 64e6}});
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "two-wave", "bits",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::TwoWaveAggregationComm>(bits, link,
-                                                         std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("two-wave", "bits",
+                             BitsOnlyComm<core::TwoWaveAggregationComm>,
+                             ModelParams{{"bits", 64e6}});
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "ring-allreduce", "bits",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::RingAllReduceComm>(bits, link,
-                                                    std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("ring-allreduce", "bits",
+                             BitsOnlyComm<core::RingAllReduceComm>,
+                             ModelParams{{"bits", 64e6}});
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "recursive-doubling", "bits",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::RecursiveDoublingComm>(bits, link,
-                                                        std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("recursive-doubling", "bits",
+                             BitsOnlyComm<core::RecursiveDoublingComm>,
+                             ModelParams{{"bits", 64e6}});
 
-DMLSCALE_REGISTER_COMM_MODEL(
-    "shuffle", "bits (total volume across all nodes)",
-    [](const ModelParams& params, const core::LinkSpec& link) -> CommResult {
-      DMLSCALE_RETURN_NOT_OK(ExpectOnlyWithNetworkKeys(params, {"bits"}));
-      DMLSCALE_ASSIGN_OR_RETURN(double bits, PositiveParam(params, "bits"));
-      DMLSCALE_ASSIGN_OR_RETURN(core::NetworkSpec network,
-                                ResolveNetworkSpec(params));
-      return std::unique_ptr<core::CommunicationModel>(
-          std::make_unique<core::ShuffleComm>(bits, link, std::move(network)));
-    },
-    ModelParams{{"bits", 64e6}});
+DMLSCALE_REGISTER_COMM_MODEL("shuffle", "bits (total volume across all nodes)",
+                             BitsOnlyComm<core::ShuffleComm>,
+                             ModelParams{{"bits", 64e6}});
 
 DMLSCALE_REGISTER_COMM_MODEL(
     "spark-gd", "bits (torrent broadcast + two-wave aggregation, Fig. 2)",
