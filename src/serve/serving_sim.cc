@@ -45,9 +45,6 @@ struct ReplicaState {
   double latency_sum_s = 0.0;
   Histogram latency;
   Pcg32 service_rng;  // exponential service draws, one stream per replica
-
-  explicit ReplicaState(const Histogram::Options& options)
-      : latency(options) {}
 };
 
 }  // namespace
@@ -99,14 +96,14 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
   uint64_t cache_misses = 0;
   int64_t frontend_completed_measured = 0;
   double frontend_latency_sum_s = 0.0;
-  Histogram frontend_latency(config.histogram);
+  Histogram frontend_latency;
   // Replicas. Each owns its service-draw stream, keyed by node id, so the
   // draw sequence is a pure function of (seed, replica) — shard-invariant.
   std::vector<ReplicaState> replica_state;
   replica_state.reserve(static_cast<size_t>(replicas));
   for (int r = 0; r < replicas; ++r) {
     const auto salt = kServiceSeedSalt + static_cast<uint64_t>(r);
-    replica_state.emplace_back(config.histogram);
+    replica_state.emplace_back();
     replica_state.back().service_rng =
         Pcg32(DeriveSeed(config.seed, salt),
               kServiceSeedSalt ^ static_cast<uint64_t>(r));
@@ -251,7 +248,6 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
   ServingSimStats stats;
   stats.engine = engine_stats;
   stats.duration_s = engine_stats.end_time;
-  stats.latency = Histogram(config.histogram);
   int64_t completed = 0;
   int64_t executed_total = 0;
   double latency_sum_s = 0.0;

@@ -48,7 +48,6 @@ struct ServingSimConfig {
   /// engine lookahead). The response path is priced additively.
   double wire_s = 50e-6;
   sim::EngineExec exec;
-  Histogram::Options histogram;
 
   [[nodiscard]] Status Validate() const;
 };
