@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -36,16 +35,6 @@ double Percentile(std::vector<double> xs, double p) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-double MaxOf(const std::vector<double>& xs) {
-  if (xs.empty()) return -std::numeric_limits<double>::infinity();
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double MinOf(const std::vector<double>& xs) {
-  if (xs.empty()) return std::numeric_limits<double>::infinity();
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double Sum(const std::vector<double>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0.0);
 }
@@ -72,15 +61,6 @@ uint64_t CeilSqrt(uint64_t n) {
 uint64_t CeilDiv(uint64_t a, uint64_t b) {
   DMLSCALE_CHECK_GT(b, 0u);
   return (a + b - 1) / b;
-}
-
-bool AlmostEqual(double a, double b, double tol) {
-  double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
-}
-
-double Clamp(double x, double lo, double hi) {
-  return std::min(hi, std::max(lo, x));
 }
 
 double Gini(std::vector<double> xs) {

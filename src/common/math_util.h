@@ -18,12 +18,6 @@ double StdDev(const std::vector<double>& xs);
 /// Linear-interpolated percentile, `p` in [0, 100]. Sorts a copy.
 double Percentile(std::vector<double> xs, double p);
 
-/// Largest element; -inf for empty input.
-double MaxOf(const std::vector<double>& xs);
-
-/// Smallest element; +inf for empty input.
-double MinOf(const std::vector<double>& xs);
-
 /// Sum of elements.
 double Sum(const std::vector<double>& xs);
 
@@ -35,12 +29,6 @@ uint64_t CeilSqrt(uint64_t n);
 
 /// Integer ceil division a/b for b > 0.
 uint64_t CeilDiv(uint64_t a, uint64_t b);
-
-/// True when |a-b| <= tol * max(1, |a|, |b|).
-bool AlmostEqual(double a, double b, double tol = 1e-9);
-
-/// Clamps x into [lo, hi].
-double Clamp(double x, double lo, double hi);
 
 /// Gini coefficient of a non-negative sample (0 = perfectly even, →1 =
 /// concentrated); used to characterize degree skew. Sorts a copy.

@@ -8,18 +8,6 @@
 
 namespace dmlscale {
 
-std::vector<std::string> Split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts, std::string_view sep,
                  std::string_view empty) {
   if (parts.empty()) return std::string(empty);

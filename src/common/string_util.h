@@ -9,9 +9,6 @@
 
 namespace dmlscale {
 
-/// Splits on `delim`; keeps empty fields.
-std::vector<std::string> Split(std::string_view s, char delim);
-
 /// Joins with `sep`; an empty list yields `empty`, so error messages can
 /// render "<none>" instead of nothing.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep,

@@ -52,29 +52,6 @@ Result<double> Rmse(const std::vector<double>& predicted,
   return std::sqrt(acc / static_cast<double>(actual.size()));
 }
 
-Result<double> PearsonCorrelation(const std::vector<double>& a,
-                                  const std::vector<double>& b) {
-  DMLSCALE_RETURN_NOT_OK(CheckSizes(a, b));
-  double n = static_cast<double>(a.size());
-  double ma = 0.0, mb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ma += a[i];
-    mb += b[i];
-  }
-  ma /= n;
-  mb /= n;
-  double cov = 0.0, va = 0.0, vb = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    cov += (a[i] - ma) * (b[i] - mb);
-    va += (a[i] - ma) * (a[i] - ma);
-    vb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (va == 0.0 || vb == 0.0) {
-    return Status::FailedPrecondition("constant series has no correlation");
-  }
-  return cov / std::sqrt(va * vb);
-}
-
 Result<ValidationReport> CompareCurves(const SpeedupCurve& model,
                                        const SpeedupCurve& measured) {
   std::vector<double> predicted;

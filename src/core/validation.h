@@ -22,10 +22,6 @@ namespace dmlscale::core {
 [[nodiscard]] Result<double> Rmse(const std::vector<double>& predicted,
                     const std::vector<double>& actual);
 
-/// Pearson correlation coefficient; fails if either series is constant.
-[[nodiscard]] Result<double> PearsonCorrelation(const std::vector<double>& a,
-                                  const std::vector<double>& b);
-
 /// Error report comparing a model curve against measured points, aligning
 /// on node counts (measured points at node counts absent from the model
 /// curve cause a NotFound error).

@@ -22,14 +22,6 @@ int64_t Graph::MaxDegree() const {
   return best;
 }
 
-bool Graph::HasEdge(VertexId u, VertexId v) const {
-  if (u < 0 || u >= num_vertices() || v < 0 || v >= num_vertices()) {
-    return false;
-  }
-  auto nbrs = Neighbors(u);
-  return std::binary_search(nbrs.begin(), nbrs.end(), v);
-}
-
 Result<int64_t> Graph::ReverseEdgeIndex(VertexId u, VertexId v) const {
   auto nbrs = Neighbors(v);
   auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);

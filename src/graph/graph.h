@@ -41,9 +41,6 @@ class Graph {
   /// Largest degree; 0 for an edgeless graph.
   int64_t MaxDegree() const;
 
-  /// True when {u, v} is an edge (binary search).
-  bool HasEdge(VertexId u, VertexId v) const;
-
   /// Directed-edge index of (v -> its k-th neighbor); dense in
   /// [0, 2*num_edges). Useful for message arrays in belief propagation.
   int64_t DirectedEdgeIndex(VertexId v, int64_t k) const {

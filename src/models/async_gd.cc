@@ -37,10 +37,6 @@ double AsyncGdModel::ThroughputUpdatesPerSec(int n) const {
   return std::min(offered, ceiling);
 }
 
-double AsyncGdModel::ThroughputInstancesPerSec(int n) const {
-  return ThroughputUpdatesPerSec(n) * workload_.batch_size;
-}
-
 double AsyncGdModel::ThroughputSpeedup(int n) const {
   return ThroughputUpdatesPerSec(n) / ThroughputUpdatesPerSec(1);
 }

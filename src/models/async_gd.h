@@ -37,9 +37,6 @@ class AsyncGdModel {
   /// Gradient updates per second with `n` workers.
   double ThroughputUpdatesPerSec(int n) const;
 
-  /// Training-instance throughput: updates/s * batch per update.
-  double ThroughputInstancesPerSec(int n) const;
-
   /// Throughput speedup over one worker (the async analogue of s(n)).
   double ThroughputSpeedup(int n) const;
 

@@ -1,7 +1,6 @@
 #include "nn/data.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace dmlscale::nn {
@@ -54,33 +53,6 @@ Result<Dataset> SyntheticClassification(int64_t examples, int64_t dims,
           centroids.At2(label, d) + rng->NextGaussian(0.0, noise);
     }
     data.targets.At2(e, label) = 1.0;
-  }
-  return data;
-}
-
-Result<Dataset> SyntheticRegression(int64_t examples, int64_t dims,
-                                    int64_t outputs, double noise,
-                                    Pcg32* rng) {
-  if (examples < 1 || dims < 1 || outputs < 1) {
-    return Status::InvalidArgument("bad dataset dimensions");
-  }
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-
-  Tensor weights({dims, outputs});
-  weights.FillGaussian(1.0 / std::sqrt(static_cast<double>(dims)), rng);
-
-  Dataset data{Tensor({examples, dims}), Tensor({examples, outputs})};
-  for (int64_t e = 0; e < examples; ++e) {
-    for (int64_t d = 0; d < dims; ++d) {
-      data.features.At2(e, d) = rng->NextGaussian(0.0, 1.0);
-    }
-    for (int64_t o = 0; o < outputs; ++o) {
-      double z = 0.0;
-      for (int64_t d = 0; d < dims; ++d) {
-        z += data.features.At2(e, d) * weights.At2(d, o);
-      }
-      data.targets.At2(e, o) = std::sin(z) + rng->NextGaussian(0.0, noise);
-    }
   }
   return data;
 }

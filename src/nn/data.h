@@ -33,11 +33,6 @@ Result<Dataset> SyntheticClassification(int64_t examples, int64_t dims,
                                         int64_t classes, double noise,
                                         Pcg32* rng);
 
-/// Regression data from a random linear map plus sine warp and noise:
-/// y = sin(x A) + eps. Exercises nonlinear fitting in training tests.
-Result<Dataset> SyntheticRegression(int64_t examples, int64_t dims,
-                                    int64_t outputs, double noise, Pcg32* rng);
-
 /// MNIST-like synthetic images: {examples, 1, side, side} blobs with
 /// class-dependent position, one-hot targets. Exercises conv layers.
 Result<Dataset> SyntheticImages(int64_t examples, int64_t side,

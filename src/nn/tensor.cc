@@ -94,11 +94,4 @@ double Tensor::SquaredNorm() const {
   return acc;
 }
 
-Result<Tensor> Tensor::Reshape(std::vector<int64_t> new_shape) const {
-  if (Volume(new_shape) != size()) {
-    return Status::InvalidArgument("reshape volume mismatch");
-  }
-  return Tensor(std::move(new_shape), data_);
-}
-
 }  // namespace dmlscale::nn

@@ -92,9 +92,6 @@ class Tensor {
   /// Sum of squares of all elements.
   double SquaredNorm() const;
 
-  /// Reinterprets as a new shape with equal volume.
-  Result<Tensor> Reshape(std::vector<int64_t> new_shape) const;
-
   /// True when shapes match exactly.
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 

@@ -32,10 +32,8 @@ TEST(MathUtilTest, PercentileSingleElement) {
   EXPECT_DOUBLE_EQ(Percentile({3.0}, 75.0), 3.0);
 }
 
-TEST(MathUtilTest, MinMaxSum) {
+TEST(MathUtilTest, Sum) {
   std::vector<double> xs{3.0, -1.0, 2.0};
-  EXPECT_DOUBLE_EQ(MaxOf(xs), 3.0);
-  EXPECT_DOUBLE_EQ(MinOf(xs), -1.0);
   EXPECT_DOUBLE_EQ(Sum(xs), 4.0);
 }
 
@@ -66,18 +64,6 @@ TEST(MathUtilTest, CeilDiv) {
   EXPECT_EQ(CeilDiv(10, 3), 4u);
   EXPECT_EQ(CeilDiv(9, 3), 3u);
   EXPECT_EQ(CeilDiv(0, 3), 0u);
-}
-
-TEST(MathUtilTest, AlmostEqual) {
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(AlmostEqual(1.0, 1.001));
-  EXPECT_TRUE(AlmostEqual(1e12, 1e12 + 1.0, 1e-9));
-}
-
-TEST(MathUtilTest, Clamp) {
-  EXPECT_DOUBLE_EQ(Clamp(5.0, 0.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(Clamp(-5.0, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(Clamp(0.5, 0.0, 1.0), 0.5);
 }
 
 TEST(MathUtilTest, GiniUniformIsZero) {

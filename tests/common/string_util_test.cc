@@ -5,27 +5,6 @@
 namespace dmlscale {
 namespace {
 
-TEST(SplitTest, BasicSplit) {
-  auto parts = Split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  auto parts = Split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(SplitTest, NoDelimiter) {
-  auto parts = Split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(StripWhitespaceTest, StripsBothEnds) {
   EXPECT_EQ(StripWhitespace("  hi \t\n"), "hi");
   EXPECT_EQ(StripWhitespace(""), "");

@@ -41,17 +41,6 @@ TEST(RmseTest, AtLeastMae) {
   EXPECT_GE(Rmse(p, a).value(), Mae(p, a).value());
 }
 
-TEST(PearsonTest, PerfectCorrelation) {
-  EXPECT_NEAR(PearsonCorrelation({1.0, 2.0, 3.0}, {2.0, 4.0, 6.0}).value(),
-              1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation({1.0, 2.0, 3.0}, {3.0, 2.0, 1.0}).value(),
-              -1.0, 1e-12);
-}
-
-TEST(PearsonTest, RejectsConstantSeries) {
-  EXPECT_FALSE(PearsonCorrelation({1.0, 1.0}, {1.0, 2.0}).ok());
-}
-
 TEST(CompareCurvesTest, AlignsOnNodeCounts) {
   SpeedupCurve model;
   model.nodes = {1, 2, 3, 4, 5};

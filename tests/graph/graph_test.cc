@@ -62,14 +62,6 @@ TEST(GraphTest, NeighborsSorted) {
   EXPECT_EQ(nbrs[2], 4);
 }
 
-TEST(GraphTest, HasEdge) {
-  Graph g = Triangle();
-  EXPECT_TRUE(g.HasEdge(0, 1));
-  EXPECT_TRUE(g.HasEdge(1, 0));
-  EXPECT_FALSE(g.HasEdge(0, 0));
-  EXPECT_FALSE(g.HasEdge(0, 5));
-}
-
 TEST(GraphTest, DegreeSequenceAndMax) {
   GraphBuilder builder(4);
   EXPECT_TRUE(builder.AddEdge(0, 1).ok());

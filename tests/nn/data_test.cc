@@ -40,17 +40,6 @@ TEST(SyntheticClassificationTest, RejectsBadParams) {
   EXPECT_FALSE(SyntheticClassification(10, 5, 3, 0.1, nullptr).ok());
 }
 
-TEST(SyntheticRegressionTest, TargetsBounded) {
-  Pcg32 rng(4);
-  auto data = SyntheticRegression(200, 6, 2, 0.0, &rng);
-  ASSERT_TRUE(data.ok());
-  // Noise-free targets are sin(.) in [-1, 1].
-  for (int64_t i = 0; i < data->targets.size(); ++i) {
-    EXPECT_GE(data->targets[i], -1.0);
-    EXPECT_LE(data->targets[i], 1.0);
-  }
-}
-
 TEST(SyntheticImagesTest, ShapeAndBlobPlacement) {
   Pcg32 rng(5);
   auto data = SyntheticImages(50, 8, 2, 0.0, &rng);

@@ -61,14 +61,6 @@ TEST(TensorTest, ScaleAndNorm) {
   EXPECT_DOUBLE_EQ(t.SquaredNorm(), 100.0);
 }
 
-TEST(TensorTest, ReshapePreservesData) {
-  Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  auto reshaped = t.Reshape({3, 2});
-  ASSERT_TRUE(reshaped.ok());
-  EXPECT_DOUBLE_EQ(reshaped->At2(2, 1), 6.0);
-  EXPECT_FALSE(t.Reshape({4, 2}).ok());
-}
-
 TEST(TensorTest, SameShape) {
   EXPECT_TRUE(Tensor({2, 3}).SameShape(Tensor({2, 3})));
   EXPECT_FALSE(Tensor({2, 3}).SameShape(Tensor({3, 2})));
