@@ -226,8 +226,8 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
       return Status::InvalidArgument("current_nodes must be in [1, max_nodes]");
     }
     if (options.target_speedup > 0.0) {
-      report.speedup_answer = ToAnswer(
-          planner.NodesToSpeedUp(options.current_nodes, options.target_speedup));
+      report.speedup_answer = ToAnswer(planner.NodesToSpeedUp(
+          options.current_nodes, options.target_speedup));
     }
     if (options.workload_growth > 0.0) {
       report.growth_answer = ToAnswer(planner.NodesForWorkloadGrowth(
@@ -270,8 +270,9 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
       }
     }
     if (options.fault_target_seconds > 0.0) {
-      report.fault_target_answer = ToAnswer(planner.NodesForTargetTimeUnderFaults(
-          options.fault_target_seconds, faults));
+      report.fault_target_answer =
+          ToAnswer(planner.NodesForTargetTimeUnderFaults(
+              options.fault_target_seconds, faults));
     }
   }
 

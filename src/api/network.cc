@@ -53,7 +53,8 @@ Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params) {
     DMLSCALE_ASSIGN_OR_RETURN(int pod, IntegerParam(params, "pod", 4.0, 2.0));
     double oversubscription = params.GetOr("oversubscription", 1.0);
     if (!(std::isfinite(oversubscription) && oversubscription >= 1.0)) {
-      return Status::InvalidArgument("oversubscription must be finite and >= 1");
+      return Status::InvalidArgument(
+          "oversubscription must be finite and >= 1");
     }
     spec.topology =
         std::make_shared<core::FatTreeTopology>(pod, oversubscription);

@@ -27,7 +27,8 @@ namespace dmlscale::api {
 /// `topology=fat-tree` is an error) so a typo'd combination cannot silently
 /// price on the wrong fabric. Defaults reproduce the paper's ideal network:
 /// an empty bag yields a spec with `Ideal() == true`.
-[[nodiscard]] Result<core::NetworkSpec> ResolveNetworkSpec(const ModelParams& params);
+[[nodiscard]] Result<core::NetworkSpec> ResolveNetworkSpec(
+    const ModelParams& params);
 
 /// ModelParams::ExpectOnly with the network keys above implicitly allowed —
 /// what communication-model factories call instead of ExpectOnly.

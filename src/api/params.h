@@ -64,7 +64,8 @@ class ModelParams {
   /// (numeric or string) not in `allowed` (factories call this so `--rounds`
   /// misspelled as `--round` fails loudly instead of silently using the
   /// default).
-  [[nodiscard]] Status ExpectOnly(std::initializer_list<std::string_view> allowed) const;
+  [[nodiscard]] Status ExpectOnly(
+      std::initializer_list<std::string_view> allowed) const;
 
   const std::map<std::string, double>& values() const { return values_; }
   const std::map<std::string, std::string>& strings() const {

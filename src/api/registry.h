@@ -37,8 +37,9 @@ class ModelRegistry {
   /// of the accepted parameters, surfaced by Help(); `example` is a bag the
   /// factory is guaranteed to accept (property tests construct every entry
   /// from it). Duplicate names are a programming error: kFailedPrecondition.
-  [[nodiscard]] Status Register(const std::string& name, std::string params_help,
-                  Factory factory, ModelParams example = {}) {
+  [[nodiscard]] Status Register(const std::string& name,
+                                std::string params_help, Factory factory,
+                                ModelParams example = {}) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (name.empty()) {
       return Status::InvalidArgument("model name must not be empty");
@@ -54,9 +55,9 @@ class ModelRegistry {
   }
 
   /// Constructs the model registered under `name`.
-  [[nodiscard]] Result<std::unique_ptr<ModelT>> Create(const std::string& name,
-                                         const ModelParams& params,
-                                         const SpecT& spec) const {
+  [[nodiscard]] Result<std::unique_ptr<ModelT>> Create(
+      const std::string& name, const ModelParams& params,
+      const SpecT& spec) const {
     Factory factory;
     {
       std::lock_guard<std::mutex> lock(mutex_);

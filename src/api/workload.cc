@@ -107,7 +107,8 @@ Result<core::TimingSample> NnTrainerWorkload::Measure(int nodes) {
   Pcg32 data_rng(DeriveSeed(options_.seed, 1), 1);
   DMLSCALE_ASSIGN_OR_RETURN(
       nn::Dataset data,
-      nn::SyntheticClassification(options_.examples, options_.layer_sizes.front(),
+      nn::SyntheticClassification(options_.examples,
+                                  options_.layer_sizes.front(),
                                   options_.layer_sizes.back(), /*noise=*/0.4,
                                   &data_rng));
   Pcg32 net_rng(DeriveSeed(options_.seed, 2), 2);

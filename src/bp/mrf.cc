@@ -19,7 +19,9 @@ Result<PairwiseMrf> PairwiseMrf::Create(const graph::Graph* graph, int states,
     return Status::InvalidArgument("pairwise potential size mismatch");
   }
   for (double p : unary) {
-    if (p <= 0.0) return Status::InvalidArgument("unary potentials must be > 0");
+    if (p <= 0.0) {
+      return Status::InvalidArgument("unary potentials must be > 0");
+    }
   }
   for (double p : pairwise) {
     if (p <= 0.0) {

@@ -14,7 +14,8 @@ namespace dmlscale {
 class ArgParser {
  public:
   /// Parses argv; arguments not starting with "--" become positionals.
-  [[nodiscard]] static Result<ArgParser> Parse(int argc, const char* const* argv);
+  [[nodiscard]] static Result<ArgParser> Parse(int argc,
+                                               const char* const* argv);
 
   bool Has(const std::string& key) const;
 

@@ -10,7 +10,8 @@ namespace dmlscale {
 
 double Mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) / static_cast<double>(xs.size());
+  return std::accumulate(xs.begin(), xs.end(), 0.0) /
+         static_cast<double>(xs.size());
 }
 
 double Variance(const std::vector<double>& xs) {

@@ -215,8 +215,9 @@ class ShuffleComm final : public CommunicationModel {
 /// `network` only decorates the label (stages are built on the same fabric).
 class CompositeComm final : public CommunicationModel {
  public:
-  explicit CompositeComm(std::vector<std::unique_ptr<CommunicationModel>> stages,
-                         NetworkSpec network = {});
+  explicit CompositeComm(
+      std::vector<std::unique_ptr<CommunicationModel>> stages,
+      NetworkSpec network = {});
   double Seconds(int n) const override;
   std::string name() const override;
   TrafficPattern Traffic(int n) const override;

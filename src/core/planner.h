@@ -36,17 +36,19 @@ class CapacityPlanner {
   /// that is flat below the current size it answers `current_nodes`, never a
   /// smaller cluster. Fails with NotFound when no n within max_nodes
   /// achieves the target (e.g. past the communication-bound peak).
-  [[nodiscard]] Result<int> NodesToSpeedUp(int current_nodes, double factor) const;
+  [[nodiscard]] Result<int> NodesToSpeedUp(int current_nodes,
+                                           double factor) const;
 
   /// Smallest `n >= min_nodes` with `t(n) <= target_seconds`; NotFound when
   /// impossible within max_nodes.
   [[nodiscard]] Result<int> NodesForTargetTime(double target_seconds,
-                                 int min_nodes = 1) const;
+                                               int min_nodes = 1) const;
 
   /// Question 2: smallest `n` such that the time on the `growth`-times
   /// larger input is <= the current time on `current_nodes`. NotFound when
   /// even max_nodes cannot absorb the growth.
-  [[nodiscard]] Result<int> NodesForWorkloadGrowth(int current_nodes, double growth) const;
+  [[nodiscard]] Result<int> NodesForWorkloadGrowth(int current_nodes,
+                                                   double growth) const;
 
   /// The node count with the minimum absolute run time (the speedup peak).
   int OptimalNodes() const;

@@ -44,13 +44,13 @@ class SpeedupAnalyzer {
  public:
   /// s(n) for n in [1, max_nodes] relative to t(reference_n).
   /// Fails when max_nodes < 1 or the reference time is not positive.
-  [[nodiscard]] static Result<SpeedupCurve> Compute(const AlgorithmModel& model,
-                                      int max_nodes, int reference_n = 1);
+  [[nodiscard]] static Result<SpeedupCurve> Compute(
+      const AlgorithmModel& model, int max_nodes, int reference_n = 1);
 
   /// s(n) over an explicit node list (must be non-empty, all >= 1).
-  [[nodiscard]] static Result<SpeedupCurve> ComputeAt(const AlgorithmModel& model,
-                                        const std::vector<int>& nodes,
-                                        int reference_n = 1);
+  [[nodiscard]] static Result<SpeedupCurve> ComputeAt(
+      const AlgorithmModel& model, const std::vector<int>& nodes,
+      int reference_n = 1);
 };
 
 }  // namespace dmlscale::core

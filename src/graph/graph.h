@@ -18,14 +18,19 @@ using VertexId = int64_t;
 class Graph {
  public:
   /// Number of vertices.
-  VertexId num_vertices() const { return static_cast<VertexId>(offsets_.size()) - 1; }
+  VertexId num_vertices() const {
+    return static_cast<VertexId>(offsets_.size()) - 1;
+  }
 
   /// Number of undirected edges.
-  int64_t num_edges() const { return static_cast<int64_t>(targets_.size()) / 2; }
+  int64_t num_edges() const {
+    return static_cast<int64_t>(targets_.size()) / 2;
+  }
 
   /// Degree of `v`.
   int64_t Degree(VertexId v) const {
-    return offsets_[static_cast<size_t>(v) + 1] - offsets_[static_cast<size_t>(v)];
+    return offsets_[static_cast<size_t>(v) + 1] -
+           offsets_[static_cast<size_t>(v)];
   }
 
   /// Neighbors of `v` in ascending order.
@@ -69,7 +74,9 @@ class GraphBuilder {
   Status AddEdge(VertexId u, VertexId v);
 
   /// Number of edges added so far (before deduplication).
-  int64_t num_pending_edges() const { return static_cast<int64_t>(edges_.size()); }
+  int64_t num_pending_edges() const {
+    return static_cast<int64_t>(edges_.size());
+  }
 
   /// Builds the CSR graph, sorting and deduplicating adjacency lists.
   Result<Graph> Build() &&;

@@ -62,8 +62,8 @@ NetworkSpec NetworkSpec::FullyConnected(std::string name,
   DMLSCALE_CHECK_GE(sizes.size(), 2u);
   std::vector<LayerSpec> layers;
   for (size_t i = 0; i + 1 < sizes.size(); ++i) {
-    layers.push_back(
-        DenseLayerSpec{.inputs = sizes[i], .outputs = sizes[i + 1], .bias = bias});
+    layers.push_back(DenseLayerSpec{
+        .inputs = sizes[i], .outputs = sizes[i + 1], .bias = bias});
   }
   return NetworkSpec(std::move(name), std::move(layers));
 }
@@ -89,13 +89,17 @@ struct ValidateVisitor {
 
 int64_t NetworkSpec::TotalWeights() const {
   int64_t total = 0;
-  for (const auto& layer : layers_) total += std::visit(WeightsVisitor{}, layer);
+  for (const auto& layer : layers_) {
+    total += std::visit(WeightsVisitor{}, layer);
+  }
   return total;
 }
 
 int64_t NetworkSpec::ForwardComputations() const {
   int64_t total = 0;
-  for (const auto& layer : layers_) total += std::visit(ForwardVisitor{}, layer);
+  for (const auto& layer : layers_) {
+    total += std::visit(ForwardVisitor{}, layer);
+  }
   return total;
 }
 
@@ -226,7 +230,8 @@ NetworkSpec InceptionV3() {
   InceptionE(&layers, 1280);      // -> 2048
   InceptionE(&layers, 2048);
   // Global average pool, then the classifier.
-  layers.push_back(DenseLayerSpec{.inputs = 2048, .outputs = 1000, .bias = true});
+  layers.push_back(
+      DenseLayerSpec{.inputs = 2048, .outputs = 1000, .bias = true});
   return NetworkSpec("inception-v3", std::move(layers));
 }
 

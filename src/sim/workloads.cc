@@ -42,8 +42,8 @@ Result<double> SimulateSparkGdIteration(const GdSimConfig& config, int n,
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
   if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
 
-  double share =
-      config.total_ops / (config.node.EffectiveFlops() * static_cast<double>(n));
+  double share = config.total_ops /
+                 (config.node.EffectiveFlops() * static_cast<double>(n));
   double total = 0.0;
   for (int it = 0; it < config.iterations; ++it) {
     double t0 = config.overhead.SchedulingSeconds(n);

@@ -39,7 +39,9 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
+bool IsSpace(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
 
 }  // namespace
 
@@ -60,7 +62,8 @@ SourceView StripCommentsAndLiterals(std::string_view contents) {
   SourceView view;
   view.code.assign(contents.size(), ' ');
   size_t line_count =
-      1 + static_cast<size_t>(std::count(contents.begin(), contents.end(), '\n'));
+      1 + static_cast<size_t>(
+              std::count(contents.begin(), contents.end(), '\n'));
   view.comments.assign(line_count, std::string());
 
   enum class State {
