@@ -22,7 +22,6 @@ int Run() {
   core::LinkSpec assumed_link{.bandwidth_bps = 1e9};
   auto apriori =
       api::Scenario::Builder()
-          .Name("ablation-calibration")
           .Hardware(assumed_node)
           .Link(assumed_link)
           .Compute("perfectly-parallel",
