@@ -70,6 +70,7 @@ TEST(SpeedupAnalyzerTest, RejectsBadInputs) {
 TEST(SpeedupAnalyzerTest, RejectsNonPositiveTimes) {
   FunctionModel zero([](int) { return 0.0; }, "zero");
   EXPECT_FALSE(SpeedupAnalyzer::Compute(zero, 4).ok());
+  EXPECT_FALSE(SpeedupAnalyzer::ComputeAt(zero, {1, 2}, 1).ok());
   FunctionModel negative_at_3([](int n) { return n == 3 ? -1.0 : 1.0; }, "neg");
   EXPECT_FALSE(SpeedupAnalyzer::Compute(negative_at_3, 4).ok());
 }
