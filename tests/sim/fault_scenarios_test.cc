@@ -81,6 +81,69 @@ TEST(FaultScenariosTest, ReplicaTakeoverJobIsShardCountInvariant) {
   }
 }
 
+// Bit-pattern goldens for the fault DES: one run and a 20-trial mean for
+// each recovery strategy, serial and on 4 shards. The shard tests above
+// only compare runs with each other, and the analytic cross-check below
+// allows 15%, so these are what pin the simulated numbers themselves.
+struct FaultJobGolden {
+  const char* name;
+  FaultJobConfig config;
+  uint64_t completion_bits;
+  uint64_t mean_bits;  // SimulateExpectedCompletionSeconds, 20 trials
+  int64_t segments;
+  int64_t disruptions;
+  int64_t crashes;
+  int64_t recoveries;
+  int64_t events;
+  int64_t messages;
+};
+
+TEST(FaultScenariosTest, FaultAwareJobMatchesGolden) {
+  FaultJobConfig replica = JobConfig();
+  replica.faults.recovery = core::RecoveryStrategy::kReplicaTakeover;
+  replica.faults.takeover_seconds = 3.0;
+  replica.faults.checkpoint_cost_s = 0.0;
+  FaultJobConfig speculative = JobConfig();
+  speculative.faults.recovery = core::RecoveryStrategy::kSpeculativeReexec;
+  speculative.faults.speculation_threshold = 1.5;
+  const FaultJobGolden goldens[] = {
+      // 961.37140063521224 s; mean 962.44507450361584 s.
+      {"checkpoint-restart", JobConfig(), UINT64_C(0x408e0af8a0e56f9a),
+       UINT64_C(0x408e138f8338aa82), 26, 16, 16, 16, 126, 26},
+      // 561.65227629241099 s; mean 702.90392168773349 s.
+      {"replica", replica, UINT64_C(0x40818d37dca1fee4),
+       UINT64_C(0x4085f73b3b4b37af), 1, 9, 9, 9, 57, 19},
+      // 1012.143275816309 s; mean 981.39354099106151 s.
+      {"speculative", speculative, UINT64_C(0x408fa1256dca8ad7),
+       UINT64_C(0x408eab25f8d1b1f5), 26, 16, 16, 16, 126, 26},
+  };
+  ThreadPool pool(4);
+  for (const FaultJobGolden& golden : goldens) {
+    for (int shards : {1, 4}) {
+      SCOPED_TRACE(std::string(golden.name) +
+                   " shards=" + std::to_string(shards));
+      FaultJobConfig config = golden.config;
+      config.exec.num_shards = shards;
+      config.exec.pool = &pool;
+      Result<FaultJobStats> stats = SimulateFaultAwareJob(config);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(std::bit_cast<uint64_t>(stats.value().completion_seconds),
+                golden.completion_bits);
+      EXPECT_EQ(stats.value().segments_completed, golden.segments);
+      EXPECT_EQ(stats.value().disruptions, golden.disruptions);
+      EXPECT_EQ(stats.value().faults.crashes, golden.crashes);
+      EXPECT_EQ(stats.value().faults.recoveries, golden.recoveries);
+      EXPECT_EQ(stats.value().engine.events_executed, golden.events);
+      EXPECT_EQ(stats.value().engine.messages_delivered, golden.messages);
+
+      config.trials = 20;
+      Result<double> mean = SimulateExpectedCompletionSeconds(config);
+      ASSERT_TRUE(mean.ok()) << mean.status().ToString();
+      EXPECT_EQ(std::bit_cast<uint64_t>(mean.value()), golden.mean_bits);
+    }
+  }
+}
+
 TEST(FaultScenariosTest, RejectsDegenerateConfigs) {
   FaultJobConfig config = JobConfig();
   config.num_workers = 0;
