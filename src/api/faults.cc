@@ -7,7 +7,6 @@ namespace dmlscale::api {
 
 namespace {
 
-constexpr std::string_view kDistributions[] = {"exponential", "weibull"};
 constexpr std::string_view kRecoveries[] = {"checkpoint-restart", "replica",
                                             "speculative"};
 
@@ -15,17 +14,12 @@ constexpr std::string_view kRecoveries[] = {"checkpoint-restart", "replica",
 
 Result<core::FaultSpec> ResolveFaultSpec(const ModelParams& params) {
   DMLSCALE_RETURN_NOT_OK(params.ExpectOnly(
-      {"mtbf", "mttr", "weibull_shape", "straggler", "checkpoint_interval",
-       "checkpoint_cost", "takeover", "spec_threshold", "link_mtbf",
-       "link_degrade_duration", "link_degrade_factor", "mtbf_dist",
-       "recovery"}));
+      {"mtbf", "mttr", "straggler", "checkpoint_interval", "checkpoint_cost",
+       "takeover", "spec_threshold", "recovery"}));
 
-  const std::string dist = params.GetStringOr("mtbf_dist", "exponential");
   const std::string recovery =
       params.GetStringOr("recovery", "checkpoint-restart");
 
-  DMLSCALE_RETURN_NOT_OK(
-      RequireOwner(params, "weibull_shape", dist, "weibull", "mtbf_dist"));
   DMLSCALE_RETURN_NOT_OK(
       RequireOwner(params, "takeover", recovery, "replica", "recovery"));
   DMLSCALE_RETURN_NOT_OK(RequireOwner(params, "spec_threshold", recovery,
@@ -39,15 +33,6 @@ Result<core::FaultSpec> ResolveFaultSpec(const ModelParams& params) {
   }
 
   core::FaultSpec spec;
-  if (dist == "exponential") {
-    spec.distribution = core::FaultDistribution::kExponential;
-  } else if (dist == "weibull") {
-    spec.distribution = core::FaultDistribution::kWeibull;
-    spec.weibull_shape = params.GetOr("weibull_shape", 1.0);
-  } else {
-    return Status::InvalidArgument("unknown mtbf_dist '" + dist +
-                                   "'; available: " + Menu(kDistributions));
-  }
   if (recovery == "checkpoint-restart") {
     spec.recovery = core::RecoveryStrategy::kCheckpointRestart;
   } else if (recovery == "replica") {
@@ -66,9 +51,6 @@ Result<core::FaultSpec> ResolveFaultSpec(const ModelParams& params) {
   spec.straggler_sigma = params.GetOr("straggler", 0.0);
   spec.checkpoint_interval_s = params.GetOr("checkpoint_interval", 0.0);
   spec.checkpoint_cost_s = params.GetOr("checkpoint_cost", 0.0);
-  spec.link_mtbf_seconds = params.GetOr("link_mtbf", 0.0);
-  spec.link_degrade_seconds = params.GetOr("link_degrade_duration", 0.0);
-  spec.link_degrade_factor = params.GetOr("link_degrade_factor", 1.0);
 
   DMLSCALE_RETURN_NOT_OK(spec.Validate());
   return spec;

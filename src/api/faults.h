@@ -10,16 +10,14 @@ namespace dmlscale::api {
 /// Resolves a parameter bag into a core::FaultSpec — the front door's
 /// failure-model keys, mirroring ResolveNetworkSpec for fabrics:
 ///
-///   numeric: mtbf, mttr, weibull_shape, straggler, checkpoint_interval,
-///            checkpoint_cost, takeover, spec_threshold, link_mtbf,
-///            link_degrade_duration, link_degrade_factor
-///   string:  mtbf_dist ("exponential" | "weibull"),
-///            recovery ("checkpoint-restart" | "replica" | "speculative")
+///   numeric: mtbf, mttr, straggler, checkpoint_interval, checkpoint_cost,
+///            takeover, spec_threshold
+///   string:  recovery ("checkpoint-restart" | "replica" | "speculative")
 ///
 /// Every key is validated eagerly with an actionable InvalidArgument:
 /// unknown keys list the accepted menu, and strategy-owned keys (takeover,
-/// spec_threshold, weibull_shape) name the selection they require. The
-/// empty bag resolves to the disabled spec (`Enabled() == false`).
+/// spec_threshold) name the selection they require. The empty bag resolves
+/// to the disabled spec (`Enabled() == false`).
 [[nodiscard]] Result<core::FaultSpec> ResolveFaultSpec(
     const ModelParams& params);
 

@@ -9,34 +9,16 @@ namespace dmlscale::core {
 
 namespace {
 
-// Per-node stream indices under DeriveSeed: three streams per node, disjoint
-// from consumer seed spaces (scenarios salt their injector seed; see
-// sim/fault_injector.cc).
+// Node i's crash stream is DeriveSeed index 3i, disjoint from consumer seed
+// spaces (scenarios salt their injector seed; see sim/fault_injector.h).
+// The stride is part of the pinned outputs: the fault-DES goldens draw
+// from index 3i, and indices 3i + 1 and 3i + 2 stay unused.
 constexpr uint64_t kStreamsPerNode = 3;
-constexpr uint64_t kCrashStream = 0;
-constexpr uint64_t kJitterStream = 1;
-constexpr uint64_t kLinkStream = 2;
 
 // Standard normal CDF.
 double Phi(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
-// Inverse-CDF exponential draw with the given mean. NextDouble() is in
-// [0, 1), so 1 - u is in (0, 1] and the log is finite.
-double NextExponential(Pcg32* rng, double mean) {
-  return -mean * std::log(1.0 - rng->NextDouble());
-}
-
 }  // namespace
-
-const char* ToString(FaultDistribution distribution) {
-  switch (distribution) {
-    case FaultDistribution::kExponential:
-      return "exponential";
-    case FaultDistribution::kWeibull:
-      return "weibull";
-  }
-  return "unknown";
-}
 
 const char* ToString(RecoveryStrategy strategy) {
   switch (strategy) {
@@ -52,12 +34,10 @@ const char* ToString(RecoveryStrategy strategy) {
 
 Status FaultSpec::Validate() const {
   if (!std::isfinite(mtbf_seconds) || !std::isfinite(mttr_seconds) ||
-      !std::isfinite(straggler_sigma) || !std::isfinite(link_mtbf_seconds) ||
-      !std::isfinite(link_degrade_seconds) ||
-      !std::isfinite(link_degrade_factor) ||
+      !std::isfinite(straggler_sigma) ||
       !std::isfinite(checkpoint_interval_s) ||
       !std::isfinite(checkpoint_cost_s) || !std::isfinite(takeover_seconds) ||
-      !std::isfinite(speculation_threshold) || !std::isfinite(weibull_shape)) {
+      !std::isfinite(speculation_threshold)) {
     return Status::InvalidArgument("fault spec fields must be finite");
   }
   if (straggler_sigma < 0.0) {
@@ -75,9 +55,6 @@ Status FaultSpec::Validate() const {
           "crashes enabled (mtbf_seconds > 0) but mttr_seconds <= 0; repair "
           "must take time");
     }
-    if (distribution == FaultDistribution::kWeibull && weibull_shape <= 0.0) {
-      return Status::InvalidArgument("weibull_shape must be > 0");
-    }
     if (recovery == RecoveryStrategy::kReplicaTakeover &&
         takeover_seconds <= 0.0) {
       return Status::InvalidArgument(
@@ -89,60 +66,24 @@ Status FaultSpec::Validate() const {
     return Status::InvalidArgument(
         "speculation_threshold must be > 1 (a multiple of the median)");
   }
-  if (LinkFaultsEnabled()) {
-    if (link_degrade_seconds <= 0.0) {
-      return Status::InvalidArgument(
-          "link faults enabled (link_mtbf_seconds > 0) but "
-          "link_degrade_seconds <= 0");
-    }
-    if (link_degrade_factor < 1.0) {
-      return Status::InvalidArgument(
-          "link_degrade_factor must be >= 1 (a wire-time multiplier)");
-    }
-  }
   return Status::OK();
 }
 
 FaultModel::FaultModel(FaultSpec spec, uint64_t seed)
     : spec_(spec), seed_(seed) {
   DMLSCALE_CHECK_MSG(spec_.Validate().ok(), "invalid FaultSpec");
-  if (spec_.CrashesEnabled() &&
-      spec_.distribution == FaultDistribution::kWeibull) {
-    weibull_scale_ =
-        spec_.mtbf_seconds / std::tgamma(1.0 + 1.0 / spec_.weibull_shape);
-  }
 }
 
 Pcg32 FaultModel::CrashStream(int node) const {
-  uint64_t index =
-      kStreamsPerNode * static_cast<uint64_t>(node) + kCrashStream;
-  return Pcg32(DeriveSeed(seed_, index), index);
-}
-
-Pcg32 FaultModel::JitterStream(int node) const {
-  uint64_t index =
-      kStreamsPerNode * static_cast<uint64_t>(node) + kJitterStream;
-  return Pcg32(DeriveSeed(seed_, index), index);
-}
-
-Pcg32 FaultModel::LinkStream(int node) const {
-  uint64_t index = kStreamsPerNode * static_cast<uint64_t>(node) + kLinkStream;
+  uint64_t index = kStreamsPerNode * static_cast<uint64_t>(node);
   return Pcg32(DeriveSeed(seed_, index), index);
 }
 
 double FaultModel::NextUptime(Pcg32* rng) const {
   DMLSCALE_CHECK(spec_.CrashesEnabled());
-  if (spec_.distribution == FaultDistribution::kWeibull) {
-    double u = rng->NextDouble();
-    return weibull_scale_ *
-           std::pow(-std::log(1.0 - u), 1.0 / spec_.weibull_shape);
-  }
-  return NextExponential(rng, spec_.mtbf_seconds);
-}
-
-double FaultModel::NextLinkUptime(Pcg32* rng) const {
-  DMLSCALE_CHECK(spec_.LinkFaultsEnabled());
-  return NextExponential(rng, spec_.link_mtbf_seconds);
+  // Inverse-CDF exponential draw. NextDouble() is in [0, 1), so 1 - u is in
+  // (0, 1] and the log is finite.
+  return -spec_.mtbf_seconds * std::log(1.0 - rng->NextDouble());
 }
 
 double FaultModel::NextSlowdown(Pcg32* rng) const {

@@ -9,12 +9,6 @@
 
 namespace dmlscale::core {
 
-/// Shape of the per-node time-to-failure distribution.
-enum class FaultDistribution {
-  kExponential,  // memoryless, the classic MTBF model
-  kWeibull,      // shape k: k < 1 infant mortality, k > 1 wear-out
-};
-
 /// What the system does when a node dies (or a straggler stalls a barrier).
 enum class RecoveryStrategy {
   /// Roll every worker back to the last checkpoint and redo the segment;
@@ -27,19 +21,16 @@ enum class RecoveryStrategy {
   kSpeculativeReexec,
 };
 
-const char* ToString(FaultDistribution distribution);
 const char* ToString(RecoveryStrategy strategy);
 
-/// A declarative failure model for a cluster: per-node crash processes,
-/// per-link degradation, and straggler slowdowns, plus the recovery policy.
+/// A declarative failure model for a cluster: per-node exponential crash
+/// processes (the memoryless uptimes Daly's completion form assumes) and
+/// straggler slowdowns, plus the recovery policy.
 /// The default-constructed spec is the perfect cluster every earlier PR
 /// assumed (`Enabled() == false`), so fault-awareness is strictly opt-in.
 struct FaultSpec {
   /// Mean time between failures of ONE node, seconds. <= 0 disables crashes.
   double mtbf_seconds = 0.0;
-  FaultDistribution distribution = FaultDistribution::kExponential;
-  /// Weibull shape k (> 0); only read when distribution == kWeibull.
-  double weibull_shape = 1.0;
   /// Downtime per crash (repair / reload, Daly's R), seconds. Must be > 0
   /// when crashes are enabled — a zero-cost failure is not a failure.
   double mttr_seconds = 0.0;
@@ -47,14 +38,6 @@ struct FaultSpec {
   /// Log-normal sigma of the per-(node, segment) slowdown multiplier
   /// (median 1); 0 = no stragglers.
   double straggler_sigma = 0.0;
-
-  /// Mean time between degradations of one node's out-link, seconds.
-  /// <= 0 disables link faults.
-  double link_mtbf_seconds = 0.0;
-  /// How long a degraded period lasts, seconds.
-  double link_degrade_seconds = 0.0;
-  /// Wire-time multiplier while degraded (>= 1; 1 = no slowdown).
-  double link_degrade_factor = 1.0;
 
   RecoveryStrategy recovery = RecoveryStrategy::kCheckpointRestart;
   /// Seconds of work between checkpoints; 0 = the Young/Daly optimum
@@ -69,18 +52,15 @@ struct FaultSpec {
   double speculation_threshold = 2.0;
 
   bool CrashesEnabled() const { return mtbf_seconds > 0.0; }
-  bool LinkFaultsEnabled() const { return link_mtbf_seconds > 0.0; }
-  bool Enabled() const {
-    return CrashesEnabled() || LinkFaultsEnabled() || straggler_sigma > 0.0;
-  }
+  bool Enabled() const { return CrashesEnabled() || straggler_sigma > 0.0; }
 
   [[nodiscard]] Status Validate() const;
 };
 
-/// Deterministic sampling for a FaultSpec. Every node owns three derived
-/// `Pcg32` streams (crash, jitter, link), seeded via `DeriveSeed(seed, .)`,
-/// so draws depend only on (seed, node, draw index) — never on which shard
-/// or thread consumed them. This is what keeps fault-injected windowed runs
+/// Deterministic sampling for a FaultSpec. Every node owns one derived
+/// `Pcg32` crash stream, seeded via `DeriveSeed(seed, .)`, so draws depend
+/// only on (seed, node, draw index) — never on which shard or thread
+/// consumed them. This is what keeps fault-injected windowed runs
 /// bit-identical across shard counts.
 class FaultModel {
  public:
@@ -88,17 +68,13 @@ class FaultModel {
 
   const FaultSpec& spec() const { return spec_; }
 
-  /// The node's derived streams. Stable under node count: stream identity is
-  /// a pure function of (seed, node).
+  /// The node's derived crash stream. Stable under node count: stream
+  /// identity is a pure function of (seed, node).
   Pcg32 CrashStream(int node) const;
-  Pcg32 JitterStream(int node) const;
-  Pcg32 LinkStream(int node) const;
 
-  /// One time-to-failure draw (exponential or Weibull with the configured
-  /// MTBF as the mean), seconds.
+  /// One exponential time-to-failure draw with the configured MTBF as the
+  /// mean, seconds.
   double NextUptime(Pcg32* rng) const;
-  /// One link time-to-degrade draw (exponential, link_mtbf mean), seconds.
-  double NextLinkUptime(Pcg32* rng) const;
   /// One straggler slowdown draw; under kSpeculativeReexec a draw past the
   /// threshold is capped by a speculative re-execution:
   /// min(x, threshold + x') with x' an independent draw.
@@ -107,7 +83,6 @@ class FaultModel {
  private:
   FaultSpec spec_;
   uint64_t seed_;
-  double weibull_scale_ = 0.0;  // precomputed mtbf / gamma(1 + 1/k)
 };
 
 /// --- Analytic closed forms (the model side of the analytic-vs-DES

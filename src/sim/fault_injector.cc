@@ -1,27 +1,10 @@
 #include "sim/fault_injector.h"
 
-#include <cmath>
 #include <string>
-#include <utility>
 
 #include "common/check.h"
 
 namespace dmlscale::sim {
-
-Status RetryPolicy::Validate() const {
-  if (max_attempts < 1) {
-    return Status::InvalidArgument("retry max_attempts must be >= 1, got " +
-                                   std::to_string(max_attempts));
-  }
-  if (!std::isfinite(timeout_s) || timeout_s < 0.0) {
-    return Status::InvalidArgument("retry timeout_s must be finite and >= 0");
-  }
-  if (!std::isfinite(backoff) || backoff < 1.0) {
-    return Status::InvalidArgument("retry backoff must be >= 1, got " +
-                                   std::to_string(backoff));
-  }
-  return Status::OK();
-}
 
 FaultInjector::FaultInjector(Engine* engine, const Options& options)
     : engine_(engine),
@@ -33,21 +16,15 @@ FaultInjector::FaultInjector(Engine* engine, const Options& options)
   for (int node = 0; node < n; ++node) {
     NodeState state;
     state.crash = model_.CrashStream(node);
-    state.link = model_.LinkStream(node);
-    state.jitter = model_.JitterStream(node);
-    nodes_.push_back(std::move(state));
+    nodes_.push_back(state);
   }
   crash_type_ = engine_->AddHandler([this](const Event& event) {
     NodeState& state = StateOf(event.node);
     if (state.retired) return;
-    state.up = false;
-    ++state.incarnation;
     ++state.counters.crashes;
-    if (on_crash_) on_crash_(event);
     if (options_.notify_node >= 0 && options_.notify_type >= 0) {
       engine_->Send(event.node, options_.notify_node, options_.notify_delay_s,
-                    event.time, options_.notify_type, event.node,
-                    state.incarnation);
+                    event.time, options_.notify_type, event.node);
     }
     engine_->MustScheduleAt(event.node,
                             event.time + options_.spec.mttr_seconds,
@@ -56,29 +33,10 @@ FaultInjector::FaultInjector(Engine* engine, const Options& options)
   recover_type_ = engine_->AddHandler([this](const Event& event) {
     NodeState& state = StateOf(event.node);
     if (state.retired) return;
-    state.up = true;
     ++state.counters.recoveries;
-    if (on_recover_) on_recover_(event);
     engine_->MustScheduleAt(event.node,
                             event.time + model_.NextUptime(&state.crash),
                             crash_type_);
-  });
-  degrade_type_ = engine_->AddHandler([this](const Event& event) {
-    NodeState& state = StateOf(event.node);
-    if (state.retired) return;
-    state.degraded = true;
-    ++state.counters.degrades;
-    engine_->MustScheduleAt(
-        event.node, event.time + options_.spec.link_degrade_seconds,
-        restore_type_);
-  });
-  restore_type_ = engine_->AddHandler([this](const Event& event) {
-    NodeState& state = StateOf(event.node);
-    if (state.retired) return;
-    state.degraded = false;
-    engine_->MustScheduleAt(event.node,
-                            event.time + model_.NextLinkUptime(&state.link),
-                            degrade_type_);
   });
 }
 
@@ -91,12 +49,6 @@ Status FaultInjector::Arm(int first_node, int last_node) {
         std::to_string(engine_->num_nodes()) + ")");
   }
   DMLSCALE_RETURN_NOT_OK(options_.spec.Validate());
-  DMLSCALE_RETURN_NOT_OK(options_.retry.Validate());
-  if (options_.spec.CrashesEnabled() && options_.retry.timeout_s <= 0.0) {
-    return Status::InvalidArgument(
-        "crashes are armed but retry timeout_s <= 0; a zero timeout would "
-        "redeliver to a down node at the same instant forever");
-  }
   if (options_.notify_node >= 0 &&
       (options_.notify_node >= engine_->num_nodes() ||
        options_.notify_type < 0)) {
@@ -104,78 +56,26 @@ Status FaultInjector::Arm(int first_node, int last_node) {
         "notify_node " + std::to_string(options_.notify_node) +
         " needs a valid node id and a notify_type handler id");
   }
+  if (!options_.spec.CrashesEnabled()) return Status::OK();
   for (int node = first_node; node < last_node; ++node) {
-    NodeState& state = StateOf(node);
-    if (options_.spec.CrashesEnabled()) {
-      engine_->MustScheduleAt(node, model_.NextUptime(&state.crash),
-                              crash_type_);
-    }
-    if (options_.spec.LinkFaultsEnabled()) {
-      engine_->MustScheduleAt(node, model_.NextLinkUptime(&state.link),
-                              degrade_type_);
-    }
+    engine_->MustScheduleAt(node, model_.NextUptime(&StateOf(node).crash),
+                            crash_type_);
   }
   return Status::OK();
 }
 
-bool FaultInjector::IsUp(int node) const { return StateOf(node).up; }
-
-int64_t FaultInjector::Incarnation(int node) const {
-  return StateOf(node).incarnation;
-}
-
-double FaultInjector::LinkFactor(int node) const {
-  return StateOf(node).degraded ? options_.spec.link_degrade_factor : 1.0;
-}
-
 void FaultInjector::Retire(int node) { StateOf(node).retired = true; }
-
-bool FaultInjector::AdmitOrRetry(const Event& event) {
-  NodeState& state = StateOf(event.node);
-  if (state.up) return true;
-  const int attempt = static_cast<int>(event.b);
-  if (attempt + 1 >= options_.retry.max_attempts) {
-    ++state.counters.drops;
-    return false;
-  }
-  ++state.counters.retries;
-  const double delay =
-      options_.retry.timeout_s * std::pow(options_.retry.backoff, attempt);
-  engine_->MustScheduleAt(event.node, event.time + delay, event.type, event.a,
-                          event.b + 1, event.x);
-  return false;
-}
-
-double FaultInjector::SampleSlowdown(int node) {
-  return model_.NextSlowdown(&StateOf(node).jitter);
-}
 
 FaultInjector::Counters FaultInjector::TotalCounters() const {
   Counters total;
   for (const NodeState& state : nodes_) {
     total.crashes += state.counters.crashes;
     total.recoveries += state.counters.recoveries;
-    total.degrades += state.counters.degrades;
-    total.retries += state.counters.retries;
-    total.drops += state.counters.drops;
   }
   return total;
 }
 
-void FaultInjector::SetOnCrash(std::function<void(const Event&)> fn) {
-  on_crash_ = std::move(fn);
-}
-
-void FaultInjector::SetOnRecover(std::function<void(const Event&)> fn) {
-  on_recover_ = std::move(fn);
-}
-
 FaultInjector::NodeState& FaultInjector::StateOf(int node) {
-  DMLSCALE_CHECK(node >= 0 && node < static_cast<int>(nodes_.size()));
-  return nodes_[static_cast<size_t>(node)];
-}
-
-const FaultInjector::NodeState& FaultInjector::StateOf(int node) const {
   DMLSCALE_CHECK(node >= 0 && node < static_cast<int>(nodes_.size()));
   return nodes_[static_cast<size_t>(node)];
 }

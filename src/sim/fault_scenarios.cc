@@ -103,7 +103,6 @@ Result<FaultJobStats> RunOneTrial(const FaultJobConfig& config,
   FaultInjector::Options fault_options;
   fault_options.spec = config.faults;
   fault_options.seed = DeriveSeed(trial_seed, kFaultSeedSalt);
-  fault_options.retry.timeout_s = wire;
   fault_options.notify_node = coordinator;
   fault_options.notify_type = kCrashNotify;
   fault_options.notify_delay_s = wire;

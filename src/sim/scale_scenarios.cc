@@ -1,7 +1,5 @@
 #include "sim/scale_scenarios.h"
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -87,7 +85,6 @@ Result<ScaleStats> SimulateParameterServerAtScale(const PsScaleConfig& config) {
     return Status::InvalidArgument("ps scale parameters must be >= 0");
   }
   DMLSCALE_RETURN_NOT_OK(config.link.Validate());
-  DMLSCALE_RETURN_NOT_OK(config.faults.Validate());
   const int workers = config.num_workers;
   const int server = workers;  // node ids: [0, workers) workers, then server
   const double wire = WireSeconds(config.bits, config.link);
@@ -95,25 +92,6 @@ Result<ScaleStats> SimulateParameterServerAtScale(const PsScaleConfig& config) {
     return Status::InvalidArgument(
         "ps scale scenario needs a positive wire time (the engine "
         "lookahead); give the link a latency");
-  }
-  const bool faulty = config.faults.Enabled();
-  const bool crashy = config.faults.CrashesEnabled();
-  const bool degradable = config.faults.LinkFaultsEnabled();
-  // Crashes lose work back to the last checkpoint unless a hot replica
-  // holds the state; the checkpoint cadence (in push steps) comes from the
-  // same plan the analytic layer uses.
-  const bool rollback =
-      crashy &&
-      config.faults.recovery != core::RecoveryStrategy::kReplicaTakeover;
-  int ckpt_steps = config.steps_per_worker;
-  double ckpt_cost = 0.0;
-  if (rollback) {
-    const core::CheckpointPlan plan = core::ResolveCheckpointPlan(
-        config.faults, workers,
-        config.steps_per_worker * config.compute_seconds);
-    ckpt_steps = std::max(
-        1, config.steps_per_worker / static_cast<int>(plan.segments));
-    ckpt_cost = config.faults.checkpoint_cost_s;
   }
 
   // Per-worker state, touched only from that worker's node: a derived RNG
@@ -125,7 +103,6 @@ Result<ScaleStats> SimulateParameterServerAtScale(const PsScaleConfig& config) {
                      static_cast<uint64_t>(w));
   }
   std::vector<int> pushes(static_cast<size_t>(workers), 0);
-  std::vector<int> checkpoint(static_cast<size_t>(workers), 0);
   int64_t updates_applied = 0;  // server-node state
 
   EngineOptions options;
@@ -133,89 +110,39 @@ Result<ScaleStats> SimulateParameterServerAtScale(const PsScaleConfig& config) {
   options.exec = config.exec;
   Engine engine(workers + 1, options);
 
-  FaultInjector::Options fault_options;
-  fault_options.spec = config.faults;
-  fault_options.seed = DeriveSeed(config.seed, kFaultSeedSalt);
-  fault_options.retry = config.retry;
-  if (fault_options.retry.timeout_s <= 0.0) {
-    fault_options.retry.timeout_s = wire;
-  }
-  FaultInjector injector(&engine, fault_options);
-
   int kWork = -1;
   int kPush = -1;
   // Worker w is free at event.time: run one jittered compute and push the
-  // update to the server, until its step budget is spent. Under faults the
-  // event carries (a = incarnation stamp, b = retry attempt): an ack from a
-  // pre-crash incarnation is stale and dropped — the post-recovery restart
-  // owns the loop. Every guard below is off on the fault-free path, which
-  // stays bit-identical to the fault-less scenario (golden-tested).
+  // update to the server, until its step budget is spent.
   kWork = engine.AddHandler([&](const Event& event) {
     const int w = event.node;
-    if (crashy) {
-      if (!injector.AdmitOrRetry(event)) return;
-      if (event.a != injector.Incarnation(w)) return;
-    }
-    if (pushes[static_cast<size_t>(w)] >= config.steps_per_worker) {
-      if (crashy) injector.Retire(w);
-      return;
-    }
+    if (pushes[static_cast<size_t>(w)] >= config.steps_per_worker) return;
     ++pushes[static_cast<size_t>(w)];
     double multiplier = 1.0;
     if (config.straggler_sigma > 0.0) {
       multiplier =
           rng[static_cast<size_t>(w)].NextLogNormal(config.straggler_sigma);
     }
-    if (faulty && config.faults.straggler_sigma > 0.0) {
-      multiplier *= injector.SampleSlowdown(w);
-    }
-    double finish = event.time + config.compute_seconds * multiplier;
-    if (rollback &&
-        pushes[static_cast<size_t>(w)] % ckpt_steps == 0) {
-      finish += ckpt_cost;
-      checkpoint[static_cast<size_t>(w)] = pushes[static_cast<size_t>(w)];
-    }
-    const double out_wire =
-        degradable ? wire * injector.LinkFactor(w) : wire;
-    engine.Send(w, server, out_wire, finish, kPush, w,
-                crashy ? injector.Incarnation(w) : 0);
+    engine.Send(w, server, wire,
+                event.time + config.compute_seconds * multiplier, kPush, w);
   });
-  // Server applies an update and acks the worker, freeing it again (echoing
-  // the incarnation stamp the push carried; 0 on the fault-free path).
+  // Server applies an update and acks the worker, freeing it again.
   kPush = engine.AddHandler([&](const Event& event) {
     ++updates_applied;
-    const int w = static_cast<int>(event.a);
-    engine.Send(server, w, wire, event.time, kWork, event.b);
-  });
-  injector.SetOnCrash([&](const Event& event) {
-    if (rollback) {
-      pushes[static_cast<size_t>(event.node)] =
-          checkpoint[static_cast<size_t>(event.node)];
-    }
-  });
-  injector.SetOnRecover([&](const Event& event) {
-    engine.MustScheduleAt(event.node, event.time, kWork,
-                          injector.Incarnation(event.node));
+    engine.Send(server, static_cast<int>(event.a), wire, event.time, kWork);
   });
   for (int w = 0; w < workers; ++w) {
     engine.MustScheduleAt(w, 0.0, kWork);
   }
-  if (faulty) {
-    DMLSCALE_RETURN_NOT_OK(injector.Arm(0, workers));
-  }
 
   DMLSCALE_ASSIGN_OR_RETURN(EngineStats engine_stats, engine.Run());
-  const int64_t expected =
-      static_cast<int64_t>(workers) * config.steps_per_worker;
-  // Rolled-back pushes are redone, so under crashes the server applies at
-  // least one update per (worker, step); fault-free it is exact.
-  if (crashy ? updates_applied < expected : updates_applied != expected) {
+  if (updates_applied !=
+      static_cast<int64_t>(workers) * config.steps_per_worker) {
     return Status::Internal("ps scale scenario lost updates");
   }
   ScaleStats stats;
   stats.seconds = engine_stats.end_time;
   stats.engine = engine_stats;
-  stats.faults = injector.TotalCounters();
   return stats;
 }
 

@@ -4,10 +4,8 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "core/faults.h"
 #include "core/hardware.h"
 #include "sim/event_engine.h"
-#include "sim/fault_injector.h"
 #include "sim/overhead.h"
 
 namespace dmlscale::sim {
@@ -19,8 +17,6 @@ struct ScaleStats {
   /// Simulated completion time, seconds.
   double seconds = 0.0;
   EngineStats engine;
-  /// Injected-fault counters (all zero for a fault-free config).
-  FaultInjector::Counters faults;
 };
 
 /// Ring allreduce at cluster scale, simulated event-by-event (not the
@@ -64,16 +60,6 @@ struct PsScaleConfig {
   double compute_seconds = 0.0;
   double straggler_sigma = 0.0;
   uint64_t seed = 1;
-  /// Fault process driven through a FaultInjector on the worker nodes (the
-  /// server stays up). Crashes roll a worker back to its last checkpoint
-  /// (except under kReplicaTakeover, where the spare keeps the state) and
-  /// its recovery restarts the push loop with a fresh incarnation; acks
-  /// reaching a dead worker follow `retry`. The default (disabled) spec
-  /// leaves the scenario bit-identical to the fault-free behaviour.
-  core::FaultSpec faults;
-  /// Redelivery policy for acks at a crashed worker; timeout_s <= 0
-  /// defaults to the wire time.
-  RetryPolicy retry;
   EngineExec exec;
 };
 

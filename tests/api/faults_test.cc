@@ -1,7 +1,10 @@
 #include "api/faults.h"
 
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,24 +27,14 @@ TEST(ResolveFaultSpecTest, ResolvesEveryKey) {
                      {"mttr", 60.0},
                      {"straggler", 0.3},
                      {"checkpoint_interval", 500.0},
-                     {"checkpoint_cost", 20.0},
-                     {"weibull_shape", 1.5},
-                     {"link_mtbf", 8000.0},
-                     {"link_degrade_duration", 120.0},
-                     {"link_degrade_factor", 4.0}};
-  params.Set("mtbf_dist", "weibull");
+                     {"checkpoint_cost", 20.0}};
   auto spec = ResolveFaultSpec(params);
   ASSERT_TRUE(spec.ok());
   EXPECT_EQ(spec->mtbf_seconds, 30000.0);
   EXPECT_EQ(spec->mttr_seconds, 60.0);
-  EXPECT_EQ(spec->distribution, core::FaultDistribution::kWeibull);
-  EXPECT_EQ(spec->weibull_shape, 1.5);
   EXPECT_EQ(spec->straggler_sigma, 0.3);
   EXPECT_EQ(spec->checkpoint_interval_s, 500.0);
   EXPECT_EQ(spec->checkpoint_cost_s, 20.0);
-  EXPECT_EQ(spec->link_mtbf_seconds, 8000.0);
-  EXPECT_EQ(spec->link_degrade_seconds, 120.0);
-  EXPECT_EQ(spec->link_degrade_factor, 4.0);
   EXPECT_EQ(spec->recovery, core::RecoveryStrategy::kCheckpointRestart);
   EXPECT_TRUE(spec->Enabled());
 }
@@ -54,13 +47,6 @@ TEST(ResolveFaultSpecTest, TypoedKeyFailsLoudly) {
 }
 
 TEST(ResolveFaultSpecTest, UnknownSelectionsListTheMenu) {
-  ModelParams dist;
-  dist.Set("mtbf_dist", "gaussian");
-  auto bad_dist = ResolveFaultSpec(dist);
-  ASSERT_FALSE(bad_dist.ok());
-  EXPECT_NE(bad_dist.status().message().find("exponential, weibull"),
-            std::string::npos);
-
   ModelParams recovery;
   recovery.Set("recovery", "reboot");
   auto bad_recovery = ResolveFaultSpec(recovery);
@@ -71,12 +57,6 @@ TEST(ResolveFaultSpecTest, UnknownSelectionsListTheMenu) {
 }
 
 TEST(ResolveFaultSpecTest, OwnedKeysRequireTheirSelection) {
-  // weibull_shape without mtbf_dist='weibull'.
-  auto shape = ResolveFaultSpec(ModelParams{{"weibull_shape", 2.0}});
-  ASSERT_FALSE(shape.ok());
-  EXPECT_NE(shape.status().message().find("mtbf_dist='weibull'"),
-            std::string::npos);
-
   // takeover without recovery='replica'.
   auto takeover = ResolveFaultSpec(ModelParams{{"takeover", 3.0}});
   ASSERT_FALSE(takeover.ok());
@@ -107,6 +87,28 @@ TEST(ResolveFaultSpecTest, CoreValidationPropagates) {
   auto spec = ResolveFaultSpec(ModelParams{{"mtbf", 1000.0}});
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().message().find("mttr"), std::string::npos);
+}
+
+// Link degradation and the uptime distribution moved no reported number (no
+// closed form reads link episodes, and Daly's completion form assumes
+// exponential crashes), so their keys are unknown, like any typo.
+TEST(ResolveFaultSpecTest, RetiredKeysAreRejected) {
+  const ModelParams base{{"mtbf", 3000.0}, {"mttr", 60.0}};
+  std::vector<std::pair<std::string, ModelParams>> cases;
+  for (const char* key : {"link_mtbf", "link_degrade_duration",
+                          "link_degrade_factor", "weibull_shape"}) {
+    cases.emplace_back(key, ModelParams(base).Set(key, 2.0));
+  }
+  cases.emplace_back("mtbf_dist",
+                     ModelParams(base).Set("mtbf_dist", "exponential"));
+  for (const auto& [key, bag] : cases) {
+    auto spec = ResolveFaultSpec(bag);
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("unknown parameter '" + key + "'"),
+              std::string::npos)
+        << spec.status().message();
+  }
 }
 
 Scenario::Builder Fig1Builder() {
@@ -227,6 +229,88 @@ TEST(AnalysisFaultsTest, PrintReportAddsFailureLinesOnlyWhenFaultAware) {
   // only APPENDS lines, it never perturbs the existing report format.
   std::string prefix = os.str().substr(0, os.str().find("Failure model"));
   EXPECT_EQ(clean_os.str().substr(0, prefix.size()), prefix);
+}
+
+// The keys ResolveFaultSpec accepts, read off its unknown-key error.
+std::vector<std::string> AcceptedFaultKeys() {
+  auto unknown = ResolveFaultSpec(ModelParams{{"no_such_key", 1.0}});
+  const std::string message = unknown.status().message();
+  const std::string marker = "(accepted: ";
+  const size_t open = message.find(marker);
+  const size_t close = message.find(')', open);
+  if (open == std::string::npos || close == std::string::npos) return {};
+  std::vector<std::string> keys;
+  std::string menu = message.substr(open + marker.size(),
+                                    close - open - marker.size());
+  for (size_t start = 0; start <= menu.size();) {
+    size_t end = menu.find(", ", start);
+    if (end == std::string::npos) end = menu.size();
+    keys.push_back(menu.substr(start, end - start));
+    start = end + 2;
+  }
+  return keys;
+}
+
+std::string FaultReport(const ModelParams& faults) {
+  auto scenario = Fig1Builder().Faults(faults).Build();
+  if (!scenario.ok()) return "Build: " + scenario.status().ToString();
+  AnalysisOptions options;
+  options.fault_target_seconds = 60.0;
+  auto report = Analysis::Run(*scenario, options);
+  if (!report.ok()) return "Run: " + report.status().ToString();
+  std::ostringstream os;
+  PrintReport(*report, os);
+  return os.str();
+}
+
+// Every accepted fault key must move a number the report prints: an input
+// that changes nothing misleads whoever sets it. Each key gets a base bag
+// and the same bag with that key changed. A key added to the front door
+// without a variant here fails until it gets one that moves the report.
+TEST(AnalysisFaultsTest, EveryFaultKeyMovesTheReport) {
+  const ModelParams base{{"mtbf", 3000.0},
+                         {"mttr", 60.0},
+                         {"checkpoint_cost", 20.0},
+                         {"straggler", 0.5}};
+  const ModelParams speculative = ModelParams(base).Set("recovery",
+                                                        "speculative");
+  const ModelParams replica = ModelParams{{"mtbf", 3000.0},
+                                          {"mttr", 60.0},
+                                          {"straggler", 0.5},
+                                          {"takeover", 3.0}}
+                                  .Set("recovery", "replica");
+  auto with = [](ModelParams bag, const std::string& key, double value) {
+    return bag.Set(key, value);
+  };
+  // checkpoint_interval must be shorter than the fault-free time, or the
+  // job is one segment either way.
+  const std::map<std::string, std::pair<ModelParams, ModelParams>> variants =
+      {{"mtbf", {base, with(base, "mtbf", 6000.0)}},
+       {"mttr", {base, with(base, "mttr", 120.0)}},
+       {"straggler", {base, with(base, "straggler", 0.25)}},
+       {"checkpoint_interval", {base, with(base, "checkpoint_interval", 2.0)}},
+       {"checkpoint_cost", {base, with(base, "checkpoint_cost", 40.0)}},
+       {"takeover", {replica, with(replica, "takeover", 6.0)}},
+       {"spec_threshold",
+        {speculative, with(speculative, "spec_threshold", 1.5)}},
+       {"recovery", {base, speculative}}};
+
+  const std::vector<std::string> keys = AcceptedFaultKeys();
+  ASSERT_FALSE(keys.empty());
+  for (const std::string& key : keys) {
+    auto variant = variants.find(key);
+    if (variant == variants.end()) {
+      ADD_FAILURE() << "fault key '" << key
+                    << "' has no variant here; add one that moves the report";
+      continue;
+    }
+    const std::string before = FaultReport(variant->second.first);
+    const std::string after = FaultReport(variant->second.second);
+    EXPECT_EQ(before.find("Build: "), std::string::npos) << key << before;
+    EXPECT_EQ(after.find("Build: "), std::string::npos) << key << after;
+    EXPECT_NE(before, after) << "fault key '" << key
+                             << "' does not move the report";
+  }
 }
 
 }  // namespace

@@ -22,7 +22,6 @@ TEST(FaultSpecTest, DefaultSpecIsDisabledAndValid) {
   FaultSpec spec;
   EXPECT_FALSE(spec.Enabled());
   EXPECT_FALSE(spec.CrashesEnabled());
-  EXPECT_FALSE(spec.LinkFaultsEnabled());
   EXPECT_TRUE(spec.Validate().ok());
 }
 
@@ -54,17 +53,6 @@ TEST(FaultSpecTest, SpeculationThresholdMustExceedOne) {
   EXPECT_TRUE(spec.Validate().ok());
 }
 
-TEST(FaultSpecTest, LinkFaultsNeedDurationAndSaneFactor) {
-  FaultSpec spec;
-  spec.link_mtbf_seconds = 600.0;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-  spec.link_degrade_seconds = 30.0;
-  spec.link_degrade_factor = 0.5;  // a degraded link cannot speed up
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-  spec.link_degrade_factor = 4.0;
-  EXPECT_TRUE(spec.Validate().ok());
-}
-
 TEST(FaultSpecTest, NonFiniteFieldsAreRejected) {
   FaultSpec spec = CrashSpec();
   spec.checkpoint_cost_s = std::nan("");
@@ -72,8 +60,6 @@ TEST(FaultSpecTest, NonFiniteFieldsAreRejected) {
 }
 
 TEST(FaultSpecTest, ToStringMatchesApiKeyMenus) {
-  EXPECT_STREQ(ToString(FaultDistribution::kExponential), "exponential");
-  EXPECT_STREQ(ToString(FaultDistribution::kWeibull), "weibull");
   EXPECT_STREQ(ToString(RecoveryStrategy::kCheckpointRestart),
                "checkpoint-restart");
   EXPECT_STREQ(ToString(RecoveryStrategy::kReplicaTakeover), "replica");
@@ -95,8 +81,8 @@ TEST(FaultModelTest, StreamsAreDeterministicAndPerNode) {
 
 // The satellite statistical test: empirical failure inter-arrival means must
 // match the configured MTBF. With 20000 draws the standard error of the mean
-// is well under 1% of the MTBF for both shapes, so 3% is a loose-but-real
-// tolerance that still catches a mis-parameterized distribution.
+// is under 1% of the MTBF, so 3% is a loose-but-real tolerance that still
+// catches a mis-parameterized distribution.
 TEST(FaultModelTest, ExponentialInterArrivalsMatchConfiguredMtbf) {
   const double mtbf = 750.0;
   FaultModel model(CrashSpec(mtbf), 7);
@@ -105,28 +91,6 @@ TEST(FaultModelTest, ExponentialInterArrivalsMatchConfiguredMtbf) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += model.NextUptime(&rng);
   EXPECT_NEAR(sum / n, mtbf, 0.03 * mtbf);
-}
-
-TEST(FaultModelTest, WeibullInterArrivalsMatchConfiguredMtbf) {
-  FaultSpec spec = CrashSpec(750.0);
-  spec.distribution = FaultDistribution::kWeibull;
-  spec.weibull_shape = 2.0;  // wear-out: lower variance than exponential
-  FaultModel model(spec, 7);
-  Pcg32 rng = model.CrashStream(3);
-  const int n = 20000;
-  double sum = 0.0;
-  double sq = 0.0;
-  for (int i = 0; i < n; ++i) {
-    double x = model.NextUptime(&rng);
-    sum += x;
-    sq += x * x;
-  }
-  double mean = sum / n;
-  EXPECT_NEAR(mean, spec.mtbf_seconds, 0.03 * spec.mtbf_seconds);
-  // Weibull k=2 has CV = sqrt(4/pi - 1) ~= 0.52 vs 1.0 for exponential —
-  // the shape parameter must actually change the shape.
-  double cv = std::sqrt(sq / n - mean * mean) / mean;
-  EXPECT_NEAR(cv, std::sqrt(4.0 / M_PI - 1.0), 0.05);
 }
 
 TEST(FaultModelTest, SlowdownIsOneWithoutStragglers) {
@@ -143,10 +107,10 @@ TEST(FaultModelTest, SpeculationCapsTheSlowdownTail) {
   FaultModel speculative(spec, 5);
   spec.recovery = RecoveryStrategy::kCheckpointRestart;
   FaultModel plain(spec, 5);
-  // Same seed, so the primary draws coincide; the speculative model may only
-  // ever shrink a draw, never grow it.
-  Pcg32 s_rng = speculative.JitterStream(0);
-  Pcg32 p_rng = plain.JitterStream(0);
+  // Same stream, so the primary draws coincide; the speculative model may
+  // only ever shrink a draw, never grow it.
+  Pcg32 s_rng(DeriveSeed(5, 1), 1);
+  Pcg32 p_rng(DeriveSeed(5, 1), 1);
   double worst_plain = 0.0;
   double worst_spec = 0.0;
   for (int i = 0; i < 5000; ++i) {

@@ -103,71 +103,6 @@ TEST(EngineDeterminismTest, ParameterServerIsShardCountInvariant) {
   }
 }
 
-// Fault injection keeps the contract: crashes, retries, degradations, and
-// straggler draws are node-owned state, so a fault-riddled run must stay
-// bit-identical across shard counts too.
-PsScaleConfig FaultyPsConfig() {
-  PsScaleConfig config = PsConfig();
-  config.faults.mtbf_seconds = 0.02;  // several crashes within the ~4 ms run
-  config.faults.mttr_seconds = 0.004;
-  config.faults.checkpoint_interval_s = 6e-4;
-  config.faults.checkpoint_cost_s = 1e-4;
-  config.faults.straggler_sigma = 0.3;
-  config.faults.link_mtbf_seconds = 0.01;
-  config.faults.link_degrade_seconds = 0.002;
-  config.faults.link_degrade_factor = 2.0;
-  return config;
-}
-
-TEST(EngineDeterminismTest, FaultyParameterServerIsShardCountInvariant) {
-  Result<ScaleStats> serial = SimulateParameterServerAtScale(FaultyPsConfig());
-  ASSERT_TRUE(serial.ok());
-  // The config must actually exercise the fault paths it claims to.
-  EXPECT_GT(serial.value().faults.crashes, 0);
-  EXPECT_GT(serial.value().faults.degrades, 0);
-  for (int shards : kShardCounts) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    PsScaleConfig config = FaultyPsConfig();
-    config.exec.num_shards = shards;
-    config.exec.pool = &pool;
-    Result<ScaleStats> sharded = SimulateParameterServerAtScale(config);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.value().engine.events_executed,
-              serial.value().engine.events_executed);
-    EXPECT_EQ(sharded.value().engine.messages_delivered,
-              serial.value().engine.messages_delivered);
-    EXPECT_EQ(sharded.value().faults.crashes, serial.value().faults.crashes);
-    EXPECT_EQ(sharded.value().faults.recoveries,
-              serial.value().faults.recoveries);
-    EXPECT_EQ(sharded.value().faults.degrades, serial.value().faults.degrades);
-    EXPECT_EQ(sharded.value().faults.retries, serial.value().faults.retries);
-    EXPECT_EQ(sharded.value().faults.drops, serial.value().faults.drops);
-  }
-}
-
-TEST(EngineDeterminismTest, ReplicaRecoveryPsIsShardCountInvariant) {
-  PsScaleConfig base = FaultyPsConfig();
-  base.faults.recovery = core::RecoveryStrategy::kReplicaTakeover;
-  base.faults.takeover_seconds = 1e-3;
-  base.faults.checkpoint_interval_s = 0.0;
-  base.faults.checkpoint_cost_s = 0.0;
-  Result<ScaleStats> serial = SimulateParameterServerAtScale(base);
-  ASSERT_TRUE(serial.ok());
-  for (int shards : kShardCounts) {
-    ThreadPool pool(static_cast<size_t>(shards));
-    PsScaleConfig config = base;
-    config.exec.num_shards = shards;
-    config.exec.pool = &pool;
-    Result<ScaleStats> sharded = SimulateParameterServerAtScale(config);
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(sharded.value().seconds, serial.value().seconds)
-        << "shards=" << shards;
-    EXPECT_EQ(sharded.value().faults.crashes, serial.value().faults.crashes);
-  }
-}
-
 // The cases above run ~100 events per window, so the engine steps every
 // window after the first on the calling thread. These keep the pool path
 // under test (and under TSan): 4099 nodes, twice the engine's 2048-event
