@@ -44,10 +44,22 @@ struct TimeTable {
   double Seconds(int n) const { return Compute(n) + Comm(n); }
 };
 
+/// A priced term must be a time: finite and >= 0. A Compute(fn) callable
+/// can return anything, so this is a Status, not a CHECK.
+Status CheckTerm(const Scenario& scenario, std::string_view term, int n,
+                 double seconds) {
+  if (std::isfinite(seconds) && seconds >= 0.0) return Status::OK();
+  return Status::InvalidArgument(
+      "scenario '" + scenario.name() + "': " + std::string(term) +
+      " term at n=" + std::to_string(n) + " is " + FormatDouble(seconds) +
+      " s; every priced term must be finite and >= 0 (a Compute(fn) "
+      "callable must return a finite, non-negative share)");
+}
+
 /// Evaluates each term once per node count, through the shared eval cache
 /// when one is configured.
-TimeTable PriceNodeCounts(const Scenario& scenario, int max_nodes,
-                          MemoCache* cache) {
+Result<TimeTable> PriceNodeCounts(const Scenario& scenario, int max_nodes,
+                                  MemoCache* cache) {
   const size_t size = static_cast<size_t>(max_nodes) + 1;
   TimeTable times{.compute_s = std::vector<double>(size, 0.0),
                   .comm_s = std::vector<double>(size, 0.0)};
@@ -68,6 +80,9 @@ TimeTable PriceNodeCounts(const Scenario& scenario, int max_nodes,
       times.comm_s[i] =
           cache->GetOrCompute(cache_key + "|cm|" + std::to_string(n), comm);
     }
+    DMLSCALE_RETURN_NOT_OK(
+        CheckTerm(scenario, "compute", n, times.compute_s[i]));
+    DMLSCALE_RETURN_NOT_OK(CheckTerm(scenario, "comm", n, times.comm_s[i]));
   }
   return times;
 }
@@ -193,8 +208,9 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
         "callable)");
   }
 
-  const TimeTable times =
-      PriceNodeCounts(scenario, max_nodes, options.eval_cache);
+  DMLSCALE_ASSIGN_OR_RETURN(
+      const TimeTable times,
+      PriceNodeCounts(scenario, max_nodes, options.eval_cache));
   core::FunctionModel model([&times](int n) { return times.Seconds(n); },
                             scenario.name());
   // Growth scales the data-dependent computation term; the communication

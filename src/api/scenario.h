@@ -184,6 +184,8 @@ class Scenario::Builder {
   /// Escape hatch for models a scalar parameter bag cannot express: the
   /// per-superstep bottleneck work in FLOPs as a function of n (wrapped in
   /// core::BottleneckCompute, e.g. Section IV-B's max_i(E_i) * c(S)).
+  /// Analysis::Run returns InvalidArgument for a share that is negative or
+  /// not finite at any priced n.
   Builder& Compute(std::function<double(int)> max_share_flops,
                    std::string label = "custom-compute");
 

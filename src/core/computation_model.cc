@@ -27,9 +27,7 @@ BottleneckCompute::BottleneckCompute(std::function<double(int)> max_share_flops,
 
 double BottleneckCompute::Seconds(int n) const {
   DMLSCALE_CHECK_GE(n, 1);
-  double share = max_share_flops_(n);
-  DMLSCALE_CHECK_GE(share, 0.0);
-  return share / node_.EffectiveFlops();
+  return max_share_flops_(n) / node_.EffectiveFlops();
 }
 
 AmdahlCompute::AmdahlCompute(double total_flops, double serial_fraction,

@@ -1,6 +1,7 @@
 #include "core/speedup.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -78,8 +79,9 @@ Result<SpeedupCurve> SpeedupAnalyzer::ComputeAt(const AlgorithmModel& model,
     return Status::InvalidArgument("reference_n must be >= 1");
   }
   double t_ref = model.Seconds(reference_n);
-  if (t_ref <= 0.0) {
-    return Status::FailedPrecondition("reference time must be positive");
+  if (!std::isfinite(t_ref) || t_ref <= 0.0) {
+    return Status::FailedPrecondition(
+        "reference time must be positive and finite");
   }
   SpeedupCurve curve;
   curve.nodes = nodes;
@@ -87,9 +89,9 @@ Result<SpeedupCurve> SpeedupAnalyzer::ComputeAt(const AlgorithmModel& model,
   curve.speedup.reserve(nodes.size());
   for (int n : nodes) {
     double t_n = model.Seconds(n);
-    if (t_n <= 0.0) {
-      return Status::FailedPrecondition("model time must be positive at n=" +
-                                        std::to_string(n));
+    if (!std::isfinite(t_n) || t_n <= 0.0) {
+      return Status::FailedPrecondition(
+          "model time must be positive and finite at n=" + std::to_string(n));
     }
     curve.speedup.push_back(t_ref / t_n);
   }

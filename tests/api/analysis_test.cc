@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -427,6 +428,37 @@ TEST(AnalysisTest, EvalCacheRejectsCallableCompute) {
   ASSERT_TRUE(large_report.ok());
   EXPECT_DOUBLE_EQ(small_report->reference_seconds, 1.0);
   EXPECT_DOUBLE_EQ(large_report->reference_seconds, 4.0);
+}
+
+TEST(AnalysisTest, CallableShareMustPriceAFiniteNonNegativeTime) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::function<double(int)> share;
+    std::string where;  // the term, n and value the error must name
+  };
+  const Case cases[] = {
+      {[](int n) { return -1e9 / n; }, "compute term at n=1 is -1 s"},
+      {[](int) { return std::nan(""); }, "compute term at n=1 is nan s"},
+      {[inf](int) { return inf; }, "compute term at n=1 is inf s"},
+      {[inf](int n) { return n == 3 ? inf : 1e9 / n; },
+       "compute term at n=3 is inf s"},
+  };
+  for (const Case& c : cases) {
+    auto scenario = Scenario::Builder()
+                        .Name("callable")
+                        .Hardware(presets::Fig1Cluster(8))
+                        .Compute(c.share)
+                        .Comm("linear", {{"bits", 1e9}})
+                        .Build();
+    ASSERT_TRUE(scenario.ok()) << scenario.status();
+    auto report = Analysis::Run(*scenario);
+    ASSERT_FALSE(report.ok()) << c.where;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = report.status().message();
+    EXPECT_NE(message.find("scenario 'callable'"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(c.where), std::string::npos) << message;
+  }
 }
 
 TEST(AnalysisTest, RejectsBadThreadCount) {

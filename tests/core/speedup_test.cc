@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace dmlscale::core {
 namespace {
@@ -73,6 +74,23 @@ TEST(SpeedupAnalyzerTest, RejectsNonPositiveTimes) {
   EXPECT_FALSE(SpeedupAnalyzer::ComputeAt(zero, {1, 2}, 1).ok());
   FunctionModel negative_at_3([](int n) { return n == 3 ? -1.0 : 1.0; }, "neg");
   EXPECT_FALSE(SpeedupAnalyzer::Compute(negative_at_3, 4).ok());
+}
+
+TEST(SpeedupAnalyzerTest, RejectsNonFiniteTimes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  FunctionModel nan_everywhere([](int) { return std::nan(""); }, "nan");
+  EXPECT_FALSE(SpeedupAnalyzer::Compute(nan_everywhere, 4).ok());
+  FunctionModel inf_reference([inf](int n) { return n == 1 ? inf : 1.0; },
+                              "inf-ref");
+  EXPECT_FALSE(SpeedupAnalyzer::Compute(inf_reference, 4).ok());
+  FunctionModel nan_at_3(
+      [](int n) { return n == 3 ? std::nan("") : 1.0 / n; }, "nan-3");
+  EXPECT_EQ(SpeedupAnalyzer::Compute(nan_at_3, 4).status().code(),
+            StatusCode::kFailedPrecondition);
+  FunctionModel inf_at_3([inf](int n) { return n == 3 ? inf : 1.0 / n; },
+                         "inf-3");
+  EXPECT_EQ(SpeedupAnalyzer::Compute(inf_at_3, 4).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(SpeedupCurveTest, FirstLocalPeakFindsStaircasePeak) {
