@@ -73,10 +73,6 @@ Result<serve::ServingSpec> ResolveServingSpec(const ModelParams& params,
     spec.arrivals.burst_rate_multiplier = params.GetOr("burst_multiplier", 4.0);
     spec.arrivals.burst_fraction = params.GetOr("burst_fraction", 0.1);
     spec.arrivals.burst_mean_duration_s = params.GetOr("burst_duration", 10.0);
-  } else if (arrivals == "trace") {
-    return Status::InvalidArgument(
-        "trace arrivals carry a gap vector, which a scalar parameter bag "
-        "cannot express; build the serve::ServingSpec directly");
   } else {
     return Status::InvalidArgument("unknown arrivals '" + arrivals +
                                    "'; available: " + Menu(kArrivalKinds));

@@ -30,10 +30,9 @@ namespace dmlscale::api {
 /// unknown keys list the accepted menu, the integer keys (batch_max,
 /// shards, replicas, max_replicas) must be whole numbers that fit an int,
 /// and shape-owned keys (the diurnal and MMPP knobs, the cache knobs,
-/// rejoin_bits) name the selection they require. Trace arrivals carry a
-/// gap vector a scalar bag cannot express — build the ServingSpec directly
-/// for those. The empty bag resolves to the default (inert) spec without
-/// validation, keeping a scenario serving-free.
+/// rejoin_bits) name the selection they require. The empty bag resolves to
+/// the default (inert) spec without validation, keeping a scenario
+/// serving-free.
 ///
 /// `link` is the intra-replica interconnect pricing the model-parallel
 /// rejoin collective (only read when shards > 1); Scenario::Builder passes

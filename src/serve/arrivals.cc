@@ -1,6 +1,5 @@
 #include "serve/arrivals.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -16,15 +15,12 @@ const char* ToString(ArrivalKind kind) {
       return "diurnal";
     case ArrivalKind::kMmpp:
       return "mmpp";
-    case ArrivalKind::kTrace:
-      return "trace";
   }
   return "unknown";
 }
 
 Status ArrivalSpec::Validate() const {
-  if (kind != ArrivalKind::kTrace &&
-      (!std::isfinite(rate_qps) || rate_qps <= 0.0)) {
+  if (!std::isfinite(rate_qps) || rate_qps <= 0.0) {
     return Status::InvalidArgument(
         "arrival rate must be finite and > 0 qps (set `qps`)");
   }
@@ -59,36 +55,8 @@ Status ArrivalSpec::Validate() const {
             "MMPP burst mean duration must be finite and > 0 s");
       }
       break;
-    case ArrivalKind::kTrace: {
-      if (trace_gaps_s.empty()) {
-        return Status::InvalidArgument(
-            "trace arrivals need at least one inter-arrival gap");
-      }
-      double total = 0.0;
-      for (double gap : trace_gaps_s) {
-        if (!std::isfinite(gap) || gap < 0.0) {
-          return Status::InvalidArgument(
-              "trace gaps must be finite and >= 0 s");
-        }
-        total += gap;
-      }
-      if (total <= 0.0) {
-        return Status::InvalidArgument(
-            "trace gaps must include at least one positive gap");
-      }
-      break;
-    }
   }
   return Status::OK();
-}
-
-double ArrivalSpec::MeanRate() const {
-  if (kind == ArrivalKind::kTrace) {
-    double total = 0.0;
-    for (double gap : trace_gaps_s) total += gap;
-    return static_cast<double>(trace_gaps_s.size()) / total;
-  }
-  return rate_qps;
 }
 
 double ArrivalSpec::PeakRate() const {
@@ -106,13 +74,6 @@ double ArrivalSpec::PeakRate() const {
       double quiet = rate_qps / (1.0 - burst_fraction +
                                  burst_rate_multiplier * burst_fraction);
       return quiet * burst_rate_multiplier;
-    }
-    case ArrivalKind::kTrace: {
-      double min_gap = trace_gaps_s[0];
-      for (double gap : trace_gaps_s) min_gap = std::min(min_gap, gap);
-      // A zero gap means back-to-back arrivals: the instantaneous rate is
-      // unbounded, so report the mean as the best finite summary.
-      return min_gap > 0.0 ? 1.0 / min_gap : MeanRate();
     }
   }
   return rate_qps;
@@ -178,11 +139,6 @@ double ArrivalProcess::NextGap() {
         // Note: `now_` stays the last-arrival time; `gap` carries the
         // partial progress toward the next arrival.
       }
-    }
-    case ArrivalKind::kTrace: {
-      double gap = spec_.trace_gaps_s[trace_index_];
-      trace_index_ = (trace_index_ + 1) % spec_.trace_gaps_s.size();
-      return gap;
     }
   }
   DMLSCALE_CHECK(false);

@@ -2,8 +2,6 @@
 #define DMLSCALE_SERVE_ARRIVALS_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -15,7 +13,6 @@ enum class ArrivalKind {
   kPoisson,  // constant-rate Poisson, the M/M/k assumption
   kDiurnal,  // sinusoidal day/night rate, thinned Poisson
   kMmpp,     // 2-state Markov-modulated Poisson: quiet vs burst
-  kTrace,    // replayed inter-arrival gaps, cycled
 };
 
 const char* ToString(ArrivalKind kind);
@@ -28,8 +25,7 @@ const char* ToString(ArrivalKind kind);
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kPoisson;
 
-  /// Long-run mean arrival rate, requests/s (> 0). For kTrace this is
-  /// ignored in favour of the trace's own mean.
+  /// Long-run mean arrival rate, requests/s (> 0).
   double rate_qps = 0.0;
 
   /// kDiurnal: sinusoid period (> 0) and peak/trough rate ratio (>= 1).
@@ -47,14 +43,7 @@ struct ArrivalSpec {
   double burst_fraction = 0.0;
   double burst_mean_duration_s = 0.0;
 
-  /// kTrace: inter-arrival gaps, seconds, replayed cyclically (non-empty,
-  /// every gap >= 0, at least one > 0).
-  std::vector<double> trace_gaps_s;
-
   [[nodiscard]] Status Validate() const;
-
-  /// Long-run mean rate (requests/s): rate_qps, or the trace's own mean.
-  double MeanRate() const;
 
   /// Supremum of the instantaneous rate — the thinning envelope, and the
   /// rate a peak-provisioned planner should design for.
@@ -93,8 +82,6 @@ class ArrivalProcess {
   double quiet_rate_ = 0.0;
   double burst_rate_ = 0.0;
   double quiet_mean_dwell_s_ = 0.0;
-  // kTrace cursor.
-  size_t trace_index_ = 0;
 };
 
 }  // namespace dmlscale::serve

@@ -63,7 +63,7 @@ Result<ServingEstimate> AnalyzeServing(const ServingSpec& spec) {
   DMLSCALE_RETURN_NOT_OK(spec.Validate());
 
   ServingEstimate estimate;
-  estimate.offered_qps = spec.arrivals.MeanRate();
+  estimate.offered_qps = spec.arrivals.rate_qps;
   estimate.hit_rate = spec.cache.Enabled() ? spec.cache.hit_rate : 0.0;
   estimate.hit_latency_s =
       spec.cache.Enabled() ? spec.cache.hit_latency_s : 0.0;
@@ -99,12 +99,6 @@ Result<double> AnalyticQuantileLatency(const ServingSpec& spec, int replicas,
   ServingSpec point = spec;
   point.replicas = replicas;
   point.arrivals.rate_qps = qps;
-  if (point.arrivals.kind == ArrivalKind::kTrace) {
-    // A trace pins its own rate; planners sweep qps, so re-shape to the
-    // Poisson stream with the requested mean.
-    point.arrivals.kind = ArrivalKind::kPoisson;
-    point.arrivals.trace_gaps_s.clear();
-  }
   DMLSCALE_ASSIGN_OR_RETURN(ServingEstimate estimate, AnalyzeServing(point));
   return estimate.quantile_latency_s;
 }

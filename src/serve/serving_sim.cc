@@ -140,12 +140,14 @@ Result<ServingSimStats> SimulateServing(const ServingSimConfig& config) {
     state.busy = true;
     state.timer_armed = false;
     ++state.epoch;
-    double latency = service.Latency(static_cast<int>(take));
-    if (config.exponential_service) {
-      // Exp(mean = Latency(b)); 1 - NextDouble() is in (0, 1], so the log
-      // is finite and the draw nonnegative.
-      latency = -latency * std::log(1.0 - state.service_rng.NextDouble());
-    }
+    // The analytic pipeline is an M/M/k (exponential servers), so each
+    // batch executes for Exp(mean = Latency(b)) from a replica-owned
+    // stream: the batchless sim is an M/M/k realization Erlang-C can be
+    // cross-checked against. 1 - NextDouble() is in (0, 1], so the log is
+    // finite and the draw nonnegative.
+    const double latency =
+        -service.Latency(static_cast<int>(take)) *
+        std::log(1.0 - state.service_rng.NextDouble());
     state.busy_s += latency;
     state.batches += 1;
     state.executed += static_cast<int64_t>(take);

@@ -36,14 +36,6 @@ struct ServingSimConfig {
   /// shard-invariant.
   int64_t warmup_requests = 0;
   uint64_t seed = 1;
-  /// Service-time law of one batch execution. The analytic pipeline is an
-  /// M/M/k (exponential servers), so by default each batch's execution
-  /// time is drawn Exp(mean = Latency(b)) from a replica-owned stream —
-  /// the batchless sim is then an M/M/k realization Erlang-C can be
-  /// cross-checked against apples-to-apples. Set false to execute at
-  /// exactly Latency(b): a lighter-tailed M/D/k, the right mode when the
-  /// fitted service model IS the ground truth being studied.
-  bool exponential_service = true;
   /// Frontend->replica dispatch wire time, seconds (> 0; doubles as the
   /// engine lookahead). The response path is priced additively.
   double wire_s = 50e-6;

@@ -83,12 +83,16 @@ TEST(ResolveServingSpecTest, TypoedKeyFailsLoudly) {
 }
 
 TEST(ResolveServingSpecTest, UnknownSelectionsListTheMenu) {
-  ModelParams arrivals{{"qps", 100.0}, {"service_per_item", 0.001}};
-  arrivals.Set("arrivals", "weekly");
-  auto bad_arrivals = ResolveServingSpec(arrivals);
-  ASSERT_FALSE(bad_arrivals.ok());
-  EXPECT_NE(bad_arrivals.status().message().find("poisson, diurnal, mmpp"),
-            std::string::npos);
+  // No serving process replays a trace, so trace is as unknown as weekly.
+  for (const char* unknown : {"weekly", "trace"}) {
+    ModelParams arrivals{{"qps", 100.0}, {"service_per_item", 0.001}};
+    arrivals.Set("arrivals", unknown);
+    auto bad_arrivals = ResolveServingSpec(arrivals);
+    ASSERT_FALSE(bad_arrivals.ok()) << unknown;
+    EXPECT_TRUE(bad_arrivals.status().message().ends_with(
+        "available: poisson, diurnal, mmpp"))
+        << bad_arrivals.status();
+  }
 
   // No eviction runs (the tier is declared by its hit rate), so lfu is as
   // unknown as arc.
@@ -139,15 +143,6 @@ TEST(ResolveServingSpecTest, RejoinBitsNeedShards) {
       ModelParams{{"qps", 100.0}, {"rejoin_bits", 1e6}});
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().message().find("shards"), std::string::npos);
-}
-
-TEST(ResolveServingSpecTest, TraceArrivalsPointAtTheDirectApi) {
-  ModelParams params{{"qps", 100.0}, {"service_per_item", 0.001}};
-  params.Set("arrivals", "trace");
-  auto spec = ResolveServingSpec(params);
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().message().find("serve::ServingSpec"),
-            std::string::npos);
 }
 
 TEST(ResolveServingSpecTest, MissingServiceModelPointsAtCalibration) {

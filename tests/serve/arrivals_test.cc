@@ -1,7 +1,7 @@
 // Statistical and replay properties of the arrival processes: Poisson
 // inter-arrival moments, the MMPP's long-run mean anchoring and burstiness,
-// the diurnal sinusoid's peak-to-trough modulation, trace cycling, and the
-// per-(seed, stream) determinism contract.
+// the diurnal sinusoid's peak-to-trough modulation, and the per-(seed,
+// stream) determinism contract.
 
 #include "serve/arrivals.h"
 
@@ -100,16 +100,6 @@ TEST(ArrivalSpecTest, ValidationIsActionable) {
               std::string::npos)
         << bad;
   }
-
-  ArrivalSpec trace;
-  trace.kind = ArrivalKind::kTrace;
-  EXPECT_FALSE(trace.Validate().ok());  // empty trace
-  trace.trace_gaps_s = {0.0, 0.0};
-  EXPECT_FALSE(trace.Validate().ok());  // needs one positive gap
-  trace.trace_gaps_s = {0.1, 0.0, 0.2};
-  EXPECT_TRUE(trace.Validate().ok());
-  trace.trace_gaps_s = {0.1, std::nan("")};
-  EXPECT_FALSE(trace.Validate().ok());
 }
 
 TEST(ArrivalProcessTest, PoissonInterArrivalMeanAndCvMatchTheory) {
@@ -123,7 +113,7 @@ TEST(ArrivalProcessTest, PoissonInterArrivalMeanAndCvMatchTheory) {
 
 TEST(ArrivalProcessTest, ArrivalTimesAreMonotoneNonDecreasing) {
   for (ArrivalKind kind : {ArrivalKind::kPoisson, ArrivalKind::kDiurnal,
-                           ArrivalKind::kMmpp, ArrivalKind::kTrace}) {
+                           ArrivalKind::kMmpp}) {
     ArrivalSpec spec;
     spec.kind = kind;
     spec.rate_qps = 50.0;
@@ -132,7 +122,6 @@ TEST(ArrivalProcessTest, ArrivalTimesAreMonotoneNonDecreasing) {
     spec.burst_rate_multiplier = 8.0;
     spec.burst_fraction = 0.2;
     spec.burst_mean_duration_s = 1.0;
-    spec.trace_gaps_s = {0.01, 0.0, 0.03};
     ASSERT_TRUE(spec.Validate().ok()) << ToString(kind);
     ArrivalProcess process(spec, 3, 0);
     double prev = 0.0;
@@ -171,10 +160,9 @@ TEST(ArrivalProcessTest, MmppKeepsTheLongRunMeanAndBursts) {
   spec.burst_fraction = 0.2;
   spec.burst_mean_duration_s = 2.0;
   ASSERT_TRUE(spec.Validate().ok());
-  // The quiet/burst mix is derived so the mean is exactly rate_qps.
-  EXPECT_EQ(spec.MeanRate(), 100.0);
   EXPECT_EQ(spec.PeakRate(), spec.rate_qps * 8.0 / (1.0 - 0.2 + 8.0 * 0.2));
 
+  // The quiet/burst mix is derived so the mean rate is rate_qps.
   std::vector<double> gaps = Gaps(spec, 5, 400000);
   EXPECT_NEAR(Mean(gaps), 0.01, 0.01 * 0.05);
   // Mixing two rates overdisperses the gaps: CV strictly above Poisson's 1.
@@ -209,19 +197,6 @@ TEST(ArrivalProcessTest, DiurnalRateFollowsThePeakToTroughRatio) {
   ASSERT_GT(trough, 0);
   double ratio = static_cast<double>(peak) / static_cast<double>(trough);
   EXPECT_NEAR(ratio, 3.88, 0.45);
-}
-
-TEST(ArrivalProcessTest, TraceReplaysGapsCyclically) {
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kTrace;
-  spec.trace_gaps_s = {0.1, 0.2, 0.3};
-  ASSERT_TRUE(spec.Validate().ok());
-  EXPECT_NEAR(spec.MeanRate(), 5.0, 1e-12);  // 3 arrivals per 0.6 s
-  ArrivalProcess process(spec, 1, 0);
-  const double expected[] = {0.1, 0.3, 0.6, 0.7, 0.9, 1.2, 1.3};
-  for (double t : expected) {
-    EXPECT_NEAR(process.NextArrivalSeconds(), t, 1e-12);
-  }
 }
 
 }  // namespace

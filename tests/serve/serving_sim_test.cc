@@ -345,23 +345,6 @@ TEST(ServingSimTest, RoundRobinPaysTheNoPoolingPenalty) {
   EXPECT_GT(split->p99_s, pooled->p99_s);
 }
 
-TEST(ServingSimTest, DeterministicServiceRunsLighterTailedThanExponential) {
-  ServingSimConfig config;
-  config.spec.arrivals.rate_qps = 800.0;
-  config.spec.replica.service.per_item_s = 0.001;
-  config.num_requests = 20000;
-  config.warmup_requests = 2000;
-  config.seed = 13;
-  Result<ServingSimStats> exponential = SimulateServing(config);
-  ASSERT_TRUE(exponential.ok());
-  config.exponential_service = false;
-  Result<ServingSimStats> deterministic = SimulateServing(config);
-  ASSERT_TRUE(deterministic.ok());
-  // M/D/1 waits are about half of M/M/1's, and its p99 collapses.
-  EXPECT_LT(deterministic->mean_latency_s, exponential->mean_latency_s);
-  EXPECT_LT(deterministic->p99_s, exponential->p99_s);
-}
-
 TEST(ServingSimTest, BatcherFormsBatchesUnderLoad) {
   ServingSimConfig config;
   config.spec.arrivals.rate_qps = 3000.0;
