@@ -185,6 +185,68 @@ TEST(EventEngineTest, WindowedDeliveryOrdersTiesBySrcThenSendSeq) {
   }
 }
 
+// Pins the order of every kind of event that can tie at one node. Node 11
+// gets ten-odd events, all at t = 5, which must run in this order at every
+// shard count:
+//   -1       scheduled before Run;
+//   -2       scheduled by its own handler in window [2, 3);
+//   10..151  sent in that window by nodes 1, 6, 8, 10 and 15, in (src,
+//            send_seq) order; each source first sends fewer fillers the
+//            higher its id, so send_seq order alone disagrees with it;
+//   -3       scheduled by its own handler in the next window, [3, 4);
+//   1000..   sent in that window by nodes 0 and 10.
+// Node 10 shares node 11's shard at every shard count, the other sources
+// do not at 8 shards, and node 0 never does at more than one.
+TEST(EventEngineTest, EqualTimeEventsRunInScheduleThenWindowOrder) {
+  constexpr int kNodes = 16;
+  constexpr int kDst = 11;
+  constexpr int kSink = 12;
+  constexpr double kTie = 5.0;
+  for (int shards : {1, 2, 4, 8}) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    EngineOptions options;
+    options.lookahead = 1.0;
+    options.exec.num_shards = shards;
+    options.exec.pool = &pool;
+    Engine engine(kNodes, options);
+    std::vector<int64_t> order;
+    const int record = engine.AddHandler([&](const Event& event) {
+      if (event.node == kDst) order.push_back(event.a);
+    });
+    const int local = engine.AddHandler([&](const Event& event) {
+      engine.MustScheduleAt(event.node, kTie, record, event.a);
+    });
+    // a = label base, b = fillers to send before the two messages to kDst.
+    const int burst = engine.AddHandler([&](const Event& event) {
+      for (int64_t f = 0; f < event.b; ++f) {
+        engine.Send(event.node, kSink, 5.0, event.time, record);
+      }
+      for (int64_t k = 0; k < 2; ++k) {
+        engine.Send(event.node, kDst, kTie - event.time, event.time, record,
+                    event.a + 10 * event.node + k);
+      }
+    });
+    engine.MustScheduleAt(3, 0.0, record);  // window [0, 1) runs first
+    engine.MustScheduleAt(kDst, kTie, record, -1);
+    engine.MustScheduleAt(kDst, 2.0, local, -2);
+    engine.MustScheduleAt(15, 2.0, burst, 0, 0);
+    engine.MustScheduleAt(1, 2.0, burst, 0, 4);
+    engine.MustScheduleAt(10, 2.0, burst, 0, 1);
+    engine.MustScheduleAt(8, 2.0, burst, 0, 2);
+    engine.MustScheduleAt(6, 2.0, burst, 0, 3);
+    engine.MustScheduleAt(10, 3.0, burst, 1000, 0);
+    engine.MustScheduleAt(kDst, 3.0, local, -3);
+    engine.MustScheduleAt(0, 3.0, burst, 1000, 0);
+    Result<EngineStats> stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << "shards=" << shards;
+    EXPECT_EQ(order,
+              (std::vector<int64_t>{-1, -2, 10, 11, 60, 61, 80, 81, 100, 101,
+                                    150, 151, -3, 1000, 1001, 1100, 1101}))
+        << "shards=" << shards;
+    EXPECT_EQ(stats.value().messages_delivered, 24) << "shards=" << shards;
+  }
+}
+
 // One run of a two-node engine whose only message is sent before Run:
 // Send(0 -> 1, delay 0.1) at time 0, optionally behind a local event on
 // node 0 at t = 1.0. Records (node, time) per executed event.
