@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -21,6 +20,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // one after another on the caller: below it, the barrier handoffs cost more
 // than the window's work. Results are shard-invariant either way.
 constexpr int64_t kInlineWindowEvents = 2048;
+
+// Window w's sends carry stamp 2w + 3, which must fit in 32 bits.
+constexpr int64_t kMaxWindows = (int64_t{1} << 31) - 1;
+
+// Event::stamp of an event made by `origin` under window stamp `stamp`.
+uint64_t PackStamp(uint32_t stamp, int origin) {
+  return uint64_t{stamp} << 32 | static_cast<uint32_t>(origin);
+}
 
 }  // namespace
 
@@ -41,8 +48,6 @@ Engine::Engine(int num_nodes, EngineOptions options)
     Shard& shard = shards_[static_cast<size_t>(s)];
     shard.begin = static_cast<int>(range.begin);
     shard.end = static_cast<int>(range.end);
-    shard.inbox_begin.assign(static_cast<size_t>(range.end - range.begin) + 1,
-                             0);
     std::fill(node_shard_.begin() + range.begin,
               node_shard_.begin() + range.end, s);
   }
@@ -82,8 +87,9 @@ Status Engine::ScheduleAt(int node, double time, int type, int64_t a,
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
   DMLSCALE_CHECK_GE(time, 0.0);
   queues_[static_cast<size_t>(node)].Push(
-      Event{time, node_seq_[static_cast<size_t>(node)]++,
-            static_cast<int32_t>(type), static_cast<int32_t>(node), a, b, x});
+      Event{time, PackStamp(window_.stamp, node),
+            node_seq_[static_cast<size_t>(node)]++, static_cast<int32_t>(type),
+            static_cast<int32_t>(node), a, b, x});
   return Status::OK();
 }
 
@@ -103,33 +109,52 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
     MustScheduleAt(dst, now + delay, type, a, b, x);
     return;
   }
-  // The clock-skew bound: an in-window send must land in a later window.
-  DMLSCALE_CHECK_GE(delay, options_.lookahead);
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
-  // Only the party stepping `src`'s shard appends to this bucket inside a
-  // window, so no lock is needed.
-  const size_t bucket =
-      static_cast<size_t>(node_shard_[static_cast<size_t>(src)]) *
-          static_cast<size_t>(options_.exec.num_shards) +
-      static_cast<size_t>(node_shard_[static_cast<size_t>(dst)]);
+  // The clock-skew bound: an in-window send lands in a later window, so a
+  // message pushed now cannot run inside the window that sent it.
+  DMLSCALE_CHECK_GE(delay, options_.lookahead);
+  const double arrival = now + delay;
+  DMLSCALE_CHECK_GE(arrival, window_.end);
+  const uint64_t stamp = PackStamp(window_.stamp + 1, src);
+  const uint64_t seq = send_seq_[static_cast<size_t>(src)]++;
+  // Only the party stepping `src`'s shard sends from it inside a window, so
+  // neither its shard's counters nor its buckets need a lock.
+  const int from = node_shard_[static_cast<size_t>(src)];
+  const int to = node_shard_[static_cast<size_t>(dst)];
+  Shard& shard = shards_[static_cast<size_t>(from)];
+  ++shard.sent;
+  if (from == to) {
+    // The key fixes the pop order, so the push need not wait for the
+    // barrier. It may land on a node the step has already passed.
+    shard.next_time = std::min(shard.next_time, arrival);
+    queues_[static_cast<size_t>(dst)].Push(
+        Event{arrival, stamp, seq, static_cast<int32_t>(type),
+              static_cast<int32_t>(dst), a, b, x});
+    return;
+  }
   // Filled in its slot: a record built elsewhere and copied in would be
   // read back with loads wider than the stores that just wrote it.
-  Message& message = buckets_[bucket].messages.emplace_back();
-  message.event.time = now + delay;
-  message.event.seq = send_seq_[static_cast<size_t>(src)]++;
-  message.event.type = static_cast<int32_t>(type);
-  message.event.node = static_cast<int32_t>(dst);
-  message.event.a = a;
-  message.event.b = b;
-  message.event.x = x;
-  message.src = static_cast<int32_t>(src);
+  Event& event =
+      buckets_[static_cast<size_t>(from) *
+                   static_cast<size_t>(options_.exec.num_shards) +
+               static_cast<size_t>(to)]
+          .events.emplace_back();
+  event.time = arrival;
+  event.stamp = stamp;
+  event.seq = seq;
+  event.type = static_cast<int32_t>(type);
+  event.node = static_cast<int32_t>(dst);
+  event.a = a;
+  event.b = b;
+  event.x = x;
 }
 
 void Engine::StepShard(int index, double window_end, int64_t budget) {
   Shard& shard = shards_[static_cast<size_t>(index)];
+  shard.sent = 0;
+  shard.next_time = kInf;  // Send folds its direct pushes in as well
   int64_t executed = 0;
   double end_time = shard.end_time;
-  double next_time = kInf;
   for (int node = shard.begin; node < shard.end; ++node) {
     EventHeap& queue = queues_[static_cast<size_t>(node)];
     while (!queue.empty() && queue.Top().time < window_end) {
@@ -140,7 +165,6 @@ void Engine::StepShard(int index, double window_end, int64_t budget) {
         shard.overflow = true;
         shard.events = executed;
         shard.end_time = end_time;
-        shard.next_time = next_time;
         return;
       }
       Event event = queue.PopTop();
@@ -148,82 +172,33 @@ void Engine::StepShard(int index, double window_end, int64_t budget) {
       ++executed;
       handlers_[static_cast<size_t>(event.type)](event);
     }
-    if (!queue.empty()) next_time = std::min(next_time, queue.Top().time);
+    if (!queue.empty()) {
+      shard.next_time = std::min(shard.next_time, queue.Top().time);
+    }
   }
   shard.events = executed;
   shard.end_time = end_time;
-  shard.next_time = next_time;
 }
 
 void Engine::DeliverShard(int index) {
   Shard& shard = shards_[static_cast<size_t>(index)];
   const size_t num_shards = static_cast<size_t>(options_.exec.num_shards);
-  const size_t dst = static_cast<size_t>(index);
-  size_t total = 0;
   for (size_t src = 0; src < num_shards; ++src) {
-    total += buckets_[src * num_shards + dst].messages.size();
-  }
-  shard.delivered = static_cast<int64_t>(total);
-  if (total == 0) return;
-
-  // Counting sort of pointers by destination node: count each node's
-  // messages, turn the counts into group ends with a prefix sum, then
-  // scatter from the back, which moves each end down to its group's start.
-  std::vector<size_t>& group = shard.inbox_begin;
-  std::fill(group.begin(), group.end(), 0);
-  double earliest = kInf;
-  for (size_t src = 0; src < num_shards; ++src) {
-    for (const Message& message : buckets_[src * num_shards + dst].messages) {
-      ++group[static_cast<size_t>(message.event.node - shard.begin)];
-      earliest = std::min(earliest, message.event.time);
+    std::vector<Event>& bucket =
+        buckets_[src * num_shards + static_cast<size_t>(index)].events;
+    for (const Event& event : bucket) {
+      shard.next_time = std::min(shard.next_time, event.time);
+      queues_[static_cast<size_t>(event.node)].Push(event);
     }
-  }
-  std::partial_sum(group.begin(), group.end(), group.begin());
-  shard.inbox.resize(total);
-  for (size_t src = num_shards; src-- > 0;) {
-    const std::vector<Message>& bucket =
-        buckets_[src * num_shards + dst].messages;
-    for (auto message = bucket.rbegin(); message != bucket.rend(); ++message) {
-      shard.inbox[--group[static_cast<size_t>(message->event.node -
-                                              shard.begin)]] = &*message;
-    }
-  }
-  shard.next_time = std::min(shard.next_time, earliest);
-
-  // Deliver each destination's group in (arrival time, src, send seq)
-  // order whatever the bucket order was: its seq stamps, and thus
-  // everything downstream, are then shard-invariant.
-  for (int node = shard.begin; node < shard.end; ++node) {
-    const size_t i = static_cast<size_t>(node - shard.begin);
-    const Message** first = shard.inbox.data() + group[i];
-    const Message** last = shard.inbox.data() + group[i + 1];
-    if (last - first > 1) {
-      std::sort(first, last, [](const Message* a, const Message* b) {
-        if (a->event.time != b->event.time) {
-          return a->event.time < b->event.time;
-        }
-        if (a->src != b->src) return a->src < b->src;
-        return a->event.seq < b->event.seq;  // the send counters
-      });
-    }
-    EventHeap& queue = queues_[static_cast<size_t>(node)];
-    for (; first != last; ++first) {
-      Event event = (*first)->event;
-      event.seq = node_seq_[static_cast<size_t>(node)]++;
-      queue.Push(event);
-    }
-  }
-  // The inbox points into the buckets, so they empty only now.
-  for (size_t src = 0; src < num_shards; ++src) {
-    buckets_[src * num_shards + dst].messages.clear();
+    bucket.clear();
   }
 }
 
-void Engine::StepParty(int party, int parties, const Window& window,
+void Engine::StepParty(int party, int parties,
                        CyclicBarrier* barrier) noexcept {
   const int num_shards = options_.exec.num_shards;
   for (int s = party; s < num_shards; s += parties) {
-    StepShard(s, window.end, window.budget);
+    StepShard(s, window_.end, window_.budget);
   }
   // Every send of the window is in its bucket before any shard drains one.
   if (barrier != nullptr) barrier->Arrive();
@@ -231,8 +206,8 @@ void Engine::StepParty(int party, int parties, const Window& window,
   if (barrier != nullptr) barrier->Arrive();
 }
 
-Result<EngineStats> Engine::StepWindows(int parties, CyclicBarrier* barrier,
-                                        Window* window) {
+Result<EngineStats> Engine::StepWindows(int parties,
+                                        CyclicBarrier* barrier) {
   EngineStats stats;
   for (Shard& shard : shards_) shard.end_time = 0.0;
 
@@ -246,34 +221,44 @@ Result<EngineStats> Engine::StepWindows(int parties, CyclicBarrier* barrier,
   // The first window follows none, so it goes to the parties.
   int64_t last_window_events = kInlineWindowEvents;
   while (t_min != kInf) {
-    window->end = t_min + options_.lookahead;
+    if (stats.windows == kMaxWindows) {
+      return Status::ResourceExhausted(
+          "the run needs more than " + std::to_string(kMaxWindows) +
+          " windows, the engine's limit, at the window starting at t=" +
+          std::to_string(t_min) + " (" +
+          std::to_string(stats.events_executed) +
+          " events executed, sim time reached " +
+          std::to_string(stats.end_time) + ")");
+    }
+    window_.end = t_min + options_.lookahead;
+    window_.stamp = static_cast<uint32_t>(2 * stats.windows + 2);
     // Every shard may spend what is left of the max_events budget, so the
     // guard trips iff the window's events would take the total past
     // max_events, whatever the shard count.
-    window->budget = options_.max_events > 0
+    window_.budget = options_.max_events > 0
                          ? options_.max_events - stats.events_executed
                          : INT64_MAX;
     if (parties == 1 || last_window_events < kInlineWindowEvents) {
       // Shards touch disjoint nodes within a phase, so stepping them in
       // turn is equivalent to stepping them concurrently.
-      StepParty(0, 1, *window, nullptr);
+      StepParty(0, 1, nullptr);
     } else {
       barrier->Arrive();  // opens the window for the pool parties
-      StepParty(0, parties, *window, barrier);
+      StepParty(0, parties, barrier);
     }
     bool overflow = false;
     double end_time = stats.end_time;
     double next_time = kInf;
-    int64_t delivered = 0;
+    int64_t sent = 0;
     last_window_events = 0;
     for (const Shard& shard : shards_) {
       last_window_events += shard.events;
-      delivered += shard.delivered;
+      sent += shard.sent;
       end_time = std::max(end_time, shard.end_time);
       next_time = std::min(next_time, shard.next_time);
       overflow = overflow || shard.overflow;
     }
-    if (overflow || last_window_events > window->budget) {
+    if (overflow || last_window_events > window_.budget) {
       // Report only shard-invariant progress: what ran before this window.
       return Status::ResourceExhausted(
           "event count exceeded max_events=" +
@@ -286,8 +271,8 @@ Result<EngineStats> Engine::StepWindows(int parties, CyclicBarrier* barrier,
     ++stats.windows;
     stats.events_executed += last_window_events;
     stats.end_time = end_time;
-    stats.messages_delivered += delivered;
-    // The earliest delivery may start the next window.
+    stats.messages_delivered += sent;
+    // The earliest message may start the next window.
     t_min = next_time;
   }
   return stats;
@@ -304,26 +289,27 @@ Result<EngineStats> Engine::RunWindowed() {
           : static_cast<int>(std::min(static_cast<size_t>(num_shards),
                                       pool->num_threads() + 1));
   CyclicBarrier barrier(static_cast<size_t>(parties));
-  Window window;
   for (int party = 1; party < parties; ++party) {
-    pool->Submit([this, &barrier, &window, party, parties] {
+    pool->Submit([this, &barrier, party, parties] {
       for (;;) {
         // The caller opens each pooled window, or the end of Run, here.
         barrier.Arrive();
-        if (window.stop) return;
-        StepParty(party, parties, window, &barrier);
+        if (window_.stop) return;
+        StepParty(party, parties, &barrier);
       }
     });
   }
-  Result<EngineStats> result = StepWindows(parties, &barrier, &window);
+  Result<EngineStats> result = StepWindows(parties, &barrier);
   if (parties > 1) {
     // Every window ends with the parties back at the opening barrier, so
     // every exit, errors included, can release them there and wait for them
     // to leave.
-    window.stop = true;
+    window_.stop = true;
     barrier.Arrive();
     pool->WaitIdle();
   }
+  // Schedules made after Run get stamp 0, as before it.
+  window_ = Window{};
   return result;
 }
 

@@ -62,7 +62,9 @@ struct EngineStats {
   double end_time = 0.0;
   /// Skew-bounded windows stepped.
   int64_t windows = 0;
-  /// Cross-node messages delivered through the ordered mailboxes.
+  /// Messages sent during Run; each is in its destination's queue by the
+  /// end of the window that sent it. A Send before Run schedules at once
+  /// and does not count.
   int64_t messages_delivered = 0;
 };
 
@@ -73,14 +75,21 @@ struct EngineStats {
 /// deliver -> barrier.
 ///
 /// Determinism contract: a node's state may be touched only by handlers
-/// dispatched on that node; cross-node effects go through Send(), which
-/// buffers into a bucket per (source shard, destination shard) during a
-/// window. After the step barrier, the shard owning a destination groups
-/// its incoming buckets by node and delivers each group in (arrival time,
-/// src node, src send seq) order. Node-local event order, delivery order,
-/// and the ordered reductions below are therefore invariant under the
-/// shard count and the pool size: serial and threaded runs are
-/// bit-identical.
+/// dispatched on that node; cross-node effects go through Send(). Every
+/// event's key (time, window stamp, origin node, origin's counter) is
+/// unique within its node's queue. A schedule made before Run has stamp 0;
+/// in window w (from 0) a node's own schedules get stamp 2w + 2, with the
+/// node's schedule counter, and its sends 2w + 3, with the sender as origin
+/// and its send counter. Equal-time events at a node therefore run in this
+/// order: schedules made before Run; then, window by window, its own
+/// schedules followed by the window's messages in (src node, src send seq)
+/// order. The key fixes that order whatever the pushes' order, so Send
+/// pushes a message straight into its destination's queue when both nodes
+/// share a shard. Otherwise it appends to a bucket per (source shard,
+/// destination shard), which the destination's shard pushes after the step
+/// barrier. Node-local event order and the ordered reductions below are
+/// therefore invariant under the shard count and the pool size: serial and
+/// threaded runs are bit-identical.
 class Engine {
  public:
   /// A handler dispatches one typed event. It runs on the shard owning
@@ -112,10 +121,11 @@ class Engine {
                       int64_t b = 0, double x = 0.0);
 
   /// Sends a cross-node message: an event on `dst` at `now + delay`, where
-  /// `now` is the sending event's time (or 0 before Run). During Run
-  /// `delay` must be >= lookahead. Before Run, calls are serial, so a Send
-  /// with any delay >= 0 schedules its event at once, in call order; such
-  /// sends do not count in EngineStats::messages_delivered.
+  /// `now` is the sending event's time or later (or 0 before Run). During
+  /// Run `delay` must be >= lookahead, so the arrival falls at or after the
+  /// end of the current window (both CHECKed). Before Run, calls are
+  /// serial, so a Send with any delay >= 0 schedules its event at once, in
+  /// call order; such sends do not count in EngineStats::messages_delivered.
   void Send(int src, int dst, double delay, double now, int type,
             int64_t a = 0, int64_t b = 0, double x = 0.0);
 
@@ -123,7 +133,9 @@ class Engine {
   /// ResourceExhausted when the max_events guard trips: a window would take
   /// the events executed past max_events. The error names that window's
   /// start time and the events executed and sim time reached before it,
-  /// all independent of the shard count. Otherwise returns the run's stats.
+  /// all independent of the shard count. A run that would step more than
+  /// 2^31 - 1 windows (the window stamps are 32 bits) is ResourceExhausted
+  /// too, naming that limit. Otherwise returns the run's stats.
   /// A guard stops a run mid-window, with messages in flight, so an engine
   /// whose Run failed must not be run again.
   [[nodiscard]] Result<EngineStats> Run();
@@ -131,48 +143,36 @@ class Engine {
   int num_nodes() const { return num_nodes_; }
 
  private:
-  // Cross-node message, buffered from Send until its destination's shard
-  // delivers it. Send fills it field by field in its bucket slot, and
-  // delivery reads it through a pointer: no copy is made on the way.
-  struct Message {
-    // The event at dst: event.time is the arrival time, and event.seq holds
-    // src's send counter (the final tie-break) until delivery stamps dst's
-    // own seq on the heap's copy.
-    Event event;
-    int32_t src = 0;  // sending node: the tie-break after arrival time
-  };
-  static_assert(sizeof(Event) == 48);
-  static_assert(sizeof(Message) == 56);
-  // One (source shard, destination shard) pair's sends in one window: only
-  // the party stepping the source appends, and only the party owning the
-  // destination drains it, after the step barrier. Each sits on its own
-  // cache line: shards append concurrently, and adjacent vector headers
-  // would share one.
+  static_assert(sizeof(Event) == 56);
+  // One (source shard, destination shard) pair's sends in one window, for
+  // two different shards: only the party stepping the source appends, and
+  // only the party owning the destination drains it, after the step
+  // barrier. Each sits on its own cache line: shards append concurrently,
+  // and adjacent vector headers would share one.
   struct alignas(64) Bucket {
-    std::vector<Message> messages;
+    std::vector<Event> events;
   };
-  // One shard's nodes, delivery scratch and window results. Inside a window
-  // only the party owning the shard touches it; the caller merges the
-  // results in shard order once the window's last barrier has passed.
+  // One shard's nodes and window results. Inside a window only the party
+  // owning the shard touches it; the caller merges the results in shard
+  // order once the window's last barrier has passed.
   struct alignas(64) Shard {
     int begin = 0;  // owned nodes [begin, end)
     int end = 0;
-    // The window's incoming messages grouped by node, as pointers into the
-    // buckets: node begin + i's group is inbox[inbox_begin[i],
-    // inbox_begin[i + 1]). Both reused across windows.
-    std::vector<const Message*> inbox;
-    std::vector<size_t> inbox_begin;  // end - begin + 1 entries
-    int64_t events = 0;               // executed this window
-    int64_t delivered = 0;            // messages delivered this window
-    double end_time = 0.0;            // latest executed event so far
-    double next_time = 0.0;           // earliest pending event after delivery
-    bool overflow = false;            // max_events tripped mid-window
+    int64_t events = 0;      // executed this window
+    int64_t sent = 0;        // messages its nodes sent this window
+    double end_time = 0.0;   // latest executed event so far
+    double next_time = 0.0;  // earliest pending event after delivery
+    bool overflow = false;   // max_events tripped mid-window
   };
-  // A pooled window's bounds, published by the caller before the barrier
-  // that opens the window; `stop` releases the parties at the end of Run.
+  // The current window, published by the caller before the window steps
+  // (before the barrier that opens it, when the parties step it); `stop`
+  // releases the parties at the end of Run.
   struct Window {
     double end = 0.0;
     int64_t budget = 0;  // events each shard may execute
+    // The nodes' own schedules carry this stamp, and their sends stamp + 1:
+    // 0 outside Run, 2w + 2 in window w.
+    uint32_t stamp = 0;
     bool stop = false;
   };
 
@@ -180,31 +180,30 @@ class Engine {
   Result<EngineStats> RunWindowed();
   // The caller's loop over windows: steps each one inline or together with
   // the pool parties, and merges the shards' results.
-  Result<EngineStats> StepWindows(int parties, CyclicBarrier* barrier,
-                                  Window* window);
+  Result<EngineStats> StepWindows(int parties, CyclicBarrier* barrier);
   // Party `party` of `parties` steps its shards (party, party + parties,
-  // ...) through `window`, then delivers their incoming messages, meeting
+  // ...) through the window, then delivers their incoming buckets, meeting
   // the other parties at `barrier` after each phase (none when inline).
-  void StepParty(int party, int parties, const Window& window,
-                 CyclicBarrier* barrier) noexcept;
+  void StepParty(int party, int parties, CyclicBarrier* barrier) noexcept;
   // Steps one shard's nodes through [T, window_end), stopping with its
   // overflow flag set once it has executed `budget` events and more remain
   // in the window.
   void StepShard(int shard, double window_end, int64_t budget);
-  // Moves the window's messages for the shard's nodes from its incoming
-  // buckets into their calendar queues, then empties those buckets.
+  // Pushes the window's messages from the shard's incoming buckets into
+  // their calendar queues, then empties those buckets.
   void DeliverShard(int shard);
 
   int num_nodes_;
   EngineOptions options_;
   std::vector<Handler> handlers_;
-  std::vector<EventHeap> queues_;        // one calendar queue per node
-  std::vector<uint64_t> node_seq_;       // per-node order
-  std::vector<uint64_t> send_seq_;       // per-src mailbox key
-  std::vector<int> node_shard_;          // the shard owning each node
+  std::vector<EventHeap> queues_;   // one calendar queue per node
+  std::vector<uint64_t> node_seq_;  // per-node schedule counter
+  std::vector<uint64_t> send_seq_;  // per-node send counter
+  std::vector<int> node_shard_;     // the shard owning each node
   // Indexed [source shard * num_shards + destination shard].
   std::vector<Bucket> buckets_;
   std::vector<Shard> shards_;
+  Window window_;
   bool running_ = false;
 };
 

@@ -9,9 +9,9 @@
 
 namespace dmlscale::sim {
 
-/// A binary min-heap of POD events keyed by (time, seq). The engine keeps
-/// one per node as its calendar queue (Graphite's event_heap shape), so
-/// pushes and pops touch only that node's storage — which is what lets
+/// A binary min-heap of POD events keyed by (time, stamp, seq). The engine
+/// keeps one per node as its calendar queue (Graphite's event_heap shape),
+/// so pushes and pops touch only that node's storage — which is what lets
 /// shards step disjoint node sets without synchronization. The sequential
 /// sims (tree reduce and broadcast, parameter server, per-link DES) run a
 /// plain loop over one heap, stamping seq from a local counter at each
@@ -21,9 +21,9 @@ namespace dmlscale::sim {
 /// over into a hole and stores the event being placed once, in its final
 /// slot. Neither reads back an event it has just written, so a load never
 /// waits on a store that only partly covers it (std::push_heap re-reads
-/// the element push_back has just stored). Seqs are unique within a heap,
-/// so the pop order is the (time, seq) order std::push_heap / pop_heap
-/// give.
+/// the element push_back has just stored). Keys are unique within a heap,
+/// so the pop order is the key order std::push_heap / pop_heap give, and
+/// it does not depend on the order of the pushes.
 class EventHeap {
  public:
   /// Inserts `event`. O(log size). Taken by value, so passing an element of
