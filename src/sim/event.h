@@ -22,9 +22,9 @@ struct Event {
   /// event_engine.h), so shard layout cannot leak into the order; a plain
   /// EventHeap loop leaves it 0.
   uint64_t stamp = 0;
-  /// Last tie-break: a counter of the origin node's schedules or sends in
-  /// the Engine, one counter stamped at each push in a plain EventHeap
-  /// loop, so there equal-time events run in push order.
+  /// Last tie-break. The Engine takes it from the origin node's counter; a
+  /// plain EventHeap loop stamps it from one counter at each push, so there
+  /// equal-time events run in push order.
   uint64_t seq = 0;
   /// Handler index from Engine::AddHandler.
   int32_t type = 0;

@@ -37,7 +37,6 @@ Engine::Engine(int num_nodes, EngineOptions options)
   const size_t nodes = static_cast<size_t>(num_nodes);
   queues_.resize(nodes);
   node_seq_.assign(nodes, 0);
-  send_seq_.assign(nodes, 0);
   // Run rejects num_shards < 1 before any Send can reach a bucket.
   const int num_shards = std::max(options_.exec.num_shards, 1);
   node_shard_.resize(nodes);
@@ -116,7 +115,7 @@ void Engine::Send(int src, int dst, double delay, double now, int type,
   const double arrival = now + delay;
   DMLSCALE_CHECK_GE(arrival, window_.end);
   const uint64_t stamp = PackStamp(window_.stamp + 1, src);
-  const uint64_t seq = send_seq_[static_cast<size_t>(src)]++;
+  const uint64_t seq = node_seq_[static_cast<size_t>(src)]++;
   // Only the party stepping `src`'s shard sends from it inside a window, so
   // neither its shard's counters nor its buckets need a lock.
   const int from = node_shard_[static_cast<size_t>(src)];
@@ -218,17 +217,21 @@ Result<EngineStats> Engine::StepWindows(int parties,
     if (!queue.empty()) t_min = std::min(t_min, queue.Top().time);
   }
 
+  // Both guards report only shard-invariant progress: what ran before the
+  // window starting at t_min.
+  const auto exhausted = [&](const std::string& what) {
+    return Status::ResourceExhausted(
+        what + " in the window starting at t=" + std::to_string(t_min) +
+        " (" + std::to_string(stats.events_executed) +
+        " events executed, sim time reached " +
+        std::to_string(stats.end_time) + ")");
+  };
   // The first window follows none, so it goes to the parties.
   int64_t last_window_events = kInlineWindowEvents;
   while (t_min != kInf) {
     if (stats.windows == kMaxWindows) {
-      return Status::ResourceExhausted(
-          "the run needs more than " + std::to_string(kMaxWindows) +
-          " windows, the engine's limit, at the window starting at t=" +
-          std::to_string(t_min) + " (" +
-          std::to_string(stats.events_executed) +
-          " events executed, sim time reached " +
-          std::to_string(stats.end_time) + ")");
+      return exhausted("window count reached the engine's limit of " +
+                       std::to_string(kMaxWindows));
     }
     window_.end = t_min + options_.lookahead;
     window_.stamp = static_cast<uint32_t>(2 * stats.windows + 2);
@@ -259,14 +262,8 @@ Result<EngineStats> Engine::StepWindows(int parties,
       overflow = overflow || shard.overflow;
     }
     if (overflow || last_window_events > window_.budget) {
-      // Report only shard-invariant progress: what ran before this window.
-      return Status::ResourceExhausted(
-          "event count exceeded max_events=" +
-          std::to_string(options_.max_events) +
-          " in the window starting at t=" + std::to_string(t_min) + " (" +
-          std::to_string(stats.events_executed) +
-          " events executed, sim time reached " +
-          std::to_string(stats.end_time) + ")");
+      return exhausted("event count exceeded max_events=" +
+                       std::to_string(options_.max_events));
     }
     ++stats.windows;
     stats.events_executed += last_window_events;

@@ -77,13 +77,13 @@ struct EngineStats {
 /// Determinism contract: a node's state may be touched only by handlers
 /// dispatched on that node; cross-node effects go through Send(). Every
 /// event's key (time, window stamp, origin node, origin's counter) is
-/// unique within its node's queue. A schedule made before Run has stamp 0;
-/// in window w (from 0) a node's own schedules get stamp 2w + 2, with the
-/// node's schedule counter, and its sends 2w + 3, with the sender as origin
-/// and its send counter. Equal-time events at a node therefore run in this
-/// order: schedules made before Run; then, window by window, its own
-/// schedules followed by the window's messages in (src node, src send seq)
-/// order. The key fixes that order whatever the pushes' order, so Send
+/// unique within its node's queue; each node counts the schedules made on
+/// it and the sends it makes. A schedule made before Run has stamp 0; in
+/// window w (from 0) a node's own schedules get stamp 2w + 2 and its sends
+/// 2w + 3, with the sender as origin. Equal-time events at a node therefore
+/// run in this order: schedules made before Run; then, window by window,
+/// its own schedules followed by the window's messages, by src node and
+/// then in send order. The key fixes that order whatever the pushes' order, so Send
 /// pushes a message straight into its destination's queue when both nodes
 /// share a shard. Otherwise it appends to a bucket per (source shard,
 /// destination shard), which the destination's shard pushes after the step
@@ -197,8 +197,7 @@ class Engine {
   EngineOptions options_;
   std::vector<Handler> handlers_;
   std::vector<EventHeap> queues_;   // one calendar queue per node
-  std::vector<uint64_t> node_seq_;  // per-node schedule counter
-  std::vector<uint64_t> send_seq_;  // per-node send counter
+  std::vector<uint64_t> node_seq_;  // per node: schedules on it, its sends
   std::vector<int> node_shard_;     // the shard owning each node
   // Indexed [source shard * num_shards + destination shard].
   std::vector<Bucket> buckets_;
