@@ -83,13 +83,13 @@ struct EngineStats {
 /// 2w + 3, with the sender as origin. Equal-time events at a node therefore
 /// run in this order: schedules made before Run; then, window by window,
 /// its own schedules followed by the window's messages, by src node and
-/// then in send order. The key fixes that order whatever the pushes' order, so Send
-/// pushes a message straight into its destination's queue when both nodes
-/// share a shard. Otherwise it appends to a bucket per (source shard,
-/// destination shard), which the destination's shard pushes after the step
-/// barrier. Node-local event order and the ordered reductions below are
-/// therefore invariant under the shard count and the pool size: serial and
-/// threaded runs are bit-identical.
+/// then in send order. The key fixes that order whatever the pushes'
+/// order, so Send pushes a message straight into its destination's queue
+/// when both nodes share a shard. Otherwise it appends to a bucket per
+/// (source shard, destination shard), which the destination's shard pushes
+/// after the step barrier. Node-local event order and the ordered
+/// reductions below are therefore invariant under the shard count and the
+/// pool size: serial and threaded runs are bit-identical.
 class Engine {
  public:
   /// A handler dispatches one typed event. It runs on the shard owning
