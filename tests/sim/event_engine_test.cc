@@ -61,6 +61,43 @@ TEST(EventHeapTest, PopsInTimeThenSeqOrder) {
   EXPECT_TRUE(expected.empty());
 }
 
+// A fixed-seed mix of heap operations on heaps of 0 to 64 events, checked
+// against a reference ordered by (time, stamp, seq). Times and stamps come
+// from small ranges, so most comparisons fall through to the later keys.
+TEST(EventHeapTest, RandomOpsPopInKeyOrder) {
+  constexpr size_t kMaxSize = 64;
+  using Key = std::tuple<double, uint64_t, uint64_t, int64_t>;
+  const auto key = [](const Event& event) {
+    return Key{event.time, event.stamp, event.seq, event.a};
+  };
+  EventHeap heap;
+  std::set<Key> expected;
+  Pcg32 rng(31);
+  uint64_t seq = 0;
+  for (int64_t op = 0; op < 20000; ++op) {
+    const bool push = expected.empty() ||
+                      (expected.size() < kMaxSize && rng.NextBounded(2) == 0);
+    if (push) {
+      const Event event{.time = static_cast<double>(rng.NextBounded(6)),
+                        .stamp = rng.NextBounded(3),
+                        .seq = seq++,
+                        .a = op};
+      heap.Push(event);
+      expected.insert(key(event));
+    } else {
+      ASSERT_EQ(key(heap.Top()), *expected.begin()) << "op " << op;
+      ASSERT_EQ(key(heap.PopTop()), *expected.begin()) << "op " << op;
+      expected.erase(expected.begin());
+    }
+    ASSERT_EQ(heap.size(), expected.size()) << "op " << op;
+  }
+  while (!heap.empty()) {
+    ASSERT_EQ(key(heap.PopTop()), *expected.begin());
+    expected.erase(expected.begin());
+  }
+  EXPECT_TRUE(expected.empty());
+}
+
 // Engine options for the cases that need no particular window size.
 EngineOptions UnitWindows() {
   EngineOptions options;
@@ -244,6 +281,95 @@ TEST(EventEngineTest, EqualTimeEventsRunInScheduleThenWindowOrder) {
                                     150, 151, -3, 1000, 1001, 1100, 1101}))
         << "shards=" << shards;
     EXPECT_EQ(stats.value().messages_delivered, 24) << "shards=" << shards;
+  }
+}
+
+// Pins the order at a node that holds many events whenever it pops, while
+// its handlers schedule 0, 1 or 3 events on it (some at the current time,
+// so they tie on seq with each other) and send to it. Node 2 runs, with
+// lookahead 1:
+//   window [0, 1): its five events at t = 0 scheduled before Run, in seq
+//     order; then their schedules at t = 0 (10, 11, 30, 41), in seq order;
+//     at t = 0.5 the pre-Run 6 before 12;
+//   window [1, 2): at t = 1 the pre-Run 7 and 8, then the window-0 messages
+//     by src (1000 from node 0; 40 and 50 from itself, in send order; 7000
+//     from node 7), then 80, scheduled by 8 in this window.
+// Node 0 shares node 2's shard at 1 and 2 shards, node 7 only at 1.
+TEST(EventEngineTest, BusyNodeRunsItsOwnSchedulesAndSendsInKeyOrder) {
+  constexpr int kNodes = 8;
+  constexpr int kBusy = 2;
+  using Trace = std::vector<std::tuple<double, int, int, int64_t>>;
+  for (int shards : {1, 2, 4, 8}) {
+    ThreadPool pool(static_cast<size_t>(shards));
+    EngineOptions options;
+    options.lookahead = 1.0;
+    options.exec.num_shards = shards;
+    options.exec.pool = &pool;
+    Engine engine(kNodes, options);
+    // Each node appends only to its own trace, so the parties do not race.
+    std::vector<Trace> traces(kNodes);
+    const auto record = [&traces](const Event& event) {
+      traces[static_cast<size_t>(event.node)].emplace_back(
+          event.time, event.node, event.type, event.a);
+    };
+    const int plain = engine.AddHandler(record);
+    const int none = engine.AddHandler(record);
+    const int one = engine.AddHandler([&](const Event& event) {
+      record(event);
+      engine.MustScheduleAt(event.node, event.time, plain, 10 * event.a);
+    });
+    const int three = engine.AddHandler([&](const Event& event) {
+      record(event);
+      engine.MustScheduleAt(event.node, event.time, plain, 10 * event.a);
+      engine.MustScheduleAt(event.node, event.time, plain, 10 * event.a + 1);
+      engine.MustScheduleAt(event.node, event.time + 0.5, plain,
+                            10 * event.a + 2);
+    });
+    const int send_then_one = engine.AddHandler([&](const Event& event) {
+      record(event);
+      engine.Send(event.node, event.node, 1.0, event.time, plain,
+                  10 * event.a);
+      engine.MustScheduleAt(event.node, event.time, plain, 10 * event.a + 1);
+    });
+    const int send_only = engine.AddHandler([&](const Event& event) {
+      record(event);
+      engine.Send(event.node, event.node, 1.0, event.time, plain,
+                  10 * event.a);
+    });
+    const int send_to_busy = engine.AddHandler([&](const Event& event) {
+      record(event);
+      engine.Send(event.node, kBusy, 1.0, event.time, plain, 10 * event.a);
+    });
+    engine.MustScheduleAt(kBusy, 0.0, three, 1);
+    engine.MustScheduleAt(kBusy, 0.0, none, 2);
+    engine.MustScheduleAt(kBusy, 0.0, one, 3);
+    engine.MustScheduleAt(kBusy, 0.0, send_then_one, 4);
+    engine.MustScheduleAt(kBusy, 0.0, send_only, 5);
+    engine.MustScheduleAt(kBusy, 0.5, plain, 6);
+    engine.MustScheduleAt(kBusy, 1.0, none, 7);
+    engine.MustScheduleAt(kBusy, 1.0, one, 8);
+    engine.MustScheduleAt(0, 0.0, send_to_busy, 100);
+    engine.MustScheduleAt(7, 0.0, send_to_busy, 700);
+    Result<EngineStats> stats = engine.Run();
+    ASSERT_TRUE(stats.ok()) << "shards=" << shards;
+
+    std::vector<Trace> expected(kNodes);
+    expected[0] = {{0.0, 0, send_to_busy, 100}};
+    expected[7] = {{0.0, 7, send_to_busy, 700}};
+    expected[kBusy] = {
+        {0.0, kBusy, three, 1},        {0.0, kBusy, none, 2},
+        {0.0, kBusy, one, 3},          {0.0, kBusy, send_then_one, 4},
+        {0.0, kBusy, send_only, 5},    {0.0, kBusy, plain, 10},
+        {0.0, kBusy, plain, 11},       {0.0, kBusy, plain, 30},
+        {0.0, kBusy, plain, 41},       {0.5, kBusy, plain, 6},
+        {0.5, kBusy, plain, 12},       {1.0, kBusy, none, 7},
+        {1.0, kBusy, one, 8},          {1.0, kBusy, plain, 1000},
+        {1.0, kBusy, plain, 40},       {1.0, kBusy, plain, 50},
+        {1.0, kBusy, plain, 7000},     {1.0, kBusy, plain, 80}};
+    EXPECT_EQ(traces, expected) << "shards=" << shards;
+    EXPECT_EQ(stats.value().events_executed, 20) << "shards=" << shards;
+    EXPECT_EQ(stats.value().messages_delivered, 4) << "shards=" << shards;
+    EXPECT_EQ(stats.value().windows, 2) << "shards=" << shards;
   }
 }
 
