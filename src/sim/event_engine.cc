@@ -21,6 +21,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // than the window's work. Results are shard-invariant either way.
 constexpr int64_t kInlineWindowEvents = 2048;
 
+// A queue holding at most this many events when its node pops pops before
+// the handler runs. From two events a pop moves one event, so deferring it
+// for a ReplaceTop saves no sift, and the ring's queues hold at most two at
+// every pop but 270 of 10,010,000: there the deferral's extra bookkeeping
+// cost 7-22% of the serial step, against noise with this gate.
+constexpr size_t kPopFirstMaxEvents = 2;
+
 // Window w's sends carry stamp 2w + 3, which must fit in 32 bits.
 constexpr int64_t kMaxWindows = (int64_t{1} << 31) - 1;
 
@@ -85,10 +92,20 @@ Status Engine::ScheduleAt(int node, double time, int type, int64_t a,
   }
   DMLSCALE_CHECK(type >= 0 && type < static_cast<int>(handlers_.size()));
   DMLSCALE_CHECK_GE(time, 0.0);
-  queues_[static_cast<size_t>(node)].Push(
-      Event{time, PackStamp(window_.stamp, node),
-            node_seq_[static_cast<size_t>(node)]++, static_cast<int32_t>(type),
-            static_cast<int32_t>(node), a, b, x});
+  const Event event{time, PackStamp(window_.stamp, node),
+                    node_seq_[static_cast<size_t>(node)]++,
+                    static_cast<int32_t>(type), static_cast<int32_t>(node),
+                    a, b, x};
+  EventHeap& queue = queues_[static_cast<size_t>(node)];
+  Shard& shard = shards_[static_cast<size_t>(
+      node_shard_[static_cast<size_t>(node)])];
+  if (shard.popping == node) {
+    // The running event's first schedule on its own node takes its place.
+    shard.popping = -1;
+    queue.ReplaceTop(event);
+  } else {
+    queue.Push(event);
+  }
   return Status::OK();
 }
 
@@ -166,10 +183,27 @@ void Engine::StepShard(int index, double window_end, int64_t budget) {
         shard.end_time = end_time;
         return;
       }
-      Event event = queue.PopTop();
+      // The handler gets a copy: its first schedule on this node overwrites
+      // the top while it runs.
+      const Event event = queue.Top();
       end_time = std::max(end_time, event.time);
       ++executed;
-      handlers_[static_cast<size_t>(event.type)](event);
+      const Handler& handler = handlers_[static_cast<size_t>(event.type)];
+      if (queue.size() <= kPopFirstMaxEvents) {
+        queue.Pop();
+        handler(event);
+        continue;
+      }
+      // Deferred pop: until the handler schedules on this node, only later
+      // events reach its queue, so the running event stays on top. A Send
+      // lands at or after the window's end, no other node of the shard runs
+      // meanwhile, and other shards' messages arrive after the barrier.
+      shard.popping = node;
+      handler(event);
+      if (shard.popping == node) {
+        shard.popping = -1;
+        queue.Pop();
+      }
     }
     if (!queue.empty()) {
       shard.next_time = std::min(shard.next_time, queue.Top().time);

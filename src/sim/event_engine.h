@@ -90,13 +90,22 @@ struct EngineStats {
 /// after the step barrier. Node-local event order and the ordered
 /// reductions below are therefore invariant under the shard count and the
 /// pool size: serial and threaded runs are bit-identical.
+///
+/// A node whose queue holds more than two events when it pops leaves the
+/// running event on top while the handler runs, and the handler's first
+/// ScheduleAt on its own node replaces it there (EventHeap::ReplaceTop):
+/// one sift down instead of a pop and a push. If the handler makes no such
+/// schedule, the step pops the event after the handler returns. Meanwhile
+/// only later events can reach the queue, so the pop order is unchanged.
 class Engine {
  public:
   /// A handler dispatches one typed event. It runs on the shard owning
   /// `event.node` and must confine itself to that node's state plus
-  /// ScheduleAt on the same node / Send to any node. It must not throw: the
-  /// parties of a sharded Run cannot be released mid-window, so an
-  /// exception escaping a handler ends the process.
+  /// ScheduleAt on the same node / Send to any node. `event` is a copy, not
+  /// the queued record: the handler's first ScheduleAt on its own node may
+  /// take the event's place in the queue. It must not throw: the parties of
+  /// a sharded Run cannot be released mid-window, so an exception escaping
+  /// a handler ends the process.
   using Handler = std::function<void(const Event& event)>;
 
   Engine(int num_nodes, EngineOptions options);
@@ -162,7 +171,10 @@ class Engine {
     int64_t sent = 0;        // messages its nodes sent this window
     double end_time = 0.0;   // latest executed event so far
     double next_time = 0.0;  // earliest pending event after delivery
-    bool overflow = false;   // max_events tripped mid-window
+    // The node whose running event is still on top of its queue, until the
+    // handler's first ScheduleAt on it replaces that event (-1: none).
+    int popping = -1;
+    bool overflow = false;  // max_events tripped mid-window
   };
   // The current window, published by the caller before the window steps
   // (before the barrier that opens it, when the parties step it); `stop`

@@ -17,13 +17,16 @@ namespace dmlscale::sim {
 /// plain loop over one heap, stamping seq from a local counter at each
 /// push, so equal-time events pop in push order.
 ///
-/// Both operations are hole-based sifts: each moves the events it passes
+/// Every change is a hole-based sift: Push sifts up from a new leaf, Pop
+/// and ReplaceTop sift down from the root. Each moves the events it passes
 /// over into a hole and stores the event being placed once, in its final
-/// slot. Neither reads back an event it has just written, so a load never
+/// slot. None reads back an event it has just written, so a load never
 /// waits on a store that only partly covers it (std::push_heap re-reads
 /// the element push_back has just stored). Keys are unique within a heap,
 /// so the pop order is the key order std::push_heap / pop_heap give, and
-/// it does not depend on the order of the pushes.
+/// it does not depend on the order of the pushes. ReplaceTop is the
+/// classic heap replace-top (Williams, "Algorithm 232: Heapsort", CACM
+/// 7(6), 1964): one sift where a Pop and a Push would take two.
 class EventHeap {
  public:
   /// Inserts `event`. O(log size). Taken by value, so passing an element of
@@ -43,32 +46,51 @@ class EventHeap {
   /// The earliest event; undefined when empty. O(1).
   const Event& Top() const { return heap_.front(); }
 
+  /// Removes the earliest event. O(log size).
+  void Pop() {
+    DMLSCALE_CHECK(!heap_.empty());
+    // The last event fills the hole at the root. The sift writes only the
+    // slots below `size`, so the last slot stays intact until it is read.
+    const size_t size = heap_.size() - 1;
+    SiftDown(heap_[size], size);
+    heap_.pop_back();
+  }
+
   /// Removes and returns the earliest event. O(log size).
   Event PopTop() {
     DMLSCALE_CHECK(!heap_.empty());
-    const Event top = heap_.front();
-    // The last event fills the hole at the root: move the earlier child up
-    // into the hole until the last event fits there.
-    const size_t size = heap_.size() - 1;
-    const Event& last = heap_[size];
-    size_t hole = 0;
-    for (size_t child = 1; child < size; child = 2 * hole + 1) {
-      if (child + 1 < size && EventAfter{}(heap_[child], heap_[child + 1])) {
-        ++child;
-      }
-      if (!EventAfter{}(last, heap_[child])) break;
-      heap_[hole] = heap_[child];
-      hole = child;
-    }
-    heap_[hole] = last;
-    heap_.pop_back();
+    const Event top = Top();
+    Pop();
     return top;
+  }
+
+  /// Replaces the earliest event with `event`, as Pop then Push would, in
+  /// one sift down from the root. O(log size). Taken by value, so passing
+  /// an element of this heap is safe.
+  void ReplaceTop(Event event) {
+    DMLSCALE_CHECK(!heap_.empty());
+    SiftDown(event, heap_.size());
   }
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
 
  private:
+  // Fills the hole at the root of the first `size` slots with `event`: moves
+  // the earlier child up into the hole until `event` fits there.
+  void SiftDown(const Event& event, size_t size) {
+    size_t hole = 0;
+    for (size_t child = 1; child < size; child = 2 * hole + 1) {
+      if (child + 1 < size && EventAfter{}(heap_[child], heap_[child + 1])) {
+        ++child;
+      }
+      if (!EventAfter{}(event, heap_[child])) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = event;
+  }
+
   std::vector<Event> heap_;
 };
 

@@ -61,9 +61,10 @@ TEST(EventHeapTest, PopsInTimeThenSeqOrder) {
   EXPECT_TRUE(expected.empty());
 }
 
-// A fixed-seed mix of heap operations on heaps of 0 to 64 events, checked
-// against a reference ordered by (time, stamp, seq). Times and stamps come
-// from small ranges, so most comparisons fall through to the later keys.
+// A fixed-seed mix of Push, PopTop, Pop and ReplaceTop on heaps of 0 to 64
+// events, checked against a reference ordered by (time, stamp, seq). Times
+// and stamps come from small ranges, so most comparisons fall through to
+// the later keys.
 TEST(EventHeapTest, RandomOpsPopInKeyOrder) {
   constexpr size_t kMaxSize = 64;
   using Key = std::tuple<double, uint64_t, uint64_t, int64_t>;
@@ -75,19 +76,37 @@ TEST(EventHeapTest, RandomOpsPopInKeyOrder) {
   Pcg32 rng(31);
   uint64_t seq = 0;
   for (int64_t op = 0; op < 20000; ++op) {
-    const bool push = expected.empty() ||
-                      (expected.size() < kMaxSize && rng.NextBounded(2) == 0);
-    if (push) {
-      const Event event{.time = static_cast<double>(rng.NextBounded(6)),
-                        .stamp = rng.NextBounded(3),
-                        .seq = seq++,
-                        .a = op};
-      heap.Push(event);
-      expected.insert(key(event));
-    } else {
+    const Event event{.time = static_cast<double>(rng.NextBounded(6)),
+                      .stamp = rng.NextBounded(3),
+                      .seq = seq++,
+                      .a = op};
+    // 0-1: Push, 2: PopTop, 3: Pop, 4: ReplaceTop. An empty heap pushes,
+    // and a full one pops instead of pushing.
+    uint32_t kind = rng.NextBounded(5);
+    if (expected.empty()) kind = 0;
+    if (expected.size() == kMaxSize && kind < 2) kind = 2;
+    if (kind >= 2) {
       ASSERT_EQ(key(heap.Top()), *expected.begin()) << "op " << op;
-      ASSERT_EQ(key(heap.PopTop()), *expected.begin()) << "op " << op;
-      expected.erase(expected.begin());
+    }
+    switch (kind) {
+      case 0:
+      case 1:
+        heap.Push(event);
+        expected.insert(key(event));
+        break;
+      case 2:
+        ASSERT_EQ(key(heap.PopTop()), *expected.begin()) << "op " << op;
+        expected.erase(expected.begin());
+        break;
+      case 3:
+        heap.Pop();
+        expected.erase(expected.begin());
+        break;
+      default:
+        heap.ReplaceTop(event);
+        expected.erase(expected.begin());
+        expected.insert(key(event));
+        break;
     }
     ASSERT_EQ(heap.size(), expected.size()) << "op " << op;
   }
