@@ -253,11 +253,18 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
 
   if (scenario.fault_aware() || options.fault_target_seconds > 0.0) {
     const core::FaultSpec& faults = scenario.faults();
+    // The barrier stretch depends only on (faults, n), and each of its
+    // integrals costs about a millisecond: price it once per node count.
+    const std::vector<double> max_slowdown =
+        core::MaxSlowdownTable(faults, max_nodes);
+    const auto expected_at = [&](int n) {
+      return core::ExpectedCompletionSeconds(
+          faults, n, times.Seconds(n), max_slowdown[static_cast<size_t>(n)]);
+    };
     if (scenario.fault_aware()) {
       report.availability = core::Availability(faults);
       const double base = times.Seconds(report.optimal_nodes);
-      auto at_optimum =
-          core::ExpectedCompletionSeconds(faults, report.optimal_nodes, base);
+      auto at_optimum = expected_at(report.optimal_nodes);
       if (at_optimum.ok() && base > 0.0) {
         report.expected_slowdown = at_optimum.value() / base;
       }
@@ -268,8 +275,7 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
       double best_seconds = 0.0;
       int best_nodes = 0;
       for (int n : report.curve.nodes) {
-        auto expected =
-            core::ExpectedCompletionSeconds(faults, n, times.Seconds(n));
+        auto expected = expected_at(n);
         if (!expected.ok()) continue;
         if (best_nodes == 0 || expected.value() < best_seconds) {
           best_seconds = expected.value();
@@ -288,7 +294,7 @@ Result<AnalysisReport> Analysis::Run(const Scenario& scenario,
     if (options.fault_target_seconds > 0.0) {
       report.fault_target_answer =
           ToAnswer(planner.NodesForTargetTimeUnderFaults(
-              options.fault_target_seconds, faults));
+              options.fault_target_seconds, faults, max_slowdown));
     }
   }
 

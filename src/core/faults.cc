@@ -160,17 +160,26 @@ double ExpectedMaxSlowdown(const FaultSpec& spec, int n) {
   return sum * dt;
 }
 
+std::vector<double> MaxSlowdownTable(const FaultSpec& spec, int max_nodes) {
+  std::vector<double> table(static_cast<size_t>(std::max(max_nodes, 0)) + 1,
+                            1.0);
+  for (int n = 1; n <= max_nodes; ++n) {
+    table[static_cast<size_t>(n)] = ExpectedMaxSlowdown(spec, n);
+  }
+  return table;
+}
+
 Result<double> ExpectedCompletionSeconds(const FaultSpec& spec, int n,
-                                         double work_seconds) {
+                                         double work_seconds,
+                                         double max_slowdown) {
   DMLSCALE_RETURN_NOT_OK(spec.Validate());
   if (n < 1) return Status::InvalidArgument("n must be >= 1");
   if (!(work_seconds > 0.0)) {
     return Status::InvalidArgument("work_seconds must be > 0");
   }
   const CheckpointPlan plan = ResolveCheckpointPlan(spec, n, work_seconds);
-  const double jitter = ExpectedMaxSlowdown(spec, n);
   const double segment =
-      plan.interval_s * jitter + spec.checkpoint_cost_s;
+      plan.interval_s * max_slowdown + spec.checkpoint_cost_s;
   const double base = static_cast<double>(plan.segments) * segment;
   if (!spec.CrashesEnabled()) return base;
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -113,6 +114,11 @@ CheckpointPlan ResolveCheckpointPlan(const FaultSpec& spec, int n,
 /// straggler_sigma == 0.
 double ExpectedMaxSlowdown(const FaultSpec& spec, int n);
 
+/// ExpectedMaxSlowdown(spec, n) at index n for every n in [1, max_nodes]
+/// (index 0 holds 1), each integrated once. A caller that prices one spec
+/// at many node counts fills one per job and drops it with the job.
+std::vector<double> MaxSlowdownTable(const FaultSpec& spec, int max_nodes);
+
 /// Expected wall-clock seconds to complete `work_seconds` of fault-free
 /// per-node BSP work on `n` nodes under `spec`:
 ///
@@ -121,11 +127,14 @@ double ExpectedMaxSlowdown(const FaultSpec& spec, int n);
 ///   replica takeover      B / (1 - lambda * D)   (fixed point; InvalidArgument
 ///                         when takeovers cannot keep up, lambda * D >= 1)
 ///
-/// with J = ExpectedMaxSlowdown, seg = tau * J + C, M = 1/lambda the system
-/// MTBF (lambda = n / (mtbf + mttr)), R = mttr, B the crash-free total.
+/// with J = `max_slowdown`, which must be ExpectedMaxSlowdown(spec, n)
+/// (a MaxSlowdownTable entry when one spec is priced at many n),
+/// seg = tau * J + C, M = 1/lambda the system MTBF
+/// (lambda = n / (mtbf + mttr)), R = mttr, B the crash-free total.
 [[nodiscard]] Result<double> ExpectedCompletionSeconds(const FaultSpec& spec,
                                                        int n,
-                                                       double work_seconds);
+                                                       double work_seconds,
+                                                       double max_slowdown);
 
 }  // namespace dmlscale::core
 

@@ -55,7 +55,8 @@ Result<int> CapacityPlanner::NodesForWorkloadGrowth(int current_nodes,
 }
 
 Result<int> CapacityPlanner::NodesForTargetTimeUnderFaults(
-    double target_seconds, const FaultSpec& faults, int min_nodes) const {
+    double target_seconds, const FaultSpec& faults,
+    const std::vector<double>& max_slowdown, int min_nodes) const {
   if (target_seconds <= 0.0) {
     return Status::InvalidArgument("target time must be > 0");
   }
@@ -63,9 +64,10 @@ Result<int> CapacityPlanner::NodesForTargetTimeUnderFaults(
     return Status::InvalidArgument("min_nodes out of range");
   }
   DMLSCALE_RETURN_NOT_OK(faults.Validate());
+  DMLSCALE_CHECK_GT(max_slowdown.size(), static_cast<size_t>(max_nodes_));
   for (int n = min_nodes; n <= max_nodes_; ++n) {
-    Result<double> expected =
-        ExpectedCompletionSeconds(faults, n, time_fn_(n, 1.0));
+    Result<double> expected = ExpectedCompletionSeconds(
+        faults, n, time_fn_(n, 1.0), max_slowdown[static_cast<size_t>(n)]);
     // A node count whose recovery saturates (replica takeover drag >= 1)
     // simply cannot hit any target; keep scanning.
     if (!expected.ok()) continue;

@@ -2,6 +2,7 @@
 #define DMLSCALE_CORE_PLANNER_H_
 
 #include <functional>
+#include <vector>
 
 #include "common/status.h"
 #include "core/faults.h"
@@ -55,12 +56,15 @@ class CapacityPlanner {
 
   /// Failure-aware Question 3: smallest `n >= min_nodes` whose EXPECTED run
   /// time under `faults` — core::ExpectedCompletionSeconds over the
-  /// fault-free time t(n) — is <= `target_seconds`. More nodes cut the
-  /// fault-free time but raise the system crash rate, so this can answer
-  /// "impossible" where the perfect-cluster planner would not. Node counts
-  /// whose recovery cannot keep up (replica takeover saturated) are skipped.
+  /// fault-free time t(n) — is <= `target_seconds`. `max_slowdown` is
+  /// core::MaxSlowdownTable(faults, m) for some m >= max_nodes. More nodes
+  /// cut the fault-free time but raise the system crash rate, so this can
+  /// answer "impossible" where the perfect-cluster planner would not. Node
+  /// counts whose recovery cannot keep up (replica takeover saturated) are
+  /// skipped.
   [[nodiscard]] Result<int> NodesForTargetTimeUnderFaults(
-      double target_seconds, const FaultSpec& faults, int min_nodes = 1) const;
+      double target_seconds, const FaultSpec& faults,
+      const std::vector<double>& max_slowdown, int min_nodes = 1) const;
 
   /// Failure-aware Question 4: the Young/Daly optimal checkpoint interval
   /// sqrt(2 * C * mtbf / n) at `nodes` machines. InvalidArgument unless the

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/planner.h"
@@ -170,11 +171,26 @@ TEST(AnalyticFormsTest, ExpectedMaxSlowdownGrowsWithClusterSize) {
   EXPECT_LT(ExpectedMaxSlowdown(capped, 256), j256);
 }
 
+TEST(AnalyticFormsTest, MaxSlowdownTableHoldsEachIntegral) {
+  FaultSpec spec;
+  spec.straggler_sigma = 0.4;
+  spec.recovery = RecoveryStrategy::kSpeculativeReexec;
+  spec.speculation_threshold = 1.5;
+  const std::vector<double> table = MaxSlowdownTable(spec, 40);
+  ASSERT_EQ(table.size(), 41u);
+  EXPECT_EQ(table[0], 1.0);
+  for (int n = 1; n <= 40; ++n) {
+    EXPECT_EQ(table[static_cast<size_t>(n)], ExpectedMaxSlowdown(spec, n))
+        << "n=" << n;
+  }
+}
+
 TEST(AnalyticFormsTest, FaultFreeCompletionIsSegmentsTimesSegment) {
   FaultSpec spec;
   spec.checkpoint_interval_s = 100.0;
   spec.checkpoint_cost_s = 5.0;
-  Result<double> t = ExpectedCompletionSeconds(spec, 8, 400.0);
+  Result<double> t =
+      ExpectedCompletionSeconds(spec, 8, 400.0, ExpectedMaxSlowdown(spec, 8));
   ASSERT_TRUE(t.ok());
   EXPECT_NEAR(t.value(), 4 * (100.0 + 5.0), 1e-9);
 }
@@ -182,11 +198,13 @@ TEST(AnalyticFormsTest, FaultFreeCompletionIsSegmentsTimesSegment) {
 TEST(AnalyticFormsTest, CrashesMakeCompletionSlowerAndMtbfMonotone) {
   FaultSpec spec = CrashSpec(2000.0, 10.0);
   spec.checkpoint_cost_s = 5.0;
-  Result<double> faulty = ExpectedCompletionSeconds(spec, 8, 400.0);
+  Result<double> faulty =
+      ExpectedCompletionSeconds(spec, 8, 400.0, ExpectedMaxSlowdown(spec, 8));
   ASSERT_TRUE(faulty.ok());
   EXPECT_GT(faulty.value(), 400.0);
   spec.mtbf_seconds = 20000.0;
-  Result<double> rarer = ExpectedCompletionSeconds(spec, 8, 400.0);
+  Result<double> rarer =
+      ExpectedCompletionSeconds(spec, 8, 400.0, ExpectedMaxSlowdown(spec, 8));
   ASSERT_TRUE(rarer.ok());
   EXPECT_LT(rarer.value(), faulty.value());
 }
@@ -196,7 +214,8 @@ TEST(AnalyticFormsTest, SaturatedReplicaTakeoverIsInvalidArgument) {
   spec.recovery = RecoveryStrategy::kReplicaTakeover;
   spec.takeover_seconds = 5.0;
   // lambda = 100/11 > 1/5: takeovers arrive faster than they finish.
-  Result<double> t = ExpectedCompletionSeconds(spec, 100, 400.0);
+  Result<double> t = ExpectedCompletionSeconds(
+      spec, 100, 400.0, ExpectedMaxSlowdown(spec, 100));
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(t.status().message().find("cannot keep up"), std::string::npos);
@@ -212,7 +231,8 @@ TEST(CapacityPlannerFaultsTest, FaultAwareTargetNeedsMoreNodesThanPerfect) {
   spec.checkpoint_cost_s = 5.0;
   Result<int> perfect = planner.NodesForTargetTime(16.0);
   ASSERT_TRUE(perfect.ok());
-  Result<int> faulty = planner.NodesForTargetTimeUnderFaults(16.0, spec);
+  Result<int> faulty = planner.NodesForTargetTimeUnderFaults(
+      16.0, spec, MaxSlowdownTable(spec, 512));
   ASSERT_TRUE(faulty.ok());
   // Failures only ever slow a cluster down, so the answer cannot shrink.
   EXPECT_GE(faulty.value(), perfect.value());
@@ -222,7 +242,8 @@ TEST(CapacityPlannerFaultsTest, ImpossibleFaultTargetIsNotFound) {
   CapacityPlanner planner(Time, 64);
   FaultSpec spec = CrashSpec(500.0, 50.0);
   spec.checkpoint_cost_s = 10.0;
-  Result<int> n = planner.NodesForTargetTimeUnderFaults(1.0, spec);
+  Result<int> n = planner.NodesForTargetTimeUnderFaults(
+      1.0, spec, MaxSlowdownTable(spec, 64));
   EXPECT_FALSE(n.ok());
   EXPECT_EQ(n.status().code(), StatusCode::kNotFound);
 }

@@ -204,8 +204,8 @@ TEST(FaultScenariosTest, AnalyticCompletionMatchesDesWithinTolerance) {
         } else {
           spec.checkpoint_cost_s = 2.0;
         }
-        Result<double> analytic =
-            core::ExpectedCompletionSeconds(spec, n, work);
+        Result<double> analytic = core::ExpectedCompletionSeconds(
+            spec, n, work, core::ExpectedMaxSlowdown(spec, n));
         ASSERT_TRUE(analytic.ok());
 
         FaultJobConfig config;
