@@ -303,16 +303,17 @@ TEST(EventEngineTest, EqualTimeEventsRunInScheduleThenWindowOrder) {
   }
 }
 
-// Pins the order at a node that holds many events whenever it pops, while
-// its handlers schedule 0, 1 or 3 events on it (some at the current time,
-// so they tie on seq with each other) and send to it. Node 2 runs, with
-// lookahead 1:
+// Pins the order at a node that holds three or more events at most of its
+// pops, while its handlers schedule 0, 1 or 3 events on it (some at the
+// current time, so they tie on seq with each other) and send to it. Node 2
+// runs, with lookahead 1:
 //   window [0, 1): its five events at t = 0 scheduled before Run, in seq
 //     order; then their schedules at t = 0 (10, 11, 30, 41), in seq order;
 //     at t = 0.5 the pre-Run 6 before 12;
 //   window [1, 2): at t = 1 the pre-Run 7 and 8, then the window-0 messages
 //     by src (1000 from node 0; 40 and 50 from itself, in send order; 7000
-//     from node 7), then 80, scheduled by 8 in this window.
+//     from node 7), then 80, scheduled by 8 in this window; at t = 1.5 the
+//     pre-Run 9, which finds its queue otherwise empty, then its 90.
 // Node 0 shares node 2's shard at 1 and 2 shards, node 7 only at 1.
 TEST(EventEngineTest, BusyNodeRunsItsOwnSchedulesAndSendsInKeyOrder) {
   constexpr int kNodes = 8;
@@ -367,6 +368,7 @@ TEST(EventEngineTest, BusyNodeRunsItsOwnSchedulesAndSendsInKeyOrder) {
     engine.MustScheduleAt(kBusy, 0.5, plain, 6);
     engine.MustScheduleAt(kBusy, 1.0, none, 7);
     engine.MustScheduleAt(kBusy, 1.0, one, 8);
+    engine.MustScheduleAt(kBusy, 1.5, one, 9);
     engine.MustScheduleAt(0, 0.0, send_to_busy, 100);
     engine.MustScheduleAt(7, 0.0, send_to_busy, 700);
     Result<EngineStats> stats = engine.Run();
@@ -384,9 +386,10 @@ TEST(EventEngineTest, BusyNodeRunsItsOwnSchedulesAndSendsInKeyOrder) {
         {0.5, kBusy, plain, 12},       {1.0, kBusy, none, 7},
         {1.0, kBusy, one, 8},          {1.0, kBusy, plain, 1000},
         {1.0, kBusy, plain, 40},       {1.0, kBusy, plain, 50},
-        {1.0, kBusy, plain, 7000},     {1.0, kBusy, plain, 80}};
+        {1.0, kBusy, plain, 7000},     {1.0, kBusy, plain, 80},
+        {1.5, kBusy, one, 9},          {1.5, kBusy, plain, 90}};
     EXPECT_EQ(traces, expected) << "shards=" << shards;
-    EXPECT_EQ(stats.value().events_executed, 20) << "shards=" << shards;
+    EXPECT_EQ(stats.value().events_executed, 22) << "shards=" << shards;
     EXPECT_EQ(stats.value().messages_delivered, 4) << "shards=" << shards;
     EXPECT_EQ(stats.value().windows, 2) << "shards=" << shards;
   }
